@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench check fuzz soak-short soak soak-core soak-serve lint stcamlint
+.PHONY: all build vet fmt test race bench bench-e2e bench-assoc check fuzz soak-short soak soak-core soak-serve lint stcamlint
 
 all: check
 
@@ -76,6 +76,22 @@ soak-serve:
 # bench regenerates the experiment tables at CI scale.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# bench-e2e runs the loopback-TCP end-to-end benchmark (benchmark/README.md)
+# the way BENCHMARK.json runs it. Empty variables keep the program's defaults:
+# no WORKLOAD runs the whole suite, which also appends a row to
+# benchmark/BENCH_E2E.json.
+WORKLOAD ?=
+SEED ?=
+SECONDS ?=
+bench-e2e:
+	bash benchmark/run.sh $(if $(WORKLOAD),-workload $(WORKLOAD)) $(if $(SEED),-seed $(SEED)) $(if $(SECONDS),-seconds $(SECONDS))
+
+# bench-assoc prices the identity-association kernel (dense vs the reference
+# model, 0 allocs/op on the match path) and leaves a CPU profile behind:
+# `go tool pprof -top vision.test assoc.prof`.
+bench-assoc:
+	$(GO) test -run '^$$' -bench Associate -benchmem -cpuprofile assoc.prof ./internal/vision
 
 # fuzz gives each fuzz target a short budget (regression corpora always run
 # as part of `test`). Targets are discovered per package, so new Fuzz*

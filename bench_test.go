@@ -155,6 +155,14 @@ func BenchmarkR21Serving(b *testing.B) {
 	}
 }
 
+func BenchmarkR23Association(b *testing.B) {
+	tbl := runExperiment(b, bench.R23Association)
+	// Headline: dense-vs-sort speedup and match-path allocs/op at the
+	// end-to-end benchmark's gallery shape (row 0) — the pair the gate holds.
+	b.ReportMetric(cell(tbl, 0, 4), "assoc-speedup-x")
+	b.ReportMetric(cell(tbl, 0, 5), "assoc-allocs/op")
+}
+
 func BenchmarkR13Planner(b *testing.B) {
 	tbl := runExperiment(b, bench.R13Planner)
 	// Headline: forced-spatial slowdown relative to adaptive (row 0, col 4

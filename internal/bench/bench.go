@@ -141,5 +141,6 @@ func All() []Experiment {
 		{"R17", "Tiered track history: sealed-chunk compression and rollup routing", R17TieredStorage},
 		{"R20", "Wire codec allocation: value vs pooled round trips", R20CodecAlloc},
 		{"R21", "Serving plane: shared fan-out, result cache, admission control", R21Serving},
+		{"R23", "Identity association: dense top-1 kernel vs full-sort baseline", R23Association},
 	}
 }

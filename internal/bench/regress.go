@@ -78,6 +78,13 @@ type GateColumn struct {
 //     P99 under a shed query storm at +10% of idle — both sides are measured
 //     back-to-back in the same process over the same injected latency, so
 //     the ratio stays near 1.0 on any host.
+//   - R23 "dense allocs/op", "speedup×": the association kernel's contract.
+//     The match path allocates nothing, so the ceiling is "below one half" —
+//     zero, with room for a stray runtime allocation landing in the MemStats
+//     window (Max 0 would read as "no ceiling"). "speedup×" floors the
+//     dense-vs-full-sort ratio at 3× (observed 5–8×): both loops run back to
+//     back on the same gallery, so host speed cancels, and reintroducing a
+//     per-probe sort or per-row norm recomputation collapses it toward 1×.
 func DefaultGate() []GateColumn {
 	return []GateColumn{
 		{Table: "R15", Col: "speedup", Min: 2.0},
@@ -95,6 +102,8 @@ func DefaultGate() []GateColumn {
 		{Table: "R21", Col: "cache hit", Min: 0.9},
 		{Table: "R21", Col: "ingest acked", Min: 0.999},
 		{Table: "R21", Col: "ingest p99×", Max: 1.10},
+		{Table: "R23", Col: "dense allocs/op", Max: 0.5},
+		{Table: "R23", Col: "speedup×", Min: 3},
 	}
 }
 

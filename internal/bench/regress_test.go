@@ -200,3 +200,33 @@ func TestCompareMaxBytesCeilingFails(t *testing.T) {
 		t.Fatal("pooled B/op over the ceiling passed the gate")
 	}
 }
+
+// assocDoc builds an R23 table with the given speedup× and dense allocs/op
+// cells on its gated row.
+func assocDoc(speedup, allocs string) *BenchDoc {
+	return &BenchDoc{Scale: 1, Tables: []*Table{{
+		ID:     "R23",
+		Header: []string{"gallery", "dim", "sort µs/op", "dense µs/op", "speedup×", "dense allocs/op"},
+		Rows:   [][]string{{"323", "32", "60.0", "8.000", speedup, allocs}},
+	}}}
+}
+
+// The association gate holds the match path at zero allocations (a stray
+// runtime allocation in the measuring window rounds to 0.00x and passes) and
+// the dense-vs-sort ratio above its floor.
+func TestCompareAssociationGate(t *testing.T) {
+	base := assocDoc("7.500", "0")
+	for _, c := range []struct {
+		speedup, allocs string
+		fail            bool
+	}{
+		{"7.100", "0.002", false},
+		{"3.200", "0", false},
+		{"7.100", "1.000", true},
+		{"1.100", "0", true},
+	} {
+		if r := Compare(base, assocDoc(c.speedup, c.allocs), DefaultGate()); r.Failed() != c.fail {
+			t.Errorf("speedup %s, allocs %s: failed = %v, want %v\n%s", c.speedup, c.allocs, r.Failed(), c.fail, r)
+		}
+	}
+}

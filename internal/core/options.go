@@ -30,7 +30,9 @@ type Options struct {
 	// PrimeTTL is how long (observation time) a handoff prime stays armed on
 	// neighbor cameras before expiring (default 30s).
 	PrimeTTL time.Duration
-	// Retention bounds the observation store; 0 keeps everything.
+	// Retention bounds the observation store, and with it the worker's
+	// identity gallery: an identity unseen for this long has no records left
+	// and is dropped. 0 keeps everything.
 	Retention time.Duration
 	// CellSize is the spatial index cell in meters (default 50).
 	CellSize float64

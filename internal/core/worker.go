@@ -53,6 +53,8 @@ type Worker struct {
 	primary    map[uint32]bool
 	store      *stindex.Store
 	assoc      *vision.Associator
+	probes     []vision.Probe // onIngest scratch: the batch's featured primary observations
+	localIDs   []uint64       // onIngest scratch: their associated identities
 	featureLog *featureRing
 	ingestSeqs map[string]*ingestSeqState
 	hist       *stindex.STHistogram
@@ -561,6 +563,19 @@ func (w *Worker) onIngest(ctx context.Context, m *wire.IngestBatch) (any, error)
 			return &ack, nil
 		}
 	}
+	// Identity association for every featured primary observation, in batch
+	// order under one associator lock; the insert loop below consumes the IDs
+	// in the same order.
+	w.probes = w.probes[:0]
+	for i := range m.Observations {
+		if obs := &m.Observations[i]; len(obs.Feature) > 0 && w.primary[obs.Camera] {
+			w.probes = append(w.probes, vision.Probe{Feature: obs.Feature, At: obs.Time})
+		}
+	}
+	var expired int
+	w.localIDs, expired = w.assoc.AssociateBatch(w.probes, w.opts.Retention, w.localIDs[:0])
+	localIDs := w.localIDs
+
 	accepted, rejected, replicated := 0, 0, 0
 	latest := m.FrameTime
 	var evals []stagedObs
@@ -587,11 +602,11 @@ func (w *Worker) onIngest(ctx context.Context, m *wire.IngestBatch) (any, error)
 			continue
 		}
 		accepted++
-		// Identity association: worker-local namespaced target IDs.
+		// Worker-local identities, namespaced into cluster-wide target IDs.
 		var targetID uint64
 		if len(obs.Feature) > 0 {
-			local, _ := w.assoc.Associate(vision.Feature(obs.Feature))
-			targetID = w.idNamespace | local
+			targetID = w.idNamespace | localIDs[0]
+			localIDs = localIDs[1:]
 		}
 		rec := stindex.Record{
 			ObsID:    obs.ObsID,
@@ -618,6 +633,8 @@ func (w *Worker) onIngest(ctx context.Context, m *wire.IngestBatch) (any, error)
 	w.reg.Counter("ingest.rejected").Add(int64(rejected))
 	w.reg.Counter("ingest.replica").Add(int64(replicated))
 	w.reg.Gauge("store.records").Set(int64(w.store.Len()))
+	w.reg.Gauge("assoc.gallery_size").Set(int64(w.assoc.Gallery().Len()))
+	w.reg.Counter("assoc.expired").Add(int64(expired))
 	w.mu.Unlock()
 
 	pushes := w.evaluateIngest(evals, latest)

@@ -1,6 +1,7 @@
 package vision
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -34,4 +35,42 @@ func BenchmarkGalleryMatch1000(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchProbes enrols g fresh identities of dimension d through associate and
+// returns re-sightings of them that all match (the ingest steady state).
+func benchProbes(g, d int, associate func(Feature) (uint64, bool)) []Feature {
+	rng := rand.New(rand.NewSource(3))
+	probes := make([]Feature, 0, 4*g)
+	for i := 0; i < g; i++ {
+		f := NewRandomFeature(rng, d)
+		associate(f)
+		for j := 0; j < 4; j++ {
+			probes = append(probes, f.Perturb(rng, 0.02))
+		}
+	}
+	rng.Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
+	return probes
+}
+
+var assocSink uint64
+
+// BenchmarkAssociate prices one association on the match path at the
+// benchmark cluster's per-worker gallery (323 × 32-d) and two larger shapes;
+// the reference row is the map-and-sort model on the same probes.
+func BenchmarkAssociate(b *testing.B) {
+	run := func(name string, g, d int, associate func(Feature) (uint64, bool)) {
+		b.Run(fmt.Sprintf("%s/G=%d,d=%d", name, g, d), func(b *testing.B) {
+			probes := benchProbes(g, d, associate)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				assocSink, _ = associate(probes[i%len(probes)])
+			}
+		})
+	}
+	for _, c := range []struct{ g, d int }{{323, 32}, {1000, 64}, {5000, 128}} {
+		run("dense", c.g, c.d, NewAssociator(0.75).Associate)
+	}
+	run("reference", 323, 32, newRefAssociator(0.75).Associate)
 }

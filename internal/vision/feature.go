@@ -58,12 +58,19 @@ func (f Feature) Clone() Feature {
 	return out
 }
 
-func (f Feature) normalize() {
+// norm returns the Euclidean norm, accumulated in float64 in index order —
+// the order Cosine uses, so a norm computed once and cached reproduces the
+// one Cosine would recompute.
+func (f Feature) norm() float64 {
 	var sum float64
 	for _, v := range f {
 		sum += float64(v) * float64(v)
 	}
-	n := math.Sqrt(sum)
+	return math.Sqrt(sum)
+}
+
+func (f Feature) normalize() {
+	n := f.norm()
 	if n == 0 {
 		return
 	}
@@ -85,10 +92,43 @@ func Cosine(a, b Feature) float64 {
 		na += float64(a[i]) * float64(a[i])
 		nb += float64(b[i]) * float64(b[i])
 	}
+	return similarity(dot, math.Sqrt(na), math.Sqrt(nb))
+}
+
+// similarity finishes a cosine from the dot product and the two norms. Every
+// score in the package ends in this expression, so the gallery's cached-norm
+// kernel and Cosine agree to the last bit.
+func similarity(dot, na, nb float64) float64 {
 	if na == 0 || nb == 0 {
 		return -1
 	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
+	return dot / (na * nb)
+}
+
+// dot is the float64 dot product of two equal-length features, accumulated
+// in index order.
+func dot(a, b Feature) float64 {
+	b = b[:len(a)]
+	var d float64
+	for i, v := range a {
+		d += float64(v) * float64(b[i])
+	}
+	return d
+}
+
+// dot4 is dot of a against four consecutive rows of a row-major matrix:
+// four independent chains, each in index order.
+func dot4(a Feature, rows []float32) (d0, d1, d2, d3 float64) {
+	n := len(a)
+	r0, r1, r2, r3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:4*n]
+	for i, v := range a {
+		x := float64(v)
+		d0 += x * float64(r0[i])
+		d1 += x * float64(r1[i])
+		d2 += x * float64(r2[i])
+		d3 += x * float64(r3[i])
+	}
+	return
 }
 
 // String implements fmt.Stringer with a compact fingerprint.

@@ -2,8 +2,9 @@ package vision
 
 import (
 	"errors"
-	"sort"
+	"math"
 	"sync"
+	"time"
 )
 
 // Match is one re-identification candidate: a gallery identity and its
@@ -13,25 +14,74 @@ type Match struct {
 	Score float64 // cosine similarity in [-1, 1]
 }
 
+// ranksBefore is the result order of Match and the winner rule of Associate:
+// higher score first, ties to the lower ID. IDs are unique, so the order is
+// total and no answer depends on where a row happens to be stored.
+func (m Match) ranksBefore(o Match) bool {
+	if m.Score != o.Score {
+		return m.Score > o.Score
+	}
+	return m.ID < o.ID
+}
+
 // Gallery is a set of known identities with reference features, supporting
 // rank-k re-identification queries. Multiple reference features per identity
 // are averaged into a prototype (the standard "centroid gallery" scheme).
 // Safe for concurrent use.
+//
+// Storage is a structure of arrays, one block per feature dimension, so a
+// probe is scored by streaming over one contiguous prototype matrix with each
+// row's norm already known (DESIGN.md §Identity association).
 type Gallery struct {
-	mu     sync.RWMutex
-	protos map[uint64]Feature
-	counts map[uint64]int
+	mu     sync.Mutex
+	blocks []*block          // one per enrolled feature dimension
+	index  map[uint64]rowRef // identity → its row
+	// oldest is a lower bound on the earliest last-seen time of any row, so
+	// expiry sweeps only when something can be older than the cutoff.
+	oldest int64
 }
+
+// block holds every identity of one feature dimension. Row r is ids[r],
+// counts[r], seen[r], norms[r] and protos[r*dim : (r+1)*dim].
+type block struct {
+	dim    int
+	ids    []uint64
+	counts []int     // features averaged into the prototype
+	seen   []int64   // last observation time (Unix ns), or pinned
+	norms  []float64 // prototype's Euclidean norm, refreshed by enrollment only
+	protos []float32
+}
+
+type rowRef struct {
+	b   *block
+	row int
+}
+
+// pinned is the last-seen time of an identity enrolled or matched without an
+// observation time (Gallery.Enroll, Associator.Associate): it never expires.
+const pinned = math.MaxInt64
 
 // ErrEmptyGallery is returned by Match when no identities are enrolled.
 var ErrEmptyGallery = errors.New("vision: empty gallery")
 
 // NewGallery returns an empty gallery.
 func NewGallery() *Gallery {
-	return &Gallery{
-		protos: make(map[uint64]Feature),
-		counts: make(map[uint64]int),
+	return &Gallery{index: make(map[uint64]rowRef), oldest: pinned}
+}
+
+func (b *block) proto(row int) Feature {
+	return Feature(b.protos[row*b.dim : (row+1)*b.dim : (row+1)*b.dim])
+}
+
+// blockOf returns the block holding dim-dimensional identities, nil if none
+// was ever enrolled.
+func (g *Gallery) blockOf(dim int) *block {
+	for _, b := range g.blocks {
+		if b.dim == dim {
+			return b
+		}
 	}
+	return nil
 }
 
 // Enroll adds a reference feature for an identity, updating its prototype as
@@ -39,84 +89,217 @@ func NewGallery() *Gallery {
 func (g *Gallery) Enroll(id uint64, f Feature) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	proto, ok := g.protos[id]
-	if !ok {
-		g.protos[id] = f.Clone()
-		g.counts[id] = 1
+	g.enroll(id, f, pinned)
+}
+
+// enroll is Enroll with the observation time at. Caller holds g.mu.
+func (g *Gallery) enroll(id uint64, f Feature, at int64) {
+	if ref, ok := g.index[id]; ok {
+		ref.b.update(ref.row, f, at)
 		return
 	}
-	n := float32(g.counts[id])
+	b := g.blockOf(len(f))
+	if b == nil {
+		b = &block{dim: len(f)}
+		g.blocks = append(g.blocks, b)
+	}
+	g.index[id] = rowRef{b, len(b.ids)}
+	b.ids = append(b.ids, id)
+	b.counts = append(b.counts, 1)
+	b.seen = append(b.seen, at)
+	b.norms = append(b.norms, f.norm())
+	b.protos = append(b.protos, f...)
+	g.oldest = min(g.oldest, at)
+}
+
+// update folds f into row's running-mean prototype in place and refreshes the
+// cached norm. A feature of another dimension updates the components it has.
+func (b *block) update(row int, f Feature, at int64) {
+	proto := b.proto(row)
+	n := float32(b.counts[row])
 	for i := range proto {
 		if i < len(f) {
 			proto[i] = (proto[i]*n + f[i]) / (n + 1)
 		}
 	}
 	proto.normalize()
-	g.counts[id]++
+	b.norms[row] = proto.norm()
+	b.counts[row]++
+	b.seen[row] = max(b.seen[row], at)
 }
 
 // Remove drops an identity, returning whether it existed.
 func (g *Gallery) Remove(id uint64) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.protos[id]; !ok {
-		return false
+	ref, ok := g.index[id]
+	if ok {
+		g.removeRow(ref.b, ref.row)
 	}
-	delete(g.protos, id)
-	delete(g.counts, id)
-	return true
+	return ok
+}
+
+// removeRow deletes one row by moving the block's last row into its place.
+func (g *Gallery) removeRow(b *block, row int) {
+	last := len(b.ids) - 1
+	delete(g.index, b.ids[row])
+	if row != last {
+		b.ids[row], b.counts[row], b.seen[row], b.norms[row] = b.ids[last], b.counts[last], b.seen[last], b.norms[last]
+		copy(b.proto(row), b.proto(last))
+		g.index[b.ids[row]] = rowRef{b, row}
+	}
+	b.ids, b.counts, b.seen, b.norms = b.ids[:last], b.counts[:last], b.seen[:last], b.norms[:last]
+	b.protos = b.protos[:last*b.dim]
+}
+
+// expire drops every identity last seen before cutoff and returns how many.
+// Caller holds g.mu.
+func (g *Gallery) expire(cutoff int64) int {
+	if g.oldest >= cutoff {
+		return 0
+	}
+	dropped := 0
+	g.oldest = pinned
+	for _, b := range g.blocks {
+		// Backwards, so the row removeRow moves into a hole was already kept.
+		for row := len(b.ids) - 1; row >= 0; row-- {
+			if b.seen[row] < cutoff {
+				g.removeRow(b, row)
+				dropped++
+			} else {
+				g.oldest = min(g.oldest, b.seen[row])
+			}
+		}
+	}
+	return dropped
 }
 
 // Len returns the number of enrolled identities.
 func (g *Gallery) Len() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.protos)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.index)
 }
 
 // Match returns the top-k identities by similarity to the probe, descending,
-// ties broken by ascending ID.
+// ties broken by ascending ID. Identities of another dimension score -1, as
+// Cosine scores them.
 func (g *Gallery) Match(probe Feature, k int) ([]Match, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if len(g.protos) == 0 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.index) == 0 {
 		return nil, ErrEmptyGallery
 	}
 	if k <= 0 {
 		return nil, nil
 	}
-	matches := make([]Match, 0, len(g.protos))
-	for id, proto := range g.protos {
-		matches = append(matches, Match{ID: id, Score: Cosine(probe, proto)})
-	}
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Score != matches[j].Score {
-			return matches[i].Score > matches[j].Score
+	// top is a heap of the k best so far with the worst of them at the root.
+	top := make([]Match, 0, min(k, len(g.index)))
+	pnorm := probe.norm()
+	for _, b := range g.blocks {
+		sameDim := b.dim == len(probe) && b.dim > 0
+		for row, id := range b.ids {
+			m := Match{ID: id, Score: -1}
+			if sameDim {
+				m.Score = similarity(dot(probe, b.proto(row)), pnorm, b.norms[row])
+			}
+			if len(top) < k {
+				top = append(top, m)
+				siftUp(top, len(top)-1)
+			} else if m.ranksBefore(top[0]) {
+				top[0] = m
+				siftDown(top, 0)
+			}
 		}
-		return matches[i].ID < matches[j].ID
-	})
-	if k < len(matches) {
-		matches = matches[:k]
 	}
-	return matches, nil
+	// Heapsort: moving the worst to the shrinking tail leaves best first.
+	for n := len(top) - 1; n > 0; n-- {
+		top[0], top[n] = top[n], top[0]
+		siftDown(top[:n], 0)
+	}
+	return top, nil
+}
+
+func siftUp(h []Match, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[parent].ranksBefore(h[i]) {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+func siftDown(h []Match, i int) {
+	for {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if h[worst].ranksBefore(h[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[worst], h[i] = h[i], h[worst]
+		i = worst
+	}
+}
+
+// top1 returns the row most similar to the probe (ties to the lower ID) and
+// its score, or row -1 when no row compares. It is the association kernel:
+// one pass, four rows at a time so four independent float64 chains keep the
+// adder busy. Each row's chain still runs in index order, which is what keeps
+// its score bit-identical to Cosine(probe, prototype).
+func (b *block) top1(probe Feature, pnorm float64) (int, float64) {
+	best, bestScore := -1, math.Inf(-1)
+	consider := func(row int, d float64) {
+		s := similarity(d, pnorm, b.norms[row])
+		if s > bestScore || (s == bestScore && best >= 0 && b.ids[row] < b.ids[best]) {
+			best, bestScore = row, s
+		}
+	}
+	n := len(b.ids)
+	row := 0
+	for ; row+4 <= n; row += 4 {
+		d0, d1, d2, d3 := dot4(probe, b.protos[row*b.dim:(row+4)*b.dim])
+		consider(row, d0)
+		consider(row+1, d1)
+		consider(row+2, d2)
+		consider(row+3, d3)
+	}
+	for ; row < n; row++ {
+		consider(row, dot(probe, b.proto(row)))
+	}
+	return best, bestScore
 }
 
 // Associator performs online identity association for tracking: a probe
 // either matches an enrolled identity above the threshold or founds a new
 // identity. This is how cross-camera tracking decides whether a detection at
-// a neighboring camera is "the same target".
+// a neighboring camera is "the same target". Safe for concurrent use: match,
+// enrollment and ID minting are one critical section under the gallery's
+// mutex, so concurrent sightings of one unseen target found one identity.
 type Associator struct {
 	gallery   *Gallery
 	threshold float64
 
-	mu     sync.Mutex
+	// Guarded by gallery.mu.
 	nextID uint64
+	latest int64 // newest observation time associated so far
+}
+
+// Probe is one timed association request.
+type Probe struct {
+	Feature Feature
+	At      time.Time // observation time
 }
 
 // NewAssociator returns an associator over its own gallery with the given
 // acceptance threshold (cosine similarity).
 func NewAssociator(threshold float64) *Associator {
-	return &Associator{gallery: NewGallery(), threshold: threshold, nextID: 1}
+	return &Associator{gallery: NewGallery(), threshold: threshold, nextID: 1, latest: math.MinInt64}
 }
 
 // Gallery exposes the underlying gallery (for enrollment of known targets).
@@ -124,17 +307,48 @@ func (a *Associator) Gallery() *Gallery { return a.gallery }
 
 // Associate matches the probe against known identities; on success it
 // re-enrolls the probe (online adaptation) and returns (id, true). Otherwise
-// it mints a new identity and returns (newID, false).
+// it mints a new identity and returns (newID, false). The probe carries no
+// observation time, so the identity it touches never expires.
 func (a *Associator) Associate(probe Feature) (uint64, bool) {
-	matches, err := a.gallery.Match(probe, 1)
-	if err == nil && len(matches) == 1 && matches[0].Score >= a.threshold {
-		a.gallery.Enroll(matches[0].ID, probe)
-		return matches[0].ID, true
+	a.gallery.mu.Lock()
+	defer a.gallery.mu.Unlock()
+	return a.associate(probe, pinned)
+}
+
+// AssociateBatch associates the probes in order under one lock acquisition
+// and appends their identities to ids. With retention > 0 an identity last
+// seen more than retention before the newest observation time so far is
+// dropped first — the index has already evicted its records, so the ID refers
+// to nothing — and the second result counts those. Expiry is decided probe by
+// probe, so identities do not depend on how a stream is cut into batches.
+func (a *Associator) AssociateBatch(probes []Probe, retention time.Duration, ids []uint64) ([]uint64, int) {
+	g := a.gallery
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	expired := 0
+	for _, p := range probes {
+		at := p.At.UnixNano()
+		a.latest = max(a.latest, at)
+		if retention > 0 {
+			expired += g.expire(a.latest - int64(retention))
+		}
+		id, _ := a.associate(p.Feature, at)
+		ids = append(ids, id)
 	}
-	a.mu.Lock()
+	return ids, expired
+}
+
+// associate is the critical section behind Associate. Caller holds the
+// gallery mutex.
+func (a *Associator) associate(probe Feature, at int64) (uint64, bool) {
+	if b := a.gallery.blockOf(len(probe)); b != nil {
+		if row, score := b.top1(probe, probe.norm()); row >= 0 && score >= a.threshold {
+			b.update(row, probe, at)
+			return b.ids[row], true
+		}
+	}
 	id := a.nextID
 	a.nextID++
-	a.mu.Unlock()
-	a.gallery.Enroll(id, probe)
+	a.gallery.enroll(id, probe, at)
 	return id, false
 }
