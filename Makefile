@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-e2e bench-assoc check fuzz soak-short soak soak-core soak-serve lint stcamlint
+.PHONY: all build vet fmt test race bench bench-e2e bench-assoc bench-query check fuzz soak-short soak soak-core soak-serve lint stcamlint
 
 all: check
 
@@ -92,6 +92,13 @@ bench-e2e:
 # `go tool pprof -top vision.test assoc.prof`.
 bench-assoc:
 	$(GO) test -run '^$$' -bench Associate -benchmem -cpuprofile assoc.prof ./internal/vision
+
+# bench-query prices the store's read path on a store shaped like one
+# query.scan worker (full-window heatmap, covered count, wide range; allocs
+# reported) and leaves a CPU profile behind:
+# `go tool pprof -top stindex.test query.prof`.
+bench-query:
+	$(GO) test -run '^$$' -bench Scan -benchmem -cpuprofile query.prof ./internal/stindex
 
 # fuzz gives each fuzz target a short budget (regression corpora always run
 # as part of `test`). Targets are discovered per package, so new Fuzz*

@@ -731,13 +731,21 @@ func (c *Coordinator) Filter(ctx context.Context, q wire.FilterQuery) ([]wire.Re
 // its observations into cells of the given size; the coordinator sums the
 // partial maps. Cells are returned sorted by (CY, CX) for stable output.
 func (c *Coordinator) Heatmap(ctx context.Context, rect geo.Rect, window wire.TimeWindow, cellSize float64) ([]wire.HeatCell, error) {
+	cells, _, err := c.HeatmapMeta(ctx, rect, window, cellSize)
+	return cells, err
+}
+
+// HeatmapMeta is Heatmap plus answer-completeness metadata, mirroring
+// RangeMeta; a completeness below 1.0 means some workers' counts are missing.
+func (c *Coordinator) HeatmapMeta(ctx context.Context, rect geo.Rect, window wire.TimeWindow, cellSize float64) ([]wire.HeatCell, QueryMeta, error) {
 	if cellSize <= 0 {
-		return nil, fmt.Errorf("core: heatmap cell size must be positive")
+		return nil, QueryMeta{}, fmt.Errorf("core: heatmap cell size must be positive")
 	}
 	q := &wire.HeatmapQuery{QueryID: c.nextQueryID.Add(1), Rect: rect, Window: window, CellSize: cellSize}
 	acc := make(map[[2]int32]int64)
-	targets, _ := c.pruneTargets(c.targetsFor(rect), rect, window)
-	resps, _ := c.scatter(ctx, addrsOfTargets(targets), q)
+	targets, pruned := c.pruneTargets(c.targetsFor(rect), rect, window)
+	resps, meta := c.scatter(ctx, addrsOfTargets(targets), q)
+	meta.Pruned = pruned
 	for _, resp := range resps {
 		hr, ok := resp.(*wire.HeatmapResult)
 		if !ok {
@@ -757,7 +765,7 @@ func (c *Coordinator) Heatmap(ctx context.Context, rect geo.Rect, window wire.Ti
 		}
 		return out[i].CX < out[j].CX
 	})
-	return out, nil
+	return out, meta, nil
 }
 
 // Trajectory fetches a target's observation history. Target IDs are
@@ -798,16 +806,11 @@ func (c *Coordinator) scatter(ctx context.Context, addrs []string, req any) ([]a
 				return
 			}
 			if c.opts.WireAccounting {
-				// Re-marshal the response so bytes-on-wire is measurable
-				// even on in-process transports (experiment R16). The
-				// encoding is only counted, never kept, so it goes through
-				// a pooled buffer.
-				buf := wire.BorrowBuf()
-				if b, merr := wire.AppendMarshal(buf.B[:0], wire.KindOf(resp), resp); merr == nil {
-					c.reg.Counter("scatter.resp_bytes").Add(int64(len(b)))
-					buf.B = b
+				// Measure the response's encoding so bytes-on-wire is
+				// known even on in-process transports (experiment R16).
+				if n, merr := wire.EncodedLen(wire.KindOf(resp), resp); merr == nil {
+					c.reg.Counter("scatter.resp_bytes").Add(int64(n))
 				}
-				buf.Release()
 			}
 			out[i] = resp
 		}(i, addr)

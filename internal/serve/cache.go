@@ -98,11 +98,11 @@ func (c *resultCache) put(key string, epoch uint64, resp any) {
 	if kind == 0 {
 		return
 	}
-	enc, err := wire.Marshal(kind, resp)
+	n, err := wire.EncodedLen(kind, resp)
 	if err != nil {
 		return
 	}
-	size := int64(len(enc))
+	size := int64(n)
 	if size > c.budget {
 		return // a single oversized answer would evict the whole cache for nothing
 	}

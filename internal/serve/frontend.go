@@ -178,11 +178,11 @@ func (f *Frontend) execute(ctx context.Context, req any) (resp any, cacheable bo
 		}
 		return &wire.CountResult{Count: n, Asked: meta.Asked, Answered: meta.Answered}, meta.Answered == meta.Asked
 	case *wire.HeatmapQuery:
-		cells, err := f.coord.Heatmap(ctx, m.Rect, m.Window, m.CellSize)
+		cells, meta, err := f.coord.HeatmapMeta(ctx, m.Rect, m.Window, m.CellSize)
 		if err != nil {
 			return &wire.Error{Code: wire.CodeBadRequest, Message: err.Error()}, false
 		}
-		return &wire.HeatmapResult{CellSize: m.CellSize, Cells: cells}, true
+		return &wire.HeatmapResult{CellSize: m.CellSize, Cells: cells}, meta.Answered == meta.Asked
 	}
 	return &wire.Error{Code: wire.CodeBadRequest, Message: "serve: unhandled query"}, false
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"stcam/internal/cluster"
 	"stcam/internal/core"
 	"stcam/internal/geo"
+	"stcam/internal/metrics"
 	"stcam/internal/wire"
 )
 
@@ -316,6 +318,76 @@ func TestCacheByteBudget(t *testing.T) {
 	}
 	if got := gauge(c, "serve.cache.bytes"); got > 64 {
 		t.Fatalf("cache bytes %d over the 64-byte budget", got)
+	}
+}
+
+// TestCachePutSizesWithoutEncoding: caching a large RangeResult records its
+// exact encoded length without materializing the encoding.
+func TestCachePutSizesWithoutEncoding(t *testing.T) {
+	res := &wire.RangeResult{Records: make([]wire.ResultRecord, 20000), Asked: 4, Answered: 4}
+	for i := range res.Records {
+		res.Records[i] = wire.ResultRecord{ObsID: uint64(i), Camera: 3, Pos: geo.Pt(float64(i), 1), Time: time.Unix(int64(i), 7)}
+	}
+	enc, err := wire.Marshal(wire.KindRangeResult, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newResultCache(64<<20, time.Hour, clock.Wall, metrics.NewRegistry())
+	c.put("k", 1, res)
+	if c.bytes != int64(len(enc)) {
+		t.Fatalf("recorded size %d, encoded length %d", c.bytes, len(enc))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const puts = 20
+	for i := 0; i < puts; i++ {
+		c.put("k", 1, res)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / puts; per > 4096 {
+		t.Fatalf("put allocates %d B for a %d B answer; want it sized without encoding", per, len(enc))
+	}
+}
+
+// TestPartialHeatmapNotCached is the regression for caching a degraded
+// heatmap: an answer assembled while a worker was unreachable must not be
+// served from the cache once the worker is back.
+func TestPartialHeatmapNotCached(t *testing.T) {
+	faulty := cluster.NewFaulty(cluster.NewInProc(), 3)
+	c, err := core.NewLocalClusterOver(faulty, 2, nil, core.Options{
+		RetryPolicy: cluster.Policy{MaxAttempts: 1, FailureThreshold: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	if err := c.Coordinator.AddCameras(ctx, gridCams(2), 50); err != nil {
+		t.Fatal(err)
+	}
+	New(c.Coordinator, Options{CacheTTL: time.Hour})
+	for i := 0; i < 40; i++ {
+		cam := uint32(1 + i%4)
+		p := gridCams(2)[cam-1].Pos
+		ingest(t, c, obsAt(uint64(1+i), cam, p, time.Unix(int64(100+i), 0).UTC()))
+	}
+	total := func(hr *wire.HeatmapResult) int64 {
+		var n int64
+		for _, cell := range hr.Cells {
+			n += cell.Count
+		}
+		return n
+	}
+	q := &wire.HeatmapQuery{Rect: world, Window: window, CellSize: 100}
+
+	down := c.Workers[0].Addr()
+	faulty.SetPartitioned(down, true)
+	partial := gw(t, c, q).(*wire.HeatmapResult)
+	if total(partial) >= 40 {
+		t.Fatalf("heatmap with %s partitioned counted %d of 40; the partition did not bite", down, total(partial))
+	}
+	faulty.SetPartitioned(down, false)
+	if got := total(gw(t, c, q).(*wire.HeatmapResult)); got != 40 {
+		t.Fatalf("heatmap after heal counted %d, want 40 (the partial answer was cached)", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package stindex
 
 import (
-	"math"
 	"time"
 
 	"stcam/internal/geo"
@@ -21,7 +20,7 @@ import (
 type rollupEntry struct {
 	count  int64
 	bounds geo.Rect
-	grid   map[[2]int32]*rollupSquare
+	grid   map[cellKey]*rollupSquare
 }
 
 // rollupSquare is one density-grid square of a rollupEntry.
@@ -31,19 +30,16 @@ type rollupSquare struct {
 }
 
 func newRollupEntry() *rollupEntry {
-	return &rollupEntry{bounds: geo.EmptyRect(), grid: make(map[[2]int32]*rollupSquare)}
+	return &rollupEntry{bounds: geo.EmptyRect(), grid: make(map[cellKey]*rollupSquare)}
 }
 
 // add folds one record into the aggregate. gridSize is the store's
-// RollupCellSize; the grid key matches Heatmap's keying exactly so rollup
-// squares and query heat cells coincide when the sizes do.
+// RollupCellSize; gridKey is Heatmap's keying too, so rollup squares and
+// query heat cells coincide when the sizes do.
 func (e *rollupEntry) add(rec Record, gridSize float64) {
 	e.count++
 	e.bounds = e.bounds.UnionPoint(rec.Pos)
-	key := [2]int32{
-		int32(math.Floor(rec.Pos.X / gridSize)),
-		int32(math.Floor(rec.Pos.Y / gridSize)),
-	}
+	key := gridKey(rec.Pos, gridSize)
 	sq := e.grid[key]
 	if sq == nil {
 		sq = &rollupSquare{bounds: geo.EmptyRect()}
@@ -55,24 +51,22 @@ func (e *rollupEntry) add(rec Record, gridSize float64) {
 
 // countIn returns the number of the entry's records inside r, and whether the
 // aggregate can prove the answer. Bounds fully inside r include everything;
-// bounds strictly outside exclude everything (Intersects counts shared edges,
-// and Contains is boundary-inclusive, so "no intersection" really means no
-// record can lie in r). A grid square straddling r's boundary makes the
-// answer unprovable — the caller must decode.
+// bounds strictly outside exclude everything (see coverOf). A grid square
+// straddling r's boundary makes the answer unprovable — the caller must
+// decode.
 func (e *rollupEntry) countIn(r geo.Rect) (int64, bool) {
-	if r.ContainsRect(e.bounds) {
+	switch coverOf(r, e.bounds) {
+	case coverAll:
 		return e.count, true
-	}
-	if !r.Intersects(e.bounds) {
+	case coverNone:
 		return 0, true
 	}
 	var total int64
 	for _, sq := range e.grid {
-		switch {
-		case r.ContainsRect(sq.bounds):
+		switch coverOf(r, sq.bounds) {
+		case coverAll:
 			total += sq.count
-		case !r.Intersects(sq.bounds):
-		default:
+		case coverSome:
 			return 0, false
 		}
 	}
@@ -84,17 +78,17 @@ func (e *rollupEntry) countIn(r geo.Rect) (int64, bool) {
 // r's boundary, in which case the caller falls back to decoding. The rollup
 // grid and the query grid coincide (same size, same floor origin), so counts
 // transfer key-for-key.
-func (e *rollupEntry) heatInto(r geo.Rect, acc map[[2]int32]int64) bool {
-	if !r.Intersects(e.bounds) {
+func (e *rollupEntry) heatInto(r geo.Rect, acc map[cellKey]int64) bool {
+	if coverOf(r, e.bounds) == coverNone {
 		return true
 	}
 	for _, sq := range e.grid {
-		if !r.ContainsRect(sq.bounds) && r.Intersects(sq.bounds) {
+		if coverOf(r, sq.bounds) == coverSome {
 			return false
 		}
 	}
 	for key, sq := range e.grid {
-		if r.ContainsRect(sq.bounds) {
+		if coverOf(r, sq.bounds) == coverAll {
 			acc[key] += sq.count
 		}
 	}

@@ -15,14 +15,12 @@
 package stindex
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"stcam/internal/geo"
-	"stcam/internal/temporal"
 )
 
 // Record is one indexed observation. TargetID is the identity assigned by
@@ -99,7 +97,7 @@ type Store struct {
 	cfg Config
 
 	mu       sync.RWMutex
-	cells    map[cellKey]*temporal.BucketStore[Record]
+	cells    map[cellKey]*hotCell
 	byTarget map[uint64][]Record // time-ordered per target (hot tier)
 	n        int                 // cell-side records across both tiers
 	latest   time.Time
@@ -138,7 +136,7 @@ func NewStore(cfg Config) *Store {
 	cfg.fill()
 	return &Store{
 		cfg:          cfg,
-		cells:        make(map[cellKey]*temporal.BucketStore[Record]),
+		cells:        make(map[cellKey]*hotCell),
 		byTarget:     make(map[uint64][]Record),
 		sealed:       make(map[cellKey][]*sealedChunk),
 		rollups:      make(map[cellKey]map[int64]*rollupEntry),
@@ -202,12 +200,7 @@ func (s *Store) TierStats() TierStats {
 	}
 }
 
-func (s *Store) keyOf(p geo.Point) cellKey {
-	return cellKey{
-		cx: int32(math.Floor(p.X / s.cfg.CellSize)),
-		cy: int32(math.Floor(p.Y / s.cfg.CellSize)),
-	}
-}
+func (s *Store) keyOf(p geo.Point) cellKey { return gridKey(p, s.cfg.CellSize) }
 
 // Insert adds a record. When Retention is configured, expired data is evicted
 // opportunistically — on inserts that advance the high-water mark and on a
@@ -226,10 +219,10 @@ func (s *Store) insertLocked(rec Record) {
 	key := s.keyOf(rec.Pos)
 	cell, ok := s.cells[key]
 	if !ok {
-		cell = temporal.NewBucketStore[Record](s.cfg.BucketWidth)
+		cell = newHotCell(s.cfg.BucketWidth)
 		s.cells[key] = cell
 	}
-	cell.Add(rec.Time, rec)
+	cell.add(rec)
 	s.n++
 	s.gen++
 	advanced := rec.Time.After(s.latest)
@@ -306,25 +299,20 @@ func (s *Store) sealLocked(frontier time.Time) int {
 		return 0
 	}
 	s.gen++
-	hi := frontier.Add(-time.Nanosecond) // Window is inclusive; seal t < frontier
 	sealedCount := 0
 	for key, cell := range s.cells {
-		if start, _, ok := cell.Span(); !ok || !start.Before(frontier) {
+		if start, _, ok := cell.span(); !ok || !start.Before(frontier) {
 			continue
 		}
 		var recs []Record
-		cell.Window(time.Time{}, hi, func(_ time.Time, rec Record) bool {
-			recs = append(recs, rec)
-			return true
-		})
+		cell.evictBefore(frontier.UnixNano(), &recs)
+		if cell.len() == 0 {
+			delete(s.cells, key)
+		}
 		if len(recs) == 0 {
 			continue
 		}
 		sortRecords(recs)
-		cell.EvictBefore(frontier) // removes exactly the records collected above
-		if cell.Len() == 0 {
-			delete(s.cells, key)
-		}
 		s.sealCellRecordsLocked(key, recs)
 		sealedCount += len(recs)
 	}
@@ -438,22 +426,33 @@ func (s *Store) scanSealed(key cellKey, from, to time.Time, fn func(Record)) {
 }
 
 // RangeQuery returns the records inside r with time in [from, to], ordered by
-// time then ObsID.
+// time then ObsID. Hot buckets the query covers whole are appended in bulk;
+// the result is allocated once, sized from bucket and chunk counts.
 func (s *Store) RangeQuery(r geo.Rect, from, to time.Time) []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if r.IsEmpty() || to.Before(from) || s.n == 0 {
 		return nil
 	}
-	var out []Record
+	q := newHotQuery(r, from, to)
+	size := 0
 	s.forEachCellKeyIn(r, func(key cellKey) {
 		if cell, ok := s.cells[key]; ok {
-			cell.Window(from, to, func(_ time.Time, rec Record) bool {
-				if r.Contains(rec.Pos) {
-					out = append(out, rec)
-				}
-				return true
-			})
+			size += cell.sizeHint(q)
+		}
+		for _, c := range s.sealed[key] {
+			if c.overlaps(from, to) {
+				size += c.count
+			}
+		}
+	})
+	if size == 0 {
+		return nil
+	}
+	out := make([]Record, 0, size)
+	s.forEachCellKeyIn(r, func(key cellKey) {
+		if cell, ok := s.cells[key]; ok {
+			out = cell.appendTo(out, q)
 		}
 		s.scanSealed(key, from, to, func(rec Record) {
 			if r.Contains(rec.Pos) {
@@ -461,29 +460,28 @@ func (s *Store) RangeQuery(r geo.Rect, from, to time.Time) []Record {
 			}
 		})
 	})
+	if len(out) == 0 {
+		return nil
+	}
 	sortRecords(out)
 	return out
 }
 
 // Count returns the number of records inside r with time in [from, to]
-// without materializing them. Sealed rollup buckets fully covered by the
-// window and spatially provable against r are answered from aggregates
-// without decoding.
+// without materializing them. Hot buckets and sealed rollup buckets fully
+// covered by the window and spatially provable against r are answered from
+// their counts without visiting records or decoding.
 func (s *Store) Count(r geo.Rect, from, to time.Time) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if r.IsEmpty() || to.Before(from) || s.n == 0 {
 		return 0
 	}
+	q := newHotQuery(r, from, to)
 	count := 0
 	s.forEachCellKeyIn(r, func(key cellKey) {
 		if cell, ok := s.cells[key]; ok {
-			cell.Window(from, to, func(_ time.Time, rec Record) bool {
-				if r.Contains(rec.Pos) {
-					count++
-				}
-				return true
-			})
+			count += cell.count(q)
 		}
 		count += s.countSealedLocked(key, r, from, to)
 	})
@@ -666,12 +664,17 @@ func (s *Store) KNNBounded(q geo.Point, from, to time.Time, k int, maxDist2 floa
 			offer(Neighbor{Record: rec, Dist2: d2})
 		}
 	}
+	fromNs, toNs := unixNanos(from), unixNanos(to)
 	scan := func(key cellKey) {
 		if cell, ok := s.cells[key]; ok {
-			cell.Window(from, to, func(_ time.Time, rec Record) bool {
-				consider(rec)
-				return true
-			})
+			bs := cell.window(fromNs, toNs)
+			for i := range bs {
+				for j := range bs[i].recs {
+					if ns := bs[i].recs[j].Time.UnixNano(); ns >= fromNs && ns <= toNs {
+						consider(bs[i].recs[j])
+					}
+				}
+			}
 		}
 		s.scanSealed(key, from, to, consider)
 	}
@@ -717,7 +720,9 @@ type HeatCell struct {
 // non-empty cells are returned, unordered. With keep == nil and cellSize
 // equal to the configured RollupCellSize, sealed rollup buckets fully covered
 // by the window fold their pre-computed density grids straight into the
-// result without decoding.
+// result without decoding; with keep == nil and cellSize equal to CellSize,
+// hot buckets the query covers whole add their length without visiting
+// records.
 func (s *Store) Heatmap(r geo.Rect, from, to time.Time, cellSize float64, keep func(Record) bool) []HeatCell {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -729,26 +734,24 @@ func (s *Store) Heatmap(r geo.Rect, from, to time.Time, cellSize float64, keep f
 	// (same size ⇒ same floor keying; a coarser multiple is not provable
 	// near square boundaries under float division).
 	useRollup := keep == nil && s.cfg.SealHorizon > 0 && cellSize == s.cfg.RollupCellSize
-	acc := make(map[[2]int32]int64)
-	tally := func(rec Record) {
-		if !r.Contains(rec.Pos) {
-			return
+	// By the same argument, with no predicate and the store's own cell size
+	// every record of store cell key lands in heat cell key, so a cell's hot
+	// matches are summed (whole buckets by length) and added to acc once.
+	ownKey := keep == nil && cellSize == s.cfg.CellSize
+	q := newHotQuery(r, from, to)
+	acc := make(map[cellKey]int64)
+	tally := func(rec *Record) {
+		if keep == nil || keep(*rec) {
+			acc[gridKey(rec.Pos, cellSize)]++
 		}
-		if keep != nil && !keep(rec) {
-			return
-		}
-		key := [2]int32{
-			int32(math.Floor(rec.Pos.X / cellSize)),
-			int32(math.Floor(rec.Pos.Y / cellSize)),
-		}
-		acc[key]++
 	}
 	s.forEachCellKeyIn(r, func(key cellKey) {
 		if cell, ok := s.cells[key]; ok {
-			cell.Window(from, to, func(_ time.Time, rec Record) bool {
-				tally(rec)
-				return true
-			})
+			if !ownKey {
+				cell.each(q, tally)
+			} else if n := cell.count(q); n > 0 {
+				acc[key] += int64(n)
+			}
 		}
 		chunks := s.sealed[key]
 		if len(chunks) == 0 {
@@ -773,16 +776,17 @@ func (s *Store) Heatmap(r geo.Rect, from, to time.Time, cellSize float64, keep f
 			if resolved[c.bucket] || !c.overlaps(from, to) {
 				continue
 			}
-			for _, rec := range s.decodeForQuery(c) {
-				if !rec.Time.Before(from) && !rec.Time.After(to) {
-					tally(rec)
+			recs := s.decodeForQuery(c)
+			for i := range recs {
+				if q.match(&recs[i]) {
+					tally(&recs[i])
 				}
 			}
 		}
 	})
 	out := make([]HeatCell, 0, len(acc))
 	for key, n := range acc {
-		out = append(out, HeatCell{CX: key[0], CY: key[1], Count: n})
+		out = append(out, HeatCell{CX: key.cx, CY: key.cy, Count: n})
 	}
 	return out
 }
@@ -876,9 +880,10 @@ func (s *Store) EvictBefore(cutoff time.Time) int {
 
 func (s *Store) evictLocked(cutoff time.Time) int {
 	removed := 0
+	cutoffNs := unixNanos(cutoff)
 	for key, cell := range s.cells {
-		removed += cell.EvictBefore(cutoff)
-		if cell.Len() == 0 {
+		removed += cell.evictBefore(cutoffNs, nil)
+		if cell.len() == 0 {
 			delete(s.cells, key)
 		}
 	}
@@ -1020,13 +1025,4 @@ func (s *Store) CellCount() int {
 		}
 	}
 	return n
-}
-
-func sortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		if !recs[i].Time.Equal(recs[j].Time) {
-			return recs[i].Time.Before(recs[j].Time)
-		}
-		return recs[i].ObsID < recs[j].ObsID
-	})
 }

@@ -64,7 +64,7 @@ func (s *Store) Summarize(cellSize float64, timeBuckets int) Summary {
 	sw := s.cfg.BucketWidth
 	var from, end time.Time
 	for _, cell := range s.cells {
-		cf, ce, ok := cell.Span()
+		cf, ce, ok := cell.span()
 		if !ok {
 			continue
 		}
@@ -116,17 +116,17 @@ func (s *Store) Summarize(cellSize float64, timeBuckets int) Summary {
 	}
 	for key, cell := range s.cells {
 		c := coarse(key)
-		c.Count += int64(cell.Len())
-		cell.ForEachBucket(func(start time.Time, n int) {
-			i := int(start.Sub(from) / width)
+		c.Count += int64(cell.len())
+		for _, hb := range cell.buckets {
+			i := int(time.Unix(0, hb.idx*cell.width).Sub(from) / width)
 			if i < 0 {
 				i = 0
 			}
 			if i >= nb {
 				i = nb - 1
 			}
-			c.Buckets[i] += int64(n)
-		})
+			c.Buckets[i] += int64(len(hb.recs))
+		}
 	}
 	// Sealed records fold in from the rollup aggregates: O(rollup entries),
 	// never decoding chunks. A rollup bucket can straddle several summary

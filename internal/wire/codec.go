@@ -58,6 +58,39 @@ func AppendMarshal(dst []byte, kind MsgKind, payload any) ([]byte, error) {
 	return appendV1(dst, kind, payload)
 }
 
+// EncodedLen returns the exact length AppendMarshal would produce for payload
+// without keeping the encoding. A RangeResult, whose answers run to
+// megabytes, is measured one record at a time through the encoder into a
+// stack array; any other payload is encoded into a pooled buffer.
+func EncodedLen(kind MsgKind, payload any) (int, error) {
+	if m, ok := payload.(*RangeResult); ok && len(m.Records) > 0 {
+		head := *m
+		head.Records = nil
+		n, err := EncodedLen(kind, &head)
+		if err != nil {
+			return 0, err
+		}
+		var scratch [64]byte // holds any one record; a longer one would only allocate
+		// The head was measured with a one-byte zero record count.
+		n += len(binary.AppendVarint(scratch[:0], int64(len(m.Records)))) - 1
+		for i := range m.Records {
+			e := encoder{buf: scratch[:0]}
+			e.record(&m.Records[i])
+			n += len(e.buf)
+		}
+		return n, nil
+	}
+	buf := BorrowBuf()
+	b, err := AppendMarshal(buf.B[:0], kind, payload)
+	n := len(b)
+	buf.B = b
+	buf.Release()
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
 // Unmarshal decodes a FormatV1 payload of the given kind into a freshly
 // allocated message.
 func Unmarshal(kind MsgKind, body []byte) (any, error) {

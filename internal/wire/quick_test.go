@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -197,6 +198,40 @@ func TestQuickRangeResultRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEncodedLenMatchesMarshal: EncodedLen is the exact encoded length for
+// every golden payload and for range results whose record counts cross
+// varint boundaries, with zero and pre-epoch record times.
+func TestEncodedLenMatchesMarshal(t *testing.T) {
+	check := func(name string, kind MsgKind, msg any) {
+		t.Helper()
+		enc, err := Marshal(kind, msg)
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", name, err)
+		}
+		if n, err := EncodedLen(kind, msg); err != nil || n != len(enc) {
+			t.Fatalf("%s: EncodedLen = %d, %v; encoded length %d", name, n, err, len(enc))
+		}
+	}
+	for _, f := range goldenFixtures() {
+		check(f.kind.String(), f.kind, f.msg)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 63, 64, 65, 8191, 8192} {
+		m := &RangeResult{QueryID: rng.Uint64(), Asked: 300, Answered: 299}
+		for i := 0; i < n; i++ {
+			r := randRecord(rng)
+			if i%7 == 0 {
+				r.Time = time.Unix(-rng.Int63n(4e9), rng.Int63n(1e9))
+			}
+			m.Records = append(m.Records, r)
+		}
+		check(fmt.Sprintf("RangeResult/%d", n), KindRangeResult, m)
+	}
+	if _, err := EncodedLen(KindRangeResult, struct{}{}); err == nil {
+		t.Fatal("EncodedLen of an unknown payload did not error")
 	}
 }
 
