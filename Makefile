@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-e2e bench-assoc bench-query check fuzz soak-short soak soak-core soak-serve lint stcamlint
+.PHONY: all build vet fmt test race bench bench-e2e bench-assoc bench-query check fuzz soak-short soak soak-core soak-serve lint stcamlint loc
 
 all: check
 
@@ -24,6 +24,14 @@ race:
 # check is the CI gate: format check, vet, build, and the full test suite
 # under the race detector.
 check: fmt vet build race
+
+# loc prints non-test Go lines per package directory, then the total (the
+# last line). testdata and hidden directories (build caches) are excluded.
+loc:
+	@find . -path '*/.*' -prune -o -path '*/testdata' -prune -o \
+		-name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # stcamlint runs the project's own static analyzer suite (rpcunderlock,
 # bufrelease, failclosed, clockinject, metricname — see internal/analyzers)

@@ -57,7 +57,8 @@ type GateColumn struct {
 //     the ≥5× fixed-memory retention claim (observed ~10×, and the flat side
 //     is a post-GC live-heap measure, so it moves little); "rollup-only"
 //     floors at 0.99 the fraction of aligned long-range aggregates answered
-//     with zero chunk decodes — any rollup-routing regression drops it to 0.
+//     with zero chunk decodes — any regression in settling whole chunks from
+//     their counts drops it to 0.
 //     Min/Max only: a relative gate would also be unusable for "rollup-only"
 //     deviations since the baseline fraction is exactly 1.0.
 //   - R20 "pooled allocs/op", "pooled B/op": allocation ceilings on the

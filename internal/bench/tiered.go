@@ -13,8 +13,8 @@ import (
 // R17 prices the tiered track-history store (DESIGN.md §storage): how many
 // bytes one retained observation costs in the flat in-memory store versus the
 // sealed delta-compressed tier, and whether long-range aggregate queries are
-// really answered from rollups alone. Three machine-robust headline columns
-// feed the CI gate:
+// really answered from sealed chunk counts alone. Three machine-robust
+// headline columns feed the CI gate:
 //
 //   - "sealed B/obs": encoded bytes per sealed observation (cell chunks plus
 //     the per-target index chunks), read off the store's own byte accounting —
@@ -22,10 +22,10 @@ import (
 //   - "retention×": flat live-heap B/obs ÷ sealed B/obs — how many times more
 //     history fits in the same memory once it seals. The paper-level claim is
 //     ≥5×; the gate floors it there.
-//   - "rollup-only": fraction of rollup-aligned long-range Count+Heatmap
-//     queries that complete with zero chunk decodes (measured via the store's
-//     decode counter). Must stay at 1.0 — any routing regression that makes
-//     aggregates fall back to decoding chunks collapses it.
+//   - "rollup-only": fraction of RollupWidth-aligned long-range
+//     Count+Heatmap queries that complete with zero chunk decodes (measured
+//     via the store's decode counter). Must stay at 1.0 — any regression
+//     that makes aggregates fall back to decoding chunks collapses it.
 //
 // Flat B/obs is a post-GC HeapAlloc delta around building the flat store:
 // live bytes, not allocation churn, since retention is about what stays
@@ -96,8 +96,7 @@ func r17FlatBytes(recs []stindex.Record) float64 {
 }
 
 // R17TieredStorage reports per-observation storage cost for the flat vs
-// sealed tier and verifies rollup-only aggregate routing, over two stream
-// sizes.
+// sealed tier and verifies decode-free aggregates, over two stream sizes.
 func R17TieredStorage(s Scale) *Table {
 	t := &Table{
 		ID:     "R17",
@@ -131,8 +130,8 @@ func R17TieredStorage(s Scale) *Table {
 			retentionX = flatBytes / sealedBytes
 		}
 
-		// Rollup routing: long-range Count+Heatmap over rollup-aligned
-		// windows must not decode a single chunk.
+		// Long-range Count+Heatmap over RollupWidth-aligned windows cover
+		// every chunk they touch whole, so must not decode a single one.
 		start := recs[0].Time.Truncate(r17RollupWidth)
 		sealedSpan := recs[ts.SealedRecords-1].Time.Sub(start)
 		lastFull := int(sealedSpan / r17RollupWidth) // buckets [0, lastFull) fully sealed
@@ -153,8 +152,8 @@ func R17TieredStorage(s Scale) *Table {
 			frac = float64(rollupOnly) / float64(aggregates)
 		}
 
-		// Informative latencies: the same long-range count via rollups vs a
-		// misaligned window that forces straddling buckets to decode.
+		// Informative latencies: the same long-range count from chunk counts
+		// vs a misaligned window that forces the chunks it cuts to decode.
 		alignedFrom := start
 		alignedTo := start.Add(time.Duration(lastFull) * r17RollupWidth).Add(-time.Nanosecond)
 		iters := 50

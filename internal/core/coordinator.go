@@ -14,6 +14,7 @@ import (
 	"stcam/internal/cluster"
 	"stcam/internal/geo"
 	"stcam/internal/metrics"
+	"stcam/internal/stindex"
 	"stcam/internal/wire"
 )
 
@@ -735,11 +736,15 @@ func (c *Coordinator) Heatmap(ctx context.Context, rect geo.Rect, window wire.Ti
 	return cells, err
 }
 
+// errHeatmapCellSize rejects a heatmap cell size that is NaN, infinite or not
+// positive, at the coordinator and at each worker.
+var errHeatmapCellSize = errors.New("core: heatmap cell size must be finite and positive")
+
 // HeatmapMeta is Heatmap plus answer-completeness metadata, mirroring
 // RangeMeta; a completeness below 1.0 means some workers' counts are missing.
 func (c *Coordinator) HeatmapMeta(ctx context.Context, rect geo.Rect, window wire.TimeWindow, cellSize float64) ([]wire.HeatCell, QueryMeta, error) {
-	if cellSize <= 0 {
-		return nil, QueryMeta{}, fmt.Errorf("core: heatmap cell size must be positive")
+	if !stindex.ValidCellSize(cellSize) {
+		return nil, QueryMeta{}, errHeatmapCellSize
 	}
 	q := &wire.HeatmapQuery{QueryID: c.nextQueryID.Add(1), Rect: rect, Window: window, CellSize: cellSize}
 	acc := make(map[[2]int32]int64)

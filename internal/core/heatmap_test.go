@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"time"
 
+	"stcam/internal/cluster"
 	"stcam/internal/geo"
 	"stcam/internal/wire"
 )
@@ -74,6 +77,35 @@ func TestDistributedHeatmap(t *testing.T) {
 	// Bad cell size rejected.
 	if _, err := c.Coordinator.Heatmap(ctx, world1, window, 0); err == nil {
 		t.Error("zero cell size accepted")
+	}
+}
+
+// TestHeatmapRejectsNonFiniteCellSize: NaN and ±Inf cell sizes are refused
+// by the coordinator, on its wire path and at each worker, as
+// CodeBadRequest — never answered with a well-formed but meaningless map.
+func TestHeatmapRejectsNonFiniteCellSize(t *testing.T) {
+	c := newTestCluster(t, 2, Options{})
+	if err := c.Coordinator.AddCameras(ctx, gridCams(world1, 2), 50); err != nil {
+		t.Fatal(err)
+	}
+	var obs []wire.Observation
+	for i := 0; i < 10; i++ {
+		obs = append(obs, obsAt(uint64(i+1), 1, geo.Pt(float64(10+i*90), float64(20+i*80)), simT0.Add(time.Duration(i)*time.Second), nil))
+	}
+	ingestDirect(t, c, obs...)
+	window := wire.TimeWindow{From: simT0, To: simT0.Add(time.Hour)}
+	for _, cs := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if cells, err := c.Coordinator.Heatmap(ctx, world1, window, cs); err == nil {
+			t.Errorf("cell size %v: Heatmap = %+v, want an error", cs, cells)
+		}
+		q := &wire.HeatmapQuery{QueryID: 1, Rect: world1, Window: window, CellSize: cs}
+		for _, addr := range []string{"coord", c.Workers[0].Addr()} {
+			resp, err := c.Transport.Call(ctx, addr, q)
+			var re *cluster.RemoteError
+			if !errors.As(err, &re) || re.Code != wire.CodeBadRequest {
+				t.Errorf("cell size %v at %s: got (%+v, %v), want CodeBadRequest", cs, addr, resp, err)
+			}
+		}
 	}
 }
 

@@ -40,17 +40,15 @@ type Options struct {
 	BucketWidth time.Duration
 	// SealHorizon enables the worker store's sealed tier: observations older
 	// than latest − SealHorizon are compacted into immutable delta-compressed
-	// chunks with rollup aggregates, cutting resident bytes per observation
-	// so a fixed memory budget holds a much longer history (see R17). Zero
-	// (the default) keeps the store flat.
+	// chunks, cutting resident bytes per observation so a fixed memory budget
+	// holds a much longer history (see R17). Each chunk keeps its record
+	// count, time span and bounding rect, so Count/Heatmap windows covering a
+	// chunk are answered without decoding it. Zero (the default) keeps the
+	// store flat.
 	SealHorizon time.Duration
-	// RollupWidth is the coarse time bucket for sealed-tier aggregates
-	// (default 16× BucketWidth). Long-range Count/Heatmap windows covering
-	// whole rollup buckets are answered without decoding chunks.
+	// RollupWidth is the seal granule: the seal frontier advances in steps
+	// of it, and cell chunks never span one (default 16× BucketWidth).
 	RollupWidth time.Duration
-	// RollupCellSize is the sealed-tier density-grid square (default
-	// CellSize). Heatmaps at exactly this cell size ride the rollup path.
-	RollupCellSize float64
 	// ChunkTarget caps records per sealed chunk (default 512).
 	ChunkTarget int
 	// BroadcastHandoff switches tracking from vision-graph-scoped priming to
@@ -60,9 +58,6 @@ type Options struct {
 	// HeartbeatTimeout is the wall-clock silence after which the coordinator
 	// declares a worker dead (default 5s).
 	HeartbeatTimeout time.Duration
-	// FeatureLogSize bounds the per-worker ring of recent observation
-	// features used for re-identification search (default 100000).
-	FeatureLogSize int
 	// Replicas is the number of standby copies of each camera's stream kept
 	// on additional workers (0 = none). With replication, a worker crash
 	// loses no history: the coordinator promotes a replica and its standby
@@ -94,18 +89,6 @@ type Options struct {
 	// This is the baseline experiment R16 compares against and the reference
 	// side of the pruned-vs-broadcast differential suite.
 	DisablePrune bool
-	// SummaryCellSize is the coarse spatial cell of the per-worker summary
-	// piggybacked on heartbeats (default 4× CellSize; the store rounds it up
-	// to an integer multiple of CellSize).
-	SummaryCellSize float64
-	// SummaryTimeBuckets bounds the summary's coarse time histogram
-	// (default 8).
-	SummaryTimeBuckets int
-	// KNNProbeFanout is how many additional workers each expansion round of
-	// the two-phase kNN probes while the global top-k is still short
-	// (default 2). Workers whose summary lower bound is zero are always
-	// probed in the first phase — no kth-best distance can ever exclude them.
-	KNNProbeFanout int
 	// CoordinatorID names this coordinator within an HA group (default
 	// "c0"). Failover elects the lowest ID among the most-caught-up
 	// standbys, so IDs double as failover preference order.
@@ -161,23 +144,11 @@ func (o *Options) fill() {
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = 5 * time.Second
 	}
-	if o.FeatureLogSize <= 0 {
-		o.FeatureLogSize = 100000
-	}
 	if o.CallTimeout == 0 {
 		o.CallTimeout = 2 * time.Second
 	}
 	if o.IngestPipelineDepth <= 0 {
 		o.IngestPipelineDepth = 4
-	}
-	if o.SummaryCellSize <= 0 {
-		o.SummaryCellSize = 4 * o.CellSize
-	}
-	if o.SummaryTimeBuckets <= 0 {
-		o.SummaryTimeBuckets = 8
-	}
-	if o.KNNProbeFanout <= 0 {
-		o.KNNProbeFanout = 2
 	}
 	if o.CoordinatorID == "" {
 		o.CoordinatorID = "c0"

@@ -370,6 +370,12 @@ func mergeKNNResponses(best []wire.KNNRecord, resps []any, k int) []wire.KNNReco
 
 // --- two-phase kNN -----------------------------------------------------------
 
+// knnProbeFanout is how many additional workers each expansion round of the
+// two-phase kNN probes while the global top-k is still short. Workers whose
+// summary lower bound is zero are always probed in the first phase — no
+// kth-best distance can ever exclude them.
+const knnProbeFanout = 2
+
 type knnCand struct {
 	t  workerTarget
 	lb float64 // lower bound on squared distance to any admissible record
@@ -431,7 +437,7 @@ func (c *Coordinator) knnMeta(ctx context.Context, center geo.Point, window wire
 			meta.Pruned += len(cands) - next
 			break
 		}
-		hi := next + c.opts.KNNProbeFanout
+		hi := next + knnProbeFanout
 		for hi < len(cands) && cands[hi].lb == 0 {
 			hi++ // zero-bound workers can never be excluded; take them all now
 		}

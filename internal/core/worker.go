@@ -129,6 +129,10 @@ type stagedObs struct {
 	rec stindex.Record
 }
 
+// featureLogSize bounds the ring of recent observation features used for
+// re-identification search.
+const featureLogSize = 100000
+
 // NewWorker constructs a worker bound to the given transport addresses.
 // coordAddr may be a comma-separated list of coordinator addresses (an HA
 // group); the worker talks to one at a time and rotates — or follows a
@@ -156,16 +160,15 @@ func NewWorker(id wire.NodeID, addr, coordAddr string, transport cluster.Transpo
 		cameras:     make(map[uint32]*camera.Camera),
 		primary:     make(map[uint32]bool),
 		store: stindex.NewStore(stindex.Config{
-			CellSize:       opts.CellSize,
-			BucketWidth:    opts.BucketWidth,
-			Retention:      opts.Retention,
-			SealHorizon:    opts.SealHorizon,
-			RollupWidth:    opts.RollupWidth,
-			RollupCellSize: opts.RollupCellSize,
-			ChunkTarget:    opts.ChunkTarget,
+			CellSize:    opts.CellSize,
+			BucketWidth: opts.BucketWidth,
+			Retention:   opts.Retention,
+			SealHorizon: opts.SealHorizon,
+			RollupWidth: opts.RollupWidth,
+			ChunkTarget: opts.ChunkTarget,
 		}),
 		assoc:      vision.NewAssociator(opts.AssocThreshold),
-		featureLog: newFeatureRing(opts.FeatureLogSize),
+		featureLog: newFeatureRing(featureLogSize),
 		ingestSeqs: make(map[string]*ingestSeqState),
 		continuous: make(map[uint64]*continuousState),
 		tracks:     make(map[uint64]*trackState),
@@ -419,6 +422,13 @@ func (w *Worker) sendHeartbeatOnce(ctx context.Context) error {
 	return nil
 }
 
+// The heartbeat summary's resolution: coarse cells of summaryCellFactor ×
+// CellSize and at most summaryTimeBuckets time buckets.
+const (
+	summaryCellFactor  = 4
+	summaryTimeBuckets = 8
+)
+
 // summaryLocked returns the store sketch piggybacked on heartbeats, rebuilding
 // it only when the store content or the assignment epoch changed since the
 // last heartbeat. Callers hold w.mu.
@@ -427,7 +437,7 @@ func (w *Worker) summaryLocked() *wire.WorkerSummary {
 	if w.sumCache != nil && w.sumEpoch == w.epoch && w.sumGen == gen {
 		return w.sumCache
 	}
-	s := w.store.Summarize(w.opts.SummaryCellSize, w.opts.SummaryTimeBuckets)
+	s := w.store.Summarize(summaryCellFactor*w.opts.CellSize, summaryTimeBuckets)
 	ws := &wire.WorkerSummary{
 		Epoch:       w.epoch,
 		Records:     s.Records,
@@ -766,8 +776,8 @@ func (w *Worker) onTrajectory(m *wire.TrajectoryQuery) (any, error) {
 }
 
 func (w *Worker) onHeatmap(m *wire.HeatmapQuery) (any, error) {
-	if m.CellSize <= 0 {
-		return &wire.Error{Code: wire.CodeBadRequest, Message: "heatmap: cell size must be positive"}, nil
+	if !stindex.ValidCellSize(m.CellSize) {
+		return &wire.Error{Code: wire.CodeBadRequest, Message: errHeatmapCellSize.Error()}, nil
 	}
 	cells := w.store.Heatmap(m.Rect, m.Window.From, m.Window.To, m.CellSize, w.isPrimarySnapshot())
 	out := &wire.HeatmapResult{QueryID: m.QueryID, CellSize: m.CellSize, Cells: make([]wire.HeatCell, len(cells))}
@@ -788,8 +798,9 @@ func (w *Worker) StatsSnapshot() metrics.RegistrySnapshot {
 
 // mirrorTierStats copies the store's sealed-tier sizes and query-path
 // counters into the registry as gauges, so /metrics and the stats RPC expose
-// chunk residency (count, compressed bytes, records) and the decode-vs-rollup
-// balance of the query path. All zeros when the store runs flat.
+// chunk residency (count, compressed bytes, records) and how many sealed
+// chunks the query path decoded versus answered without decoding
+// (store.rollup_hits). All zeros when the store runs flat.
 func mirrorTierStats(reg *metrics.Registry, ts stindex.TierStats) {
 	reg.Gauge("store.sealed_chunks").Set(int64(ts.SealedChunks + ts.TargetChunks))
 	reg.Gauge("store.sealed_bytes").Set(ts.SealedBytes + ts.TargetBytes)

@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/bits"
 	"time"
+
+	"stcam/internal/geo"
 )
 
 // This file is the sealed-chunk codec: once a run of observations ages past
@@ -58,19 +60,45 @@ var (
 )
 
 // sealedChunk is one immutable compacted run of records for a spatial cell or
-// a target history. Span is the inclusive record time range; bucket is the
-// rollup time bucket the chunk belongs to (cell chunks never straddle rollup
-// buckets, so rollup-answered buckets can skip their chunks wholesale).
+// a target history. [start, end] is the inclusive UnixNano span of its record
+// times and bounds the rect of its positions; with count they let a query
+// settle the chunk whole without decoding it (query.settle).
 type sealedChunk struct {
-	bucket     int64
-	start, end time.Time
+	start, end int64
+	bounds     geo.Rect
 	count      int
 	data       []byte
 }
 
-// overlaps reports whether the chunk's span intersects [from, to].
-func (c *sealedChunk) overlaps(from, to time.Time) bool {
-	return !from.After(c.end) && !to.Before(c.start)
+// newSealedChunk encodes time-ordered records into one immutable chunk.
+func newSealedChunk(recs []Record) *sealedChunk {
+	bounds := geo.EmptyRect()
+	for i := range recs {
+		bounds = bounds.UnionPoint(recs[i].Pos)
+	}
+	return &sealedChunk{
+		start:  recs[0].Time.UnixNano(),
+		end:    recs[len(recs)-1].Time.UnixNano(),
+		bounds: bounds,
+		count:  len(recs),
+		data:   appendChunk(nil, recs),
+	}
+}
+
+// overlaps reports whether the chunk's span intersects the UnixNano window
+// [from, to].
+func (c *sealedChunk) overlaps(from, to int64) bool {
+	return from <= c.end && to >= c.start
+}
+
+// decode decodes the chunk. Sealed data is immutable after encode, so a
+// failure here is a program bug, not an input condition.
+func (c *sealedChunk) decode() []Record {
+	recs, err := decodeChunk(c.data)
+	if err != nil {
+		panic("stindex: sealed chunk decode: " + err.Error())
+	}
+	return recs
 }
 
 // quantizable reports whether v is exactly representable as an integer count

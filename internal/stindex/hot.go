@@ -12,16 +12,18 @@ import (
 // This file is the hot tier: one spatial cell's recent records, held in
 // fixed-width time buckets kept in time order. A bucket stores each record
 // once, visits it by pointer, and keeps its record count and a conservative
-// bounding rect of the positions, so aggregate and wide reads settle whole
-// buckets from those two facts before testing any record:
+// bounding rect of the positions. A sealed chunk keeps the same two facts
+// beside its record time span, so aggregate and wide reads settle a whole
+// bucket or chunk from them before testing (or decoding) any record:
 //
-//   - the window covers the bucket and the rect contains its bounds: every
-//     record matches, so the bucket is taken whole;
-//   - the rect misses its bounds: no record matches, so it is skipped;
+//   - the window misses its time span or the rect misses its bounds: no
+//     record matches, so it is skipped;
+//   - the window covers its time span and the rect contains its bounds:
+//     every record matches, so it is taken whole;
 //   - otherwise each record is tested.
 //
-// The rect only grows on add. Eviction may leave it a superset of what
-// survives, and both proofs stay sound under a superset.
+// A bucket's rect only grows on add. Eviction may leave it a superset of
+// what survives, and both proofs stay sound under a superset.
 
 // hotCell is one spatial cell's hot tier. Not safe for concurrent use; the
 // Store's lock guards it.
@@ -84,10 +86,11 @@ func (c *hotCell) window(from, to int64) []hotBucket {
 	return c.buckets[lo:hi]
 }
 
-// covered reports whether [from, to] holds every instant of bucket hb.
-func (c *hotCell) covered(hb *hotBucket, from, to int64) bool {
+// settle decides bucket hb against q as a whole, if it can. A bucket's span
+// is every instant it can hold.
+func (c *hotCell) settle(q *query, hb *hotBucket) cover {
 	start := hb.idx * c.width
-	return from <= start && to >= start+c.width-1
+	return q.settle(start, start+c.width-1, hb.bounds)
 }
 
 // evictBefore removes every record with UnixNano before cutoff and returns
@@ -142,29 +145,34 @@ func (c *hotCell) span() (start, end time.Time, ok bool) {
 	return time.Unix(0, first*c.width), time.Unix(0, (last+1)*c.width), true
 }
 
-// hotQuery is a read's filter on the hot tier: rect r (boundary inclusive)
-// and the inclusive UnixNano window [from, to].
-type hotQuery struct {
+// query is a read's filter on both tiers: rect r (boundary inclusive) and
+// the inclusive UnixNano window [from, to].
+type query struct {
 	r        geo.Rect
 	from, to int64
 }
 
-func newHotQuery(r geo.Rect, from, to time.Time) hotQuery {
-	return hotQuery{r: r, from: unixNanos(from), to: unixNanos(to)}
+func newQuery(r geo.Rect, from, to time.Time) query {
+	return query{r: r, from: unixNanos(from), to: unixNanos(to)}
 }
 
-func (q *hotQuery) match(rec *Record) bool {
+func (q *query) match(rec *Record) bool {
 	ns := rec.Time.UnixNano()
 	return ns >= q.from && ns <= q.to && q.r.Contains(rec.Pos)
 }
 
-// settle decides bucket hb of cell c against q as a whole, if it can.
-func (q *hotQuery) settle(c *hotCell, hb *hotBucket) cover {
-	switch coverOf(q.r, hb.bounds) {
+// settle decides a hot bucket or sealed chunk against q as a whole, from the
+// inclusive UnixNano span [lo, hi] holding its record times and the rect
+// bounding its positions.
+func (q *query) settle(lo, hi int64, bounds geo.Rect) cover {
+	if hi < q.from || lo > q.to {
+		return coverNone
+	}
+	switch coverOf(q.r, bounds) {
 	case coverNone:
 		return coverNone
 	case coverAll:
-		if c.covered(hb, q.from, q.to) {
+		if q.from <= lo && q.to >= hi {
 			return coverAll
 		}
 	}
@@ -172,12 +180,12 @@ func (q *hotQuery) settle(c *hotCell, hb *hotBucket) cover {
 }
 
 // count returns how many of the cell's records match q.
-func (c *hotCell) count(q hotQuery) int {
+func (c *hotCell) count(q query) int {
 	n := 0
 	bs := c.window(q.from, q.to)
 	for i := range bs {
 		hb := &bs[i]
-		switch q.settle(c, hb) {
+		switch c.settle(&q, hb) {
 		case coverAll:
 			n += len(hb.recs)
 		case coverSome:
@@ -192,7 +200,7 @@ func (c *hotCell) count(q hotQuery) int {
 }
 
 // sizeHint bounds from above how many of the cell's records match q.
-func (c *hotCell) sizeHint(q hotQuery) int {
+func (c *hotCell) sizeHint(q query) int {
 	n := 0
 	bs := c.window(q.from, q.to)
 	for i := range bs {
@@ -204,11 +212,11 @@ func (c *hotCell) sizeHint(q hotQuery) int {
 }
 
 // appendTo appends the cell's records matching q onto out.
-func (c *hotCell) appendTo(out []Record, q hotQuery) []Record {
+func (c *hotCell) appendTo(out []Record, q query) []Record {
 	bs := c.window(q.from, q.to)
 	for i := range bs {
 		hb := &bs[i]
-		switch q.settle(c, hb) {
+		switch c.settle(&q, hb) {
 		case coverAll:
 			out = append(out, hb.recs...)
 		case coverSome:
@@ -223,7 +231,7 @@ func (c *hotCell) appendTo(out []Record, q hotQuery) []Record {
 }
 
 // each calls fn for every record of the cell matching q.
-func (c *hotCell) each(q hotQuery, fn func(*Record)) {
+func (c *hotCell) each(q query, fn func(*Record)) {
 	bs := c.window(q.from, q.to)
 	for i := range bs {
 		hb := &bs[i]
@@ -265,13 +273,28 @@ func coverOf(r, bounds geo.Rect) cover {
 }
 
 // gridKey is the square of side size holding p. It is the one keying
-// function of store cells, heat cells and rollup squares, so two grids of
-// equal size key every position identically.
+// function of store cells and heat cells, so two grids of equal size key
+// every position identically.
 func gridKey(p geo.Point, size float64) cellKey {
 	return cellKey{
 		cx: int32(math.Floor(p.X / size)),
 		cy: int32(math.Floor(p.Y / size)),
 	}
+}
+
+// ValidCellSize reports whether size can key a grid: finite and positive.
+// NaN and ±Inf fail it; NaN would key every position to one arbitrary cell
+// and +Inf would fold every position into cell (0, 0).
+func ValidCellSize(size float64) bool {
+	return size > 0 && size <= math.MaxFloat64
+}
+
+func floorDiv64(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && (a < 0) != (b < 0) {
+		q--
+	}
+	return q
 }
 
 // unixNanos is t.UnixNano saturated to the int64 range, so a query window

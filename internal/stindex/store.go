@@ -6,9 +6,12 @@
 // trajectory reconstruction — and supports retention eviction.
 //
 // With SealHorizon configured the store is tiered: recent records stay in
-// mutable bucket cells (the hot tier), and records aging past the horizon are
-// compacted into immutable delta-compressed chunks with per-rollup-bucket
-// aggregates (chunk.go, rollup.go). Queries consult both tiers and return
+// mutable bucket cells (the hot tier, hot.go), and records aging past the
+// horizon are compacted into immutable delta-compressed chunks that carry
+// their record count, time span and bounding rect (chunk.go). Hot buckets
+// and sealed chunks settle against a query by one proof (query.settle), so
+// aggregates count whole chunks without decoding them. Queries consult both
+// tiers and return
 // exactly what the flat store would; the differential suite in
 // tier_differential_test.go holds that equivalence across seal boundaries,
 // eviction and out-of-order ingest.
@@ -49,13 +52,10 @@ type Config struct {
 	// SealHorizon are compacted into immutable compressed chunks. 0 keeps
 	// the store flat (everything hot), the pre-tiering behavior.
 	SealHorizon time.Duration
-	// RollupWidth is the coarse time bucket for sealed-tier aggregates
-	// (default 16 × BucketWidth, rounded up to a BucketWidth multiple).
+	// RollupWidth is the seal granule: the frontier advances in steps of it,
+	// and cell chunks never span one (default 16 × BucketWidth, rounded up
+	// to a BucketWidth multiple).
 	RollupWidth time.Duration
-	// RollupCellSize is the sealed-tier density-grid square (default
-	// CellSize). Heatmap queries at exactly this cell size are answered
-	// from rollups without decoding.
-	RollupCellSize float64
 	// ChunkTarget caps records per sealed chunk (default 512).
 	ChunkTarget int
 }
@@ -73,9 +73,6 @@ func (c *Config) fill() {
 		}
 		if rem := c.RollupWidth % c.BucketWidth; rem != 0 {
 			c.RollupWidth += c.BucketWidth - rem
-		}
-		if c.RollupCellSize <= 0 {
-			c.RollupCellSize = c.CellSize
 		}
 		if c.ChunkTarget <= 0 {
 			c.ChunkTarget = 512
@@ -103,13 +100,11 @@ type Store struct {
 	latest   time.Time
 
 	// Sealed tier (cfg.SealHorizon > 0). sealed holds each cell's chunks in
-	// seal order; rollups aggregates them per rollup bucket; targetSealed
-	// holds per-target history prefixes in history order. sealFrontier is
-	// the exclusive upper bound of sealed time: after a seal sweep no hot
-	// record is older than it (late arrivals may dip below until the next
-	// sweep compacts them).
+	// seal order; targetSealed holds per-target history prefixes in history
+	// order. sealFrontier is the exclusive upper bound of sealed time: after
+	// a seal sweep no hot record is older than it (late arrivals may dip
+	// below until the next sweep compacts them).
 	sealed        map[cellKey][]*sealedChunk
-	rollups       map[cellKey]map[int64]*rollupEntry
 	targetSealed  map[uint64][]*sealedChunk
 	sealFrontier  time.Time
 	lateSinceSeal int
@@ -118,15 +113,28 @@ type Store struct {
 	sinceEvict int
 	gen        uint64 // bumped on every mutation (insert/seal/evict)
 
-	sealedChunks  int
-	sealedRecords int
-	sealedBytes   int64
-	targetChunks  int
-	targetRecords int
-	targetBytes   int64
+	cellTier, targetTier chunkStats
 
 	queryDecodes atomic.Uint64 // chunks decoded to answer queries
-	rollupHits   atomic.Uint64 // query buckets answered from rollups alone
+	rollupHits   atomic.Uint64 // chunks counted whole, without decoding
+}
+
+// chunkStats accounts a set of sealed chunks.
+type chunkStats struct {
+	chunks, records int
+	bytes           int64
+}
+
+func (a *chunkStats) add(c *sealedChunk) {
+	a.chunks++
+	a.records += c.count
+	a.bytes += int64(len(c.data))
+}
+
+func (a *chunkStats) remove(c *sealedChunk) {
+	a.chunks--
+	a.records -= c.count
+	a.bytes -= int64(len(c.data))
 }
 
 type cellKey struct{ cx, cy int32 }
@@ -139,7 +147,6 @@ func NewStore(cfg Config) *Store {
 		cells:        make(map[cellKey]*hotCell),
 		byTarget:     make(map[uint64][]Record),
 		sealed:       make(map[cellKey][]*sealedChunk),
-		rollups:      make(map[cellKey]map[int64]*rollupEntry),
 		targetSealed: make(map[uint64][]*sealedChunk),
 	}
 }
@@ -181,7 +188,7 @@ type TierStats struct {
 	TargetRecords int    // records held in target chunks
 	TargetBytes   int64  // encoded bytes of target chunks
 	QueryDecodes  uint64 // cumulative chunks decoded to answer queries
-	RollupHits    uint64 // cumulative query buckets answered from rollups
+	RollupHits    uint64 // cumulative sealed chunks answered without decoding
 }
 
 // TierStats returns a snapshot of the sealed tier.
@@ -189,12 +196,12 @@ func (s *Store) TierStats() TierStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return TierStats{
-		SealedChunks:  s.sealedChunks,
-		SealedRecords: s.sealedRecords,
-		SealedBytes:   s.sealedBytes,
-		TargetChunks:  s.targetChunks,
-		TargetRecords: s.targetRecords,
-		TargetBytes:   s.targetBytes,
+		SealedChunks:  s.cellTier.chunks,
+		SealedRecords: s.cellTier.records,
+		SealedBytes:   s.cellTier.bytes,
+		TargetChunks:  s.targetTier.chunks,
+		TargetRecords: s.targetTier.records,
+		TargetBytes:   s.targetTier.bytes,
 		QueryDecodes:  s.queryDecodes.Load(),
 		RollupHits:    s.rollupHits.Load(),
 	}
@@ -250,7 +257,7 @@ func (s *Store) insertLocked(rec Record) {
 			s.lateSinceSeal++
 		}
 		frontier := s.latest.Add(-s.cfg.SealHorizon)
-		// Seal once per rollup bucket of frontier progress, or when enough
+		// Seal once per RollupWidth of frontier progress, or when enough
 		// stragglers landed behind the frontier to be worth compacting.
 		if frontier.Sub(s.sealFrontier) >= s.cfg.RollupWidth || s.lateSinceSeal >= sealCheckEvery {
 			s.sealLocked(frontier)
@@ -284,9 +291,9 @@ func (s *Store) Seal() int {
 }
 
 // sealLocked moves every cell record strictly before the frontier into
-// sealed chunks (grouped by rollup bucket, split at ChunkTarget) and seals
-// the matching per-target history prefixes. Record counts do not change —
-// records move between tiers. Caller holds the write lock.
+// sealed chunks (grouped by RollupWidth bucket, split at ChunkTarget) and
+// seals the matching per-target history prefixes. Record counts do not
+// change — records move between tiers. Caller holds the write lock.
 func (s *Store) sealLocked(frontier time.Time) int {
 	if frontier.After(s.sealFrontier) {
 		s.sealFrontier = frontier
@@ -312,8 +319,18 @@ func (s *Store) sealLocked(frontier time.Time) int {
 		if len(recs) == 0 {
 			continue
 		}
+		// Cell chunks never span a RollupWidth bucket.
 		sortRecords(recs)
-		s.sealCellRecordsLocked(key, recs)
+		width := int64(s.cfg.RollupWidth)
+		for i := 0; i < len(recs); {
+			b := floorDiv64(recs[i].Time.UnixNano(), width)
+			j := i + 1
+			for j < len(recs) && floorDiv64(recs[j].Time.UnixNano(), width) == b {
+				j++
+			}
+			s.sealed[key] = s.appendChunks(s.sealed[key], recs[i:j], &s.cellTier)
+			i = j
+		}
 		sealedCount += len(recs)
 	}
 	for id, hist := range s.byTarget {
@@ -321,7 +338,9 @@ func (s *Store) sealLocked(frontier time.Time) int {
 		if lo == 0 {
 			continue
 		}
-		s.sealTargetRecordsLocked(id, hist[:lo])
+		// The concatenation of a target's chunks in seal order plus its hot
+		// tail reproduces the flat history array.
+		s.targetSealed[id] = s.appendChunks(s.targetSealed[id], hist[:lo], &s.targetTier)
 		if lo == len(hist) {
 			delete(s.byTarget, id)
 		} else {
@@ -331,98 +350,70 @@ func (s *Store) sealLocked(frontier time.Time) int {
 	return sealedCount
 }
 
-// sealCellRecordsLocked encodes time-sorted records of one cell into chunks
-// and folds them into the cell's rollups. Chunks never straddle rollup
-// buckets, so a rollup-answered bucket skips its chunks wholesale.
-func (s *Store) sealCellRecordsLocked(key cellKey, recs []Record) {
-	for i := 0; i < len(recs); {
-		b := s.rollupBucket(recs[i].Time)
-		j := i + 1
-		for j < len(recs) && s.rollupBucket(recs[j].Time) == b {
-			j++
-		}
-		buckets := s.rollups[key]
-		if buckets == nil {
-			buckets = make(map[int64]*rollupEntry)
-			s.rollups[key] = buckets
-		}
-		e := buckets[b]
-		if e == nil {
-			e = newRollupEntry()
-			buckets[b] = e
-		}
-		for k := i; k < j; k++ {
-			e.add(recs[k], s.cfg.RollupCellSize)
-		}
-		for k := i; k < j; k += s.cfg.ChunkTarget {
-			end := k + s.cfg.ChunkTarget
-			if end > j {
-				end = j
-			}
-			c := newSealedChunk(b, recs[k:end])
-			s.sealed[key] = append(s.sealed[key], c)
-			s.sealedChunks++
-			s.sealedRecords += c.count
-			s.sealedBytes += int64(len(c.data))
-		}
-		i = j
+// appendChunks encodes time-ordered records into chunks of at most
+// ChunkTarget records, appends them onto list in order and accounts them in
+// acct.
+func (s *Store) appendChunks(list []*sealedChunk, recs []Record, acct *chunkStats) []*sealedChunk {
+	for k := 0; k < len(recs); k += s.cfg.ChunkTarget {
+		c := newSealedChunk(recs[k:min(k+s.cfg.ChunkTarget, len(recs))])
+		acct.add(c)
+		list = append(list, c)
 	}
-}
-
-// sealTargetRecordsLocked encodes a history prefix (already time-ordered)
-// into per-target chunks, preserving order: the concatenation of a target's
-// chunks in seal order plus its hot tail reproduces the flat history array.
-func (s *Store) sealTargetRecordsLocked(id uint64, prefix []Record) {
-	for k := 0; k < len(prefix); k += s.cfg.ChunkTarget {
-		end := k + s.cfg.ChunkTarget
-		if end > len(prefix) {
-			end = len(prefix)
-		}
-		c := newSealedChunk(s.rollupBucket(prefix[k].Time), prefix[k:end])
-		s.targetSealed[id] = append(s.targetSealed[id], c)
-		s.targetChunks++
-		s.targetRecords += c.count
-		s.targetBytes += int64(len(c.data))
-	}
-}
-
-// newSealedChunk encodes time-ordered records into one immutable chunk.
-func newSealedChunk(bucket int64, recs []Record) *sealedChunk {
-	return &sealedChunk{
-		bucket: bucket,
-		start:  recs[0].Time,
-		end:    recs[len(recs)-1].Time,
-		count:  len(recs),
-		data:   appendChunk(nil, recs),
-	}
+	return list
 }
 
 // decodeForQuery decodes a sealed chunk on the query path, counting the
-// decode. Sealed data is immutable after encode, so a failure here is a
-// program bug, not an input condition.
+// decode.
 func (s *Store) decodeForQuery(c *sealedChunk) []Record {
-	recs, err := decodeChunk(c.data)
-	if err != nil {
-		panic("stindex: sealed chunk decode: " + err.Error())
-	}
 	s.queryDecodes.Add(1)
-	return recs
+	return c.decode()
 }
 
-// scanSealed decodes the cell's sealed chunks overlapping [from, to] and
-// calls fn for each record inside the window; chunks outside the window are
-// skipped without decoding. Caller holds (at least) the read lock.
-func (s *Store) scanSealed(key cellKey, from, to time.Time, fn func(Record)) {
+// eachSealed calls fn for every record of cell key's sealed chunks matching
+// q. It decodes only the chunks that q cannot skip whole. Caller holds (at
+// least) the read lock.
+func (s *Store) eachSealed(key cellKey, q query, fn func(*Record)) {
 	for _, c := range s.sealed[key] {
-		if !c.overlaps(from, to) {
+		if q.settle(c.start, c.end, c.bounds) == coverNone {
 			continue
 		}
-		for _, rec := range s.decodeForQuery(c) {
-			if !rec.Time.Before(from) && !rec.Time.After(to) {
-				fn(rec)
+		recs := s.decodeForQuery(c)
+		for i := range recs {
+			if q.match(&recs[i]) {
+				fn(&recs[i])
 			}
 		}
 	}
+}
+
+// countCellLocked returns how many of cell key's records, hot and sealed,
+// match q. Hot buckets and sealed chunks q settles whole add their count
+// without visiting records or decoding. Caller holds (at least) the read
+// lock.
+func (s *Store) countCellLocked(key cellKey, q query) int {
+	n := 0
+	if cell, ok := s.cells[key]; ok {
+		n = cell.count(q)
+	}
+	var hits uint64
+	for _, c := range s.sealed[key] {
+		switch q.settle(c.start, c.end, c.bounds) {
+		case coverAll:
+			n += c.count
+			hits++
+		case coverSome:
+			recs := s.decodeForQuery(c)
+			for i := range recs {
+				if q.match(&recs[i]) {
+					n++
+				}
+			}
+		}
+	}
+	if hits > 0 {
+		s.rollupHits.Add(hits)
+	}
+	return n
 }
 
 // RangeQuery returns the records inside r with time in [from, to], ordered by
@@ -434,14 +425,14 @@ func (s *Store) RangeQuery(r geo.Rect, from, to time.Time) []Record {
 	if r.IsEmpty() || to.Before(from) || s.n == 0 {
 		return nil
 	}
-	q := newHotQuery(r, from, to)
+	q := newQuery(r, from, to)
 	size := 0
 	s.forEachCellKeyIn(r, func(key cellKey) {
 		if cell, ok := s.cells[key]; ok {
 			size += cell.sizeHint(q)
 		}
 		for _, c := range s.sealed[key] {
-			if c.overlaps(from, to) {
+			if q.settle(c.start, c.end, c.bounds) != coverNone {
 				size += c.count
 			}
 		}
@@ -454,11 +445,7 @@ func (s *Store) RangeQuery(r geo.Rect, from, to time.Time) []Record {
 		if cell, ok := s.cells[key]; ok {
 			out = cell.appendTo(out, q)
 		}
-		s.scanSealed(key, from, to, func(rec Record) {
-			if r.Contains(rec.Pos) {
-				out = append(out, rec)
-			}
-		})
+		s.eachSealed(key, q, func(rec *Record) { out = append(out, *rec) })
 	})
 	if len(out) == 0 {
 		return nil
@@ -468,59 +455,19 @@ func (s *Store) RangeQuery(r geo.Rect, from, to time.Time) []Record {
 }
 
 // Count returns the number of records inside r with time in [from, to]
-// without materializing them. Hot buckets and sealed rollup buckets fully
-// covered by the window and spatially provable against r are answered from
-// their counts without visiting records or decoding.
+// without materializing them. Hot buckets and sealed chunks the window and r
+// cover whole add their counts without visiting records or decoding.
 func (s *Store) Count(r geo.Rect, from, to time.Time) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if r.IsEmpty() || to.Before(from) || s.n == 0 {
 		return 0
 	}
-	q := newHotQuery(r, from, to)
+	q := newQuery(r, from, to)
 	count := 0
 	s.forEachCellKeyIn(r, func(key cellKey) {
-		if cell, ok := s.cells[key]; ok {
-			count += cell.count(q)
-		}
-		count += s.countSealedLocked(key, r, from, to)
+		count += s.countCellLocked(key, q)
 	})
-	return count
-}
-
-// countSealedLocked counts one cell's sealed records in r × [from, to],
-// answering whole rollup buckets from aggregates when provable and decoding
-// only the rest.
-func (s *Store) countSealedLocked(key cellKey, r geo.Rect, from, to time.Time) int {
-	chunks := s.sealed[key]
-	if len(chunks) == 0 {
-		return 0
-	}
-	count := 0
-	var resolved map[int64]bool
-	for b, e := range s.rollups[key] {
-		if !s.windowCoversBucket(from, to, b) {
-			continue
-		}
-		if n, ok := e.countIn(r); ok {
-			count += int(n)
-			if resolved == nil {
-				resolved = make(map[int64]bool)
-			}
-			resolved[b] = true
-			s.rollupHits.Add(1)
-		}
-	}
-	for _, c := range chunks {
-		if resolved[c.bucket] || !c.overlaps(from, to) {
-			continue
-		}
-		for _, rec := range s.decodeForQuery(c) {
-			if !rec.Time.Before(from) && !rec.Time.After(to) && r.Contains(rec.Pos) {
-				count++
-			}
-		}
-	}
 	return count
 }
 
@@ -676,7 +623,16 @@ func (s *Store) KNNBounded(q geo.Point, from, to time.Time, k int, maxDist2 floa
 				}
 			}
 		}
-		s.scanSealed(key, from, to, consider)
+		for _, c := range s.sealed[key] {
+			if !c.overlaps(fromNs, toNs) {
+				continue
+			}
+			for _, rec := range s.decodeForQuery(c) {
+				if ns := rec.Time.UnixNano(); ns >= fromNs && ns <= toNs {
+					consider(rec)
+				}
+			}
+		}
 	}
 	for ring := 0; ring <= maxRing; ring++ {
 		if ring > 0 {
@@ -717,28 +673,19 @@ type HeatCell struct {
 
 // Heatmap aggregates observation density over r and [from, to] into square
 // cells of the given size, applying the optional keep predicate. Only
-// non-empty cells are returned, unordered. With keep == nil and cellSize
-// equal to the configured RollupCellSize, sealed rollup buckets fully covered
-// by the window fold their pre-computed density grids straight into the
-// result without decoding; with keep == nil and cellSize equal to CellSize,
-// hot buckets the query covers whole add their length without visiting
-// records.
+// non-empty cells are returned, unordered; a cellSize that is not finite and
+// positive (ValidCellSize) returns nil. With keep == nil and cellSize equal
+// to CellSize, every record of store cell k lands in heat cell k (one keying
+// function, gridKey), so each cell's matches are counted as in Count: whole
+// hot buckets and sealed chunks by their counts.
 func (s *Store) Heatmap(r geo.Rect, from, to time.Time, cellSize float64, keep func(Record) bool) []HeatCell {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if r.IsEmpty() || to.Before(from) || s.n == 0 || cellSize <= 0 {
+	if r.IsEmpty() || to.Before(from) || s.n == 0 || !ValidCellSize(cellSize) {
 		return nil
 	}
-	// Rollup grids count every record, so the aggregate path needs keep to
-	// be absent and the query grid to coincide with the rollup grid exactly
-	// (same size ⇒ same floor keying; a coarser multiple is not provable
-	// near square boundaries under float division).
-	useRollup := keep == nil && s.cfg.SealHorizon > 0 && cellSize == s.cfg.RollupCellSize
-	// By the same argument, with no predicate and the store's own cell size
-	// every record of store cell key lands in heat cell key, so a cell's hot
-	// matches are summed (whole buckets by length) and added to acc once.
 	ownKey := keep == nil && cellSize == s.cfg.CellSize
-	q := newHotQuery(r, from, to)
+	q := newQuery(r, from, to)
 	acc := make(map[cellKey]int64)
 	tally := func(rec *Record) {
 		if keep == nil || keep(*rec) {
@@ -746,43 +693,16 @@ func (s *Store) Heatmap(r geo.Rect, from, to time.Time, cellSize float64, keep f
 		}
 	}
 	s.forEachCellKeyIn(r, func(key cellKey) {
-		if cell, ok := s.cells[key]; ok {
-			if !ownKey {
-				cell.each(q, tally)
-			} else if n := cell.count(q); n > 0 {
-				acc[key] += int64(n)
+		if ownKey {
+			if n := s.countCellLocked(key, q); n > 0 {
+				acc[key] = int64(n)
 			}
-		}
-		chunks := s.sealed[key]
-		if len(chunks) == 0 {
 			return
 		}
-		var resolved map[int64]bool
-		if useRollup {
-			for b, e := range s.rollups[key] {
-				if !s.windowCoversBucket(from, to, b) {
-					continue
-				}
-				if e.heatInto(r, acc) {
-					if resolved == nil {
-						resolved = make(map[int64]bool)
-					}
-					resolved[b] = true
-					s.rollupHits.Add(1)
-				}
-			}
+		if cell, ok := s.cells[key]; ok {
+			cell.each(q, tally)
 		}
-		for _, c := range chunks {
-			if resolved[c.bucket] || !c.overlaps(from, to) {
-				continue
-			}
-			recs := s.decodeForQuery(c)
-			for i := range recs {
-				if q.match(&recs[i]) {
-					tally(&recs[i])
-				}
-			}
-		}
+		s.eachSealed(key, q, tally)
 	})
 	out := make([]HeatCell, 0, len(acc))
 	for key, n := range acc {
@@ -803,8 +723,9 @@ func (s *Store) TargetHistory(id uint64, from, to time.Time) []Record {
 	}
 	var out []Record
 	sealedPart := 0
+	fromNs, toNs := unixNanos(from), unixNanos(to)
 	for _, c := range s.targetSealed[id] {
-		if !c.overlaps(from, to) {
+		if !c.overlaps(fromNs, toNs) {
 			continue
 		}
 		for _, rec := range s.decodeForQuery(c) {
@@ -887,7 +808,7 @@ func (s *Store) evictLocked(cutoff time.Time) int {
 			delete(s.cells, key)
 		}
 	}
-	removed += s.evictSealedLocked(cutoff)
+	removed += evictChunks(s.sealed, cutoffNs, &s.cellTier)
 	for id, hist := range s.byTarget {
 		lo := sort.Search(len(hist), func(i int) bool { return !hist[i].Time.Before(cutoff) })
 		if lo == 0 {
@@ -899,7 +820,8 @@ func (s *Store) evictLocked(cutoff time.Time) int {
 		}
 		s.byTarget[id] = append([]Record(nil), hist[lo:]...)
 	}
-	s.evictTargetSealedLocked(cutoff)
+	// Target chunks index the cell records already counted above.
+	evictChunks(s.targetSealed, cutoffNs, &s.targetTier)
 	s.n -= removed
 	if s.earliest.Before(cutoff) {
 		s.earliest = cutoff
@@ -908,110 +830,45 @@ func (s *Store) evictLocked(cutoff time.Time) int {
 	return removed
 }
 
-// evictSealedLocked drops whole chunks that end before the cutoff, rewrites
-// straddling chunks to their surviving suffix, and rebuilds the rollups of
-// every touched bucket from the chunks that remain.
-func (s *Store) evictSealedLocked(cutoff time.Time) int {
+// evictChunks drops every record before the UnixNano cutoff from the chunk
+// lists in m: chunks ending before it leave whole, a chunk straddling it is
+// re-encoded to its surviving suffix, and lists left empty are deleted. It
+// updates acct and returns how many records went.
+func evictChunks[K comparable](m map[K][]*sealedChunk, cutoff int64, acct *chunkStats) int {
 	removed := 0
-	for key, chunks := range s.sealed {
-		var rebuilt map[int64]bool
-		touch := func(b int64) {
-			if rebuilt == nil {
-				rebuilt = make(map[int64]bool)
-			}
-			rebuilt[b] = true
-		}
+	for key, chunks := range m {
 		kept := chunks[:0]
 		for _, c := range chunks {
-			switch {
-			case !c.start.Before(cutoff): // wholly kept
+			if c.start >= cutoff {
 				kept = append(kept, c)
-			case c.end.Before(cutoff): // wholly expired
+				continue
+			}
+			acct.remove(c)
+			if c.end < cutoff {
 				removed += c.count
-				s.sealedChunks--
-				s.sealedRecords -= c.count
-				s.sealedBytes -= int64(len(c.data))
-				touch(c.bucket)
-			default: // straddling: re-encode the surviving suffix
-				recs, err := decodeChunk(c.data)
-				if err != nil {
-					panic("stindex: sealed chunk decode: " + err.Error())
+				continue
+			}
+			recs := c.decode()
+			live := recs[:0]
+			for _, rec := range recs {
+				if rec.Time.UnixNano() >= cutoff {
+					live = append(live, rec)
 				}
-				live := recs[:0]
-				for _, rec := range recs {
-					if rec.Time.Before(cutoff) {
-						removed++
-					} else {
-						live = append(live, rec)
-					}
-				}
-				s.sealedChunks--
-				s.sealedRecords -= c.count
-				s.sealedBytes -= int64(len(c.data))
-				touch(c.bucket)
-				if len(live) > 0 {
-					nc := newSealedChunk(c.bucket, live)
-					kept = append(kept, nc)
-					s.sealedChunks++
-					s.sealedRecords += nc.count
-					s.sealedBytes += int64(len(nc.data))
-				}
+			}
+			removed += c.count - len(live)
+			if len(live) > 0 {
+				nc := newSealedChunk(live)
+				acct.add(nc)
+				kept = append(kept, nc)
 			}
 		}
 		if len(kept) == 0 {
-			delete(s.sealed, key)
+			delete(m, key)
 		} else {
-			s.sealed[key] = kept
-		}
-		for b := range rebuilt {
-			s.rebuildRollupLocked(key, b)
+			m[key] = kept
 		}
 	}
 	return removed
-}
-
-// evictTargetSealedLocked trims per-target chunks the same way; the removals
-// are not counted toward n (target history is an index over cell records).
-func (s *Store) evictTargetSealedLocked(cutoff time.Time) {
-	for id, chunks := range s.targetSealed {
-		kept := chunks[:0]
-		for _, c := range chunks {
-			switch {
-			case !c.start.Before(cutoff):
-				kept = append(kept, c)
-			case c.end.Before(cutoff):
-				s.targetChunks--
-				s.targetRecords -= c.count
-				s.targetBytes -= int64(len(c.data))
-			default:
-				recs, err := decodeChunk(c.data)
-				if err != nil {
-					panic("stindex: sealed chunk decode: " + err.Error())
-				}
-				live := recs[:0]
-				for _, rec := range recs {
-					if !rec.Time.Before(cutoff) {
-						live = append(live, rec)
-					}
-				}
-				s.targetChunks--
-				s.targetRecords -= c.count
-				s.targetBytes -= int64(len(c.data))
-				if len(live) > 0 {
-					nc := newSealedChunk(c.bucket, live)
-					kept = append(kept, nc)
-					s.targetChunks++
-					s.targetRecords += nc.count
-					s.targetBytes += int64(len(nc.data))
-				}
-			}
-		}
-		if len(kept) == 0 {
-			delete(s.targetSealed, id)
-		} else {
-			s.targetSealed[id] = kept
-		}
-	}
 }
 
 // CellCount returns the number of spatial cells with data in either tier.

@@ -1,6 +1,7 @@
 package stindex
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -181,6 +182,26 @@ func TestTargetHistoryAndTrajectory(t *testing.T) {
 	targets := s.Targets()
 	if len(targets) != 2 || targets[0] != 7 || targets[1] != 8 {
 		t.Errorf("Targets = %v", targets)
+	}
+}
+
+// TestHeatmapRejectsNonFiniteCellSize: a NaN cell size keys every record to
+// cell (MinInt32, MinInt32) and +Inf folds them all into (0, 0); either
+// answer is well-formed, so a cache would keep it. Only a finite, positive
+// size may answer.
+func TestHeatmapRejectsNonFiniteCellSize(t *testing.T) {
+	s := NewStore(Config{CellSize: 10, BucketWidth: time.Second})
+	for i := 0; i < 10; i++ {
+		s.Insert(rec(uint64(i+1), 0, float64(i*7), float64(i*3), time.Duration(i)*time.Second))
+	}
+	world := geo.RectOf(-1e6, -1e6, 1e6, 1e6)
+	for _, cs := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -5} {
+		if cells := s.Heatmap(world, at(0), at(time.Hour), cs, nil); cells != nil {
+			t.Errorf("Heatmap(cellSize %v) = %+v, want nil", cs, cells)
+		}
+	}
+	if cells := s.Heatmap(world, at(0), at(time.Hour), math.MaxFloat64, nil); len(cells) == 0 {
+		t.Error("Heatmap(cellSize MaxFloat64) answered nothing")
 	}
 }
 

@@ -77,8 +77,8 @@ func (s *Store) Summarize(cellSize float64, timeBuckets int) Summary {
 	}
 	for _, chunks := range s.sealed {
 		for _, c := range chunks {
-			cf := time.Unix(0, floorDiv64(c.start.UnixNano(), int64(sw))*int64(sw))
-			ce := time.Unix(0, floorDiv64(c.end.UnixNano(), int64(sw))*int64(sw)).Add(sw)
+			cf := time.Unix(0, floorDiv64(c.start, int64(sw))*int64(sw))
+			ce := time.Unix(0, floorDiv64(c.end, int64(sw))*int64(sw)).Add(sw)
 			if from.IsZero() || cf.Before(from) {
 				from = cf
 			}
@@ -128,28 +128,21 @@ func (s *Store) Summarize(cellSize float64, timeBuckets int) Summary {
 			c.Buckets[i] += int64(len(hb.recs))
 		}
 	}
-	// Sealed records fold in from the rollup aggregates: O(rollup entries),
-	// never decoding chunks. A rollup bucket can straddle several summary
-	// buckets, so its count is credited to every one it overlaps — an
-	// over-count per bucket, which is safe: readers treat buckets as
-	// absence proofs only (a false positive merely skips a pruning
-	// opportunity), while Count and Records stay exact.
-	for key, buckets := range s.rollups {
+	// Sealed records fold in from chunk counts: O(chunks), never decoding.
+	// A chunk's span can straddle several summary buckets, so its count is
+	// credited to every one it overlaps — an over-count per bucket, which is
+	// safe: readers treat buckets as absence proofs only (a false positive
+	// merely skips a pruning opportunity), while Count and Records stay
+	// exact.
+	for key, chunks := range s.sealed {
 		c := coarse(key)
-		for b, e := range buckets {
-			c.Count += e.count
-			bStart := s.rollupBucketStart(b)
-			bEnd := bStart.Add(s.cfg.RollupWidth)
-			i0 := int(bStart.Sub(from) / width)
-			i1 := int(bEnd.Add(-time.Nanosecond).Sub(from) / width)
-			if i0 < 0 {
-				i0 = 0
-			}
-			if i1 >= nb {
-				i1 = nb - 1
-			}
+		for _, ch := range chunks {
+			n := int64(ch.count)
+			c.Count += n
+			i0 := min(max(int(time.Unix(0, ch.start).Sub(from)/width), 0), nb-1)
+			i1 := min(max(int(time.Unix(0, ch.end).Sub(from)/width), 0), nb-1)
 			for i := i0; i <= i1; i++ {
-				c.Buckets[i] += e.count
+				c.Buckets[i] += n
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package stindex
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,20 +12,25 @@ import (
 
 var sumT0 = time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
 
-func randStore(seed int64, n int) (*Store, []Record) {
-	rng := rand.New(rand.NewSource(seed))
-	s := NewStore(Config{CellSize: 50, BucketWidth: 10 * time.Second})
+func randRecords(rng *rand.Rand, n int, from time.Time, span int) []Record {
 	recs := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
-		rec := Record{
+		recs = append(recs, Record{
 			ObsID:    uint64(i + 1),
 			TargetID: uint64(rng.Intn(20)),
 			Camera:   uint32(rng.Intn(8)),
 			Pos:      geo.Pt(rng.Float64()*2000-500, rng.Float64()*2000-500),
-			Time:     sumT0.Add(time.Duration(rng.Intn(3600)) * time.Second),
-		}
-		s.Insert(rec)
-		recs = append(recs, rec)
+			Time:     from.Add(time.Duration(rng.Intn(span)) * time.Second),
+		})
+	}
+	return recs
+}
+
+func randStore(seed int64, n int) (*Store, []Record) {
+	s := NewStore(Config{CellSize: 50, BucketWidth: 10 * time.Second})
+	recs := randRecords(rand.New(rand.NewSource(seed)), n, sumT0, 3600)
+	for _, r := range recs {
+		s.Insert(r)
 	}
 	return s, recs
 }
@@ -33,52 +39,111 @@ func randStore(seed int64, n int) (*Store, []Record) {
 // stored record must be covered by exactly one cell — position inside the
 // cell's Bounds, counted in its Count, and counted in the time bucket that
 // contains its timestamp. A summary violating this could cause a wrong prune.
+// A tiered store credits each sealed chunk to every bucket its span
+// overlaps, so there bucket sums may exceed the cell count; it is checked
+// after a seal, after an eviction that cuts through chunks, and after late
+// inserts below the seal frontier plus a straggler seal.
 func TestSummarizeConservative(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		s, recs := randStore(seed, 500)
-		sum := s.Summarize(200, 8)
-		if sum.Records != len(recs) {
-			t.Fatalf("seed %d: Records = %d, want %d", seed, sum.Records, len(recs))
+		checkSummaryConservative(t, fmt.Sprintf("seed %d flat", seed), s, recs, true)
+
+		// Coarse cells and a long RollupWidth, so chunks hold several
+		// records and span minutes.
+		rng := rand.New(rand.NewSource(seed))
+		tiered := NewStore(Config{CellSize: 500, BucketWidth: 10 * time.Second, SealHorizon: 10 * time.Minute, RollupWidth: 20 * time.Minute, ChunkTarget: 8})
+		recs = randRecords(rng, 500, sumT0, 3600)
+		for _, r := range recs {
+			tiered.Insert(r)
 		}
-		if rem := math.Mod(sum.CellSize, s.Config().CellSize); rem != 0 {
-			t.Fatalf("seed %d: coarse cell size %v not a multiple of %v", seed, sum.CellSize, s.Config().CellSize)
+		tiered.Seal()
+		if ts := tiered.TierStats(); ts.SealedRecords == 0 {
+			t.Fatalf("seed %d: nothing sealed", seed)
 		}
-		if sum.BucketWidth%s.Config().BucketWidth != 0 {
-			t.Fatalf("seed %d: bucket width %v not a multiple of %v", seed, sum.BucketWidth, s.Config().BucketWidth)
-		}
-		cells := make(map[[2]int32]*SummaryCell)
-		var total int64
-		for i := range sum.Cells {
-			c := &sum.Cells[i]
-			cells[[2]int32{c.CX, c.CY}] = c
-			total += c.Count
-			var bucketSum int64
-			for _, b := range c.Buckets {
-				bucketSum += b
-			}
-			if bucketSum != c.Count {
-				t.Fatalf("seed %d: cell (%d,%d) buckets sum to %d, count %d", seed, c.CX, c.CY, bucketSum, c.Count)
+		checkSummaryConservative(t, fmt.Sprintf("seed %d sealed", seed), tiered, recs, false)
+
+		cutoff := sumT0.Add(1234*time.Second + 567*time.Millisecond)
+		straddled := false
+		for _, chunks := range tiered.sealed {
+			for _, c := range chunks {
+				straddled = straddled || (c.start < cutoff.UnixNano() && c.end >= cutoff.UnixNano())
 			}
 		}
-		if total != int64(len(recs)) {
-			t.Fatalf("seed %d: cell counts sum to %d, want %d", seed, total, len(recs))
+		if !straddled {
+			t.Fatalf("seed %d: no sealed chunk straddles the cutoff", seed)
 		}
-		for _, rec := range recs {
-			key := [2]int32{
-				int32(math.Floor(rec.Pos.X / sum.CellSize)),
-				int32(math.Floor(rec.Pos.Y / sum.CellSize)),
+		tiered.EvictBefore(cutoff)
+		live := recs[:0]
+		for _, r := range recs {
+			if !r.Time.Before(cutoff) {
+				live = append(live, r)
 			}
-			c, ok := cells[key]
-			if !ok {
-				t.Fatalf("seed %d: record %d at %v has no summary cell %v", seed, rec.ObsID, rec.Pos, key)
-			}
-			if !c.Bounds.Contains(rec.Pos) {
-				t.Fatalf("seed %d: record %d at %v outside cell bounds %v", seed, rec.ObsID, rec.Pos, c.Bounds)
-			}
-			i := int(rec.Time.Sub(sum.BucketFrom) / sum.BucketWidth)
-			if i < 0 || i >= len(c.Buckets) || c.Buckets[i] == 0 {
-				t.Fatalf("seed %d: record %d at %v not visible in time bucket %d of cell %v", seed, rec.ObsID, rec.Time, i, key)
-			}
+		}
+		recs = live
+		checkSummaryConservative(t, fmt.Sprintf("seed %d evicted", seed), tiered, recs, false)
+
+		sealedBefore := tiered.TierStats().SealedRecords
+		late := randRecords(rng, 200, cutoff, 1500) // all below the seal frontier
+		for i := range late {
+			late[i].ObsID += 1000
+			tiered.Insert(late[i])
+		}
+		tiered.Seal()
+		if got := tiered.TierStats().SealedRecords; got != sealedBefore+len(late) {
+			t.Fatalf("seed %d: straggler seal left %d sealed records, want %d", seed, got, sealedBefore+len(late))
+		}
+		recs = append(recs, late...)
+		checkSummaryConservative(t, fmt.Sprintf("seed %d late", seed), tiered, recs, false)
+	}
+}
+
+// checkSummaryConservative checks s's summary against the records it holds.
+// exact requires each cell's time buckets to sum to its count; otherwise
+// they may exceed it.
+func checkSummaryConservative(t *testing.T, label string, s *Store, recs []Record, exact bool) {
+	t.Helper()
+	sum := s.Summarize(200, 8)
+	if sum.Records != len(recs) {
+		t.Fatalf("%s: Records = %d, want %d", label, sum.Records, len(recs))
+	}
+	if rem := math.Mod(sum.CellSize, s.Config().CellSize); rem != 0 {
+		t.Fatalf("%s: coarse cell size %v not a multiple of %v", label, sum.CellSize, s.Config().CellSize)
+	}
+	if sum.BucketWidth%s.Config().BucketWidth != 0 {
+		t.Fatalf("%s: bucket width %v not a multiple of %v", label, sum.BucketWidth, s.Config().BucketWidth)
+	}
+	cells := make(map[[2]int32]*SummaryCell)
+	var total int64
+	for i := range sum.Cells {
+		c := &sum.Cells[i]
+		cells[[2]int32{c.CX, c.CY}] = c
+		total += c.Count
+		var bucketSum int64
+		for _, b := range c.Buckets {
+			bucketSum += b
+		}
+		if bucketSum < c.Count || (exact && bucketSum != c.Count) {
+			t.Fatalf("%s: cell (%d,%d) buckets sum to %d, count %d", label, c.CX, c.CY, bucketSum, c.Count)
+		}
+	}
+	if total != int64(len(recs)) {
+		t.Fatalf("%s: cell counts sum to %d, want %d", label, total, len(recs))
+	}
+	for _, rec := range recs {
+		key := [2]int32{
+			int32(math.Floor(rec.Pos.X / sum.CellSize)),
+			int32(math.Floor(rec.Pos.Y / sum.CellSize)),
+		}
+		c, ok := cells[key]
+		if !ok {
+			t.Fatalf("%s: record %d at %v has no summary cell %v", label, rec.ObsID, rec.Pos, key)
+		}
+		if !c.Bounds.Contains(rec.Pos) {
+			t.Fatalf("%s: record %d at %v outside cell bounds %v", label, rec.ObsID, rec.Pos, c.Bounds)
+		}
+		i := int(rec.Time.Sub(sum.BucketFrom) / sum.BucketWidth)
+		if i < 0 || i >= len(c.Buckets) || c.Buckets[i] == 0 {
+			t.Fatalf("%s: record %d at %v not visible in time bucket %d of cell %v", label, rec.ObsID, rec.Time, i, key)
 		}
 	}
 }

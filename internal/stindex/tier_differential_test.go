@@ -87,13 +87,13 @@ func diffBattery(t *testing.T, flat, tiered *Store, label string) {
 		geo.RectOf(0, 0, 400, 400),
 		geo.RectOf(-120, -80, 130, 90),       // straddles cell boundaries
 		geo.RectOf(50, 50, 100, 100),         // exactly cell-aligned
-		geo.RectOf(33.3, -17.7, 210.9, 66.1), // cuts through rollup squares
+		geo.RectOf(33.3, -17.7, 210.9, 66.1), // cuts through chunk bounds
 		geo.RectOf(700, 700, 900, 900),       // mostly empty
 	}
 	lo, hi := at(-time.Hour), at(24*time.Hour)
 	windows := [][2]time.Time{
 		{lo, hi},
-		{at(0), at(32 * time.Second)}, // rollup-aligned long range
+		{at(0), at(32 * time.Second)}, // RollupWidth-aligned long range
 		{at(7*time.Second + 300*time.Millisecond), at(55 * time.Second)}, // misaligned, crosses seal frontier
 		{at(40 * time.Second), at(41 * time.Second)},                     // short hot-side window
 		{at(3 * time.Second), at(3 * time.Second)},                       // instant
@@ -266,8 +266,8 @@ func TestTieredDifferentialEviction(t *testing.T) {
 }
 
 // TestTieredRollupRouting asserts the decode counter: long-range Count and
-// Heatmap queries whose windows cover whole rollup buckets are answered
-// purely from rollups (zero chunk decodes), while RangeQuery must decode.
+// Heatmap queries whose windows cover every sealed chunk are answered from
+// chunk counts alone (zero chunk decodes), while RangeQuery must decode.
 func TestTieredRollupRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	_, tiered := tieredPair()
@@ -281,20 +281,20 @@ func TestTieredRollupRouting(t *testing.T) {
 	}
 
 	world := geo.RectOf(-1e6, -1e6, 1e6, 1e6)
-	// Bucket-aligned long-range window over the whole world: every sealed
-	// bucket is fully covered and every rollup bounds-check resolves.
+	// Long-range window over the whole world: every sealed chunk's span and
+	// bounds are covered.
 	from, to := at(-8*time.Second), at(64*time.Second-time.Nanosecond)
 	n := tiered.Count(world, from, to)
 	if n == 0 {
 		t.Fatal("long-range count returned 0")
 	}
-	heat := tiered.Heatmap(world, from, to, 50, nil) // 50 = RollupCellSize (defaults to CellSize)
+	heat := tiered.Heatmap(world, from, to, 50, nil) // 50 = CellSize
 	if len(heat) == 0 {
 		t.Fatal("long-range heatmap returned nothing")
 	}
 	ts1 := tiered.TierStats()
 	if d := ts1.QueryDecodes - ts0.QueryDecodes; d != 0 {
-		t.Fatalf("rollup-covered Count+Heatmap decoded %d chunks, want 0", d)
+		t.Fatalf("covered Count+Heatmap decoded %d chunks, want 0", d)
 	}
 	if ts1.RollupHits <= ts0.RollupHits {
 		t.Fatalf("rollup hits did not advance: %d -> %d", ts0.RollupHits, ts1.RollupHits)
@@ -309,11 +309,69 @@ func TestTieredRollupRouting(t *testing.T) {
 		t.Fatal("RangeQuery over sealed data decoded no chunks")
 	}
 
-	// A misaligned window cannot be proven by rollups alone — it must still
-	// answer exactly (cross-checked against RangeQuery length).
+	// A misaligned window cuts through chunks that must decode — it must
+	// still answer exactly (cross-checked against RangeQuery length).
 	mfrom, mto := at(1500*time.Millisecond), at(37*time.Second)
 	if c, r := tiered.Count(world, mfrom, mto), tiered.RangeQuery(world, mfrom, mto); c != len(r) {
 		t.Fatalf("misaligned count %d != range len %d", c, len(r))
+	}
+}
+
+// TestChunkSpanWindowNoDecode: a window running from one sealed chunk's first
+// record to its last — not aligned to RollupWidth — covers that chunk's span,
+// so Count and Heatmap take it whole from its count without decoding.
+func TestChunkSpanWindowNoDecode(t *testing.T) {
+	const width = 8 * time.Second
+	s := NewStore(Config{
+		CellSize:    50,
+		BucketWidth: time.Second,
+		SealHorizon: 10 * time.Second,
+		RollupWidth: width,
+	})
+	// One cell, a record every 250 ms starting 300 ms past a RollupWidth
+	// boundary, sealed up to 10 s before the last: the chunk of the second
+	// RollupWidth bucket starts and ends 50 ms and 200 ms inside it.
+	start := time.Unix(0, (floorDiv64(t0.UnixNano(), int64(width))+1)*int64(width))
+	var recs []Record
+	for i := 0; i < 160; i++ {
+		r := Record{ObsID: uint64(i + 1), Pos: geo.Pt(float64(i%40)+0.5, 25), Time: start.Add(300*time.Millisecond + time.Duration(i)*250*time.Millisecond)}
+		recs = append(recs, r)
+		s.Insert(r)
+	}
+	s.Seal()
+	var from, to time.Time
+	want := 0
+	for _, r := range recs {
+		if d := r.Time.Sub(start); d >= width && d < 2*width {
+			if want == 0 {
+				from = r.Time
+			}
+			to = r.Time
+			want++
+		}
+	}
+	if from.UnixNano()%int64(width) == 0 || (to.UnixNano()+1)%int64(width) == 0 {
+		t.Fatalf("window [%v, %v] is RollupWidth-aligned", from, to)
+	}
+	if ts := s.TierStats(); ts.SealedRecords < 2*want {
+		t.Fatalf("second RollupWidth bucket not sealed: %+v", ts)
+	}
+
+	world := geo.RectOf(-1e6, -1e6, 1e6, 1e6)
+	ts0 := s.TierStats()
+	if n := s.Count(world, from, to); n != want {
+		t.Fatalf("Count = %d, want %d", n, want)
+	}
+	heat := s.Heatmap(world, from, to, 50, nil)
+	if len(heat) != 1 || heat[0].Count != int64(want) {
+		t.Fatalf("Heatmap = %+v, want one cell of %d", heat, want)
+	}
+	ts1 := s.TierStats()
+	if d := ts1.QueryDecodes - ts0.QueryDecodes; d != 0 {
+		t.Fatalf("chunk-span Count+Heatmap decoded %d chunks, want 0", d)
+	}
+	if ts1.RollupHits <= ts0.RollupHits {
+		t.Fatalf("RollupHits did not advance: %d -> %d", ts0.RollupHits, ts1.RollupHits)
 	}
 }
 
