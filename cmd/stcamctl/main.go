@@ -80,6 +80,9 @@ func run(args []string) error {
 			return fmt.Errorf("unexpected response %T", resp)
 		}
 		printRecords(rr.Records)
+		if rr.Truncated {
+			fmt.Printf("truncated at -limit %d; more records match\n", *limit)
+		}
 		return nil
 
 	case "knn":

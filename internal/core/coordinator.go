@@ -288,11 +288,11 @@ func (c *Coordinator) dispatch(ctx context.Context, _ string, req any) (any, err
 		c.onTrackHandoff(m)
 		return &wire.AssignAck{}, nil
 	case *wire.RangeQuery:
-		recs, meta, err := c.RangeMeta(ctx, m.Rect, m.Window, m.Limit)
+		enc, meta, err := c.RangeMeta(ctx, m.Rect, m.Window, m.Limit)
 		if err != nil {
 			return &wire.Error{Code: wire.CodeBadRequest, Message: err.Error()}, nil
 		}
-		return &wire.RangeResult{QueryID: m.QueryID, Records: recs, Asked: meta.Asked, Answered: meta.Answered}, nil
+		return &wire.RangeResult{QueryID: m.QueryID, Encoded: enc, Truncated: meta.Truncated, Asked: meta.Asked, Answered: meta.Answered}, nil
 	case *wire.KNNQuery:
 		recs, meta, err := c.knnMeta(ctx, m.Center, m.Window, m.K, m.MaxDist2)
 		if err != nil {
@@ -641,32 +641,43 @@ func (c *Coordinator) allWorkers() []string {
 }
 
 // Range runs a distributed spatio-temporal range query and merges the
-// results (time order, ObsID tie-break).
+// results (time order, ObsID tie-break). It is the one place a range answer
+// is decoded into records: the wire surface sends RangeMeta's bytes as they
+// are.
 func (c *Coordinator) Range(ctx context.Context, rect geo.Rect, window wire.TimeWindow, limit int) ([]wire.ResultRecord, error) {
-	recs, _, err := c.RangeMeta(ctx, rect, window, limit)
-	return recs, err
+	enc, _, err := c.RangeMeta(ctx, rect, window, limit)
+	if err != nil {
+		return nil, err
+	}
+	return enc.Decode()
 }
 
-// RangeMeta is Range plus answer-completeness metadata: how many workers the
-// query fanned out to, how many answered before their deadline, and how many
-// were skipped because their heartbeat sketch proved them empty for this
-// rect and window. A completeness below 1.0 means the merged records are a
-// partial view taken during a failure or partition; pruned workers do not
-// degrade completeness (they provably held nothing).
-func (c *Coordinator) RangeMeta(ctx context.Context, rect geo.Rect, window wire.TimeWindow, limit int) ([]wire.ResultRecord, QueryMeta, error) {
+// RangeMeta is Range with the answer left encoded, plus answer-completeness
+// metadata: how many workers the query fanned out to, how many answered
+// before their deadline, and how many were skipped because their heartbeat
+// sketch proved them empty for this rect and window. A completeness below
+// 1.0 means the merged records are a partial view taken during a failure or
+// partition; pruned workers do not degrade completeness (they provably held
+// nothing). meta.Truncated reports that limit cut the answer. The records are
+// the workers' encodings merged by copying bytes; nothing here decodes or
+// re-encodes them.
+func (c *Coordinator) RangeMeta(ctx context.Context, rect geo.Rect, window wire.TimeWindow, limit int) (wire.EncodedRecords, QueryMeta, error) {
 	start := c.now()
 	defer func() { c.reg.Histogram("query.range").Observe(c.now().Sub(start)) }()
 	q := &wire.RangeQuery{QueryID: c.nextQueryID.Add(1), Rect: rect, Window: window, Limit: limit}
 	targets, pruned := c.pruneTargets(c.targetsFor(rect), rect, window)
 	resps, meta := c.scatter(ctx, addrsOfTargets(targets), q)
 	meta.Pruned = pruned
-	lists := make([][]wire.ResultRecord, 0, len(resps))
+	parts := make([]*wire.RecordBlock, 0, len(resps))
 	for _, resp := range resps {
-		if rr, ok := resp.(*wire.RangeResult); ok {
-			lists = append(lists, rr.Records)
+		if rp, ok := resp.(*wire.RangePart); ok {
+			parts = append(parts, &rp.Records)
+			meta.Truncated = meta.Truncated || rp.Truncated
 		}
 	}
-	return mergeSortedRecords(lists, limit), meta, nil
+	enc, cut := mergeParts(parts, limit)
+	meta.Truncated = meta.Truncated || cut
+	return enc, meta, nil
 }
 
 // KNN runs the distributed k-nearest query: a two-phase pruned search that

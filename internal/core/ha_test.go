@@ -718,7 +718,7 @@ func TestCoordinatorRestartMidBatchDedup(t *testing.T) {
 		faulty.SetProgram(w.Addr(), cluster.FaultProgram{})
 	}
 	window := wire.TimeWindow{From: simT0, To: simT0.Add(24 * time.Hour)}
-	recs, meta, err := cl.Coordinator.RangeMeta(ctx, world1, window, 0)
+	recs, meta, err := rangeDecoded(cl.Coordinator, world1, window, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,22 +60,22 @@ func runQueryBattery(t *testing.T, c *Cluster, until time.Time) queryBattery {
 		sub    = geo.RectOf(200, 200, 700, 700)
 		far    = geo.RectOf(0, 0, 120, 120)
 	)
-	if out.rangeFull, meta, err = c.Coordinator.RangeMeta(ctx, world1, window, 0); err != nil {
+	if out.rangeFull, meta, err = rangeDecoded(c.Coordinator, world1, window, 0); err != nil {
 		t.Fatal(err)
 	}
 	out.pruned, out.asked = out.pruned+meta.Pruned, out.asked+meta.Asked
-	if out.rangeSub, meta, err = c.Coordinator.RangeMeta(ctx, sub, window, 0); err != nil {
+	if out.rangeSub, meta, err = rangeDecoded(c.Coordinator, sub, window, 0); err != nil {
 		t.Fatal(err)
 	}
 	out.pruned, out.asked = out.pruned+meta.Pruned, out.asked+meta.Asked
-	if out.rangeLim, _, err = c.Coordinator.RangeMeta(ctx, world1, window, 25); err != nil {
+	if out.rangeLim, _, err = rangeDecoded(c.Coordinator, world1, window, 25); err != nil {
 		t.Fatal(err)
 	}
-	if out.rangeFar, meta, err = c.Coordinator.RangeMeta(ctx, far, window, 0); err != nil {
+	if out.rangeFar, meta, err = rangeDecoded(c.Coordinator, far, window, 0); err != nil {
 		t.Fatal(err)
 	}
 	out.pruned, out.asked = out.pruned+meta.Pruned, out.asked+meta.Asked
-	if out.rangeOld, meta, err = c.Coordinator.RangeMeta(ctx, world1, early, 0); err != nil {
+	if out.rangeOld, meta, err = rangeDecoded(c.Coordinator, world1, early, 0); err != nil {
 		t.Fatal(err)
 	}
 	out.pruned, out.asked = out.pruned+meta.Pruned, out.asked+meta.Asked

@@ -52,7 +52,7 @@ func TestResilienceMasksDroppedCalls(t *testing.T) {
 
 	window := wire.TimeWindow{From: simT0, To: simT0.Add(time.Hour)}
 	for i := 0; i < 20; i++ {
-		recs, meta, err := c.Coordinator.RangeMeta(ctx, world1, window, 0)
+		recs, meta, err := rangeDecoded(c.Coordinator, world1, window, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestBreakerFastFailsPartitionedWorker(t *testing.T) {
 	// With the breaker open, the same query fast-fails that worker: well
 	// under even one per-attempt timeout, with completeness < 1 reported.
 	start := time.Now()
-	recs, meta, err := c.Coordinator.RangeMeta(ctx, world1, window, 0)
+	recs, meta, err := rangeDecoded(c.Coordinator, world1, window, 0)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

@@ -22,9 +22,10 @@ func resilientFor(tr cluster.Transport, opts Options, reg *metrics.Registry) *cl
 // nothing for the query, so skipping them loses no data and does not degrade
 // completeness.
 type QueryMeta struct {
-	Asked    int // workers the query fanned out to
-	Answered int // workers that answered before their deadline
-	Pruned   int // workers skipped because their sketch proved them empty
+	Asked     int  // workers the query fanned out to
+	Answered  int  // workers that answered before their deadline
+	Pruned    int  // workers skipped because their sketch proved them empty
+	Truncated bool // Range only: the answer stopped at its limit with matches left over
 }
 
 // Completeness returns Answered/Asked in [0, 1]; an empty fan-out is

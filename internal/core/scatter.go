@@ -250,66 +250,68 @@ func (c *Coordinator) pruneTargets(ts []workerTarget, rect geo.Rect, window wire
 
 // --- merging -----------------------------------------------------------------
 
-// mergeSortedRecords k-way-merges per-worker record lists — each already
-// sorted by (Time, ObsID), the order onRange returns — into one sorted list,
-// stopping at limit (0 = no limit). Unlike concat-and-sort this is
-// O(total·log workers) and stops as soon as the limit is reached.
-func mergeSortedRecords(lists [][]wire.ResultRecord, limit int) []wire.ResultRecord {
-	live := lists[:0:0]
-	total := 0
-	for _, l := range lists {
-		if len(l) > 0 {
-			live = append(live, l)
-			total += len(l)
+// mergeParts k-way-merges the workers' encoded answers — each ordered by
+// (Time, ObsID), the order onRange returns — into one encoded answer,
+// copying each record's bytes once and stopping at limit (0 = no limit). cut
+// reports that the limit left records out. A lone part taken whole is
+// returned as is.
+func mergeParts(parts []*wire.RecordBlock, limit int) (out wire.EncodedRecords, cut bool) {
+	live := make([]*wire.RecordBlock, 0, len(parts))
+	total, size := 0, 0
+	for _, p := range parts {
+		if p.Len() > 0 {
+			live = append(live, p)
+			total += p.Len()
+			size += len(p.Bytes())
 		}
 	}
-	if len(live) == 0 {
-		return nil
-	}
+	want := total
 	if limit > 0 && limit < total {
-		total = limit
+		want, cut = limit, true
+		size = (size/total + 1) * limit // the cut answer's expected size; append grows past it if need be
 	}
-	if len(live) == 1 {
-		return live[0][:total:total]
+	if want == 0 {
+		return out, cut
 	}
-	m := recMerge{lists: live, heads: make([]int, len(live))}
-	for i := range live {
-		m.h = append(m.h, i)
+	if len(live) == 1 && !cut {
+		return wire.EncodedRecords{N: want, B: live[0].Bytes()}, false
+	}
+	ints := make([]int, 2*len(live))
+	m := partMerge{parts: live, heads: ints[:len(live)], h: ints[len(live):]}
+	for i := range m.h {
+		m.h[i] = i
 	}
 	for i := len(m.h)/2 - 1; i >= 0; i-- {
 		m.down(i)
 	}
-	out := make([]wire.ResultRecord, 0, total)
-	for len(m.h) > 0 && len(out) < total {
+	out.B = make([]byte, 0, size)
+	for ; out.N < want; out.N++ {
 		top := m.h[0]
-		out = append(out, m.lists[top][m.heads[top]])
+		p := m.parts[top]
+		out.B = append(out.B, p.Record(m.heads[top])...)
 		m.heads[top]++
-		if m.heads[top] == len(m.lists[top]) {
+		if m.heads[top] == p.Len() {
 			m.h[0] = m.h[len(m.h)-1]
 			m.h = m.h[:len(m.h)-1]
 		}
 		m.down(0)
 	}
-	return out
+	return out, cut
 }
 
-// recMerge is a hand-rolled min-heap of list indices keyed on each list's
+// partMerge is a hand-rolled min-heap of part indices keyed on each part's
 // current head record.
-type recMerge struct {
-	lists [][]wire.ResultRecord
+type partMerge struct {
+	parts []*wire.RecordBlock
 	heads []int
 	h     []int
 }
 
-func (m *recMerge) less(a, b int) bool {
-	ra, rb := m.lists[a][m.heads[a]], m.lists[b][m.heads[b]]
-	if !ra.Time.Equal(rb.Time) {
-		return ra.Time.Before(rb.Time)
-	}
-	return ra.ObsID < rb.ObsID
+func (m *partMerge) less(a, b int) bool {
+	return m.parts[a].Key(m.heads[a]).Less(m.parts[b].Key(m.heads[b]))
 }
 
-func (m *recMerge) down(i int) {
+func (m *partMerge) down(i int) {
 	n := len(m.h)
 	for {
 		l, r := 2*i+1, 2*i+2

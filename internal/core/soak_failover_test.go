@@ -160,7 +160,7 @@ func TestSoakFailoverLeaderKill(t *testing.T) {
 			default:
 			}
 			qc := currentCoord()
-			recs, meta, err := qc.RangeMeta(ctx, world1, window, 0)
+			recs, meta, err := rangeDecoded(qc, world1, window, 0)
 			if err != nil {
 				t.Errorf("soak range: %v", err)
 				return
@@ -314,7 +314,7 @@ func TestSoakFailoverLeaderKill(t *testing.T) {
 	var recs []wire.ResultRecord
 	var meta QueryMeta
 	waitFor(t, 5*time.Second, "final complete range answer", func() bool {
-		recs, meta, err = newLeader.RangeMeta(ctx, world1, window, 0)
+		recs, meta, err = rangeDecoded(newLeader, world1, window, 0)
 		return err == nil && meta.Answered == meta.Asked
 	})
 	seen := make(map[uint64]bool, len(recs))

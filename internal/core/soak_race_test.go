@@ -94,7 +94,7 @@ func TestSoakIngestQueriesTrackingRebalance(t *testing.T) {
 				return
 			default:
 			}
-			recs, meta, err := cl.Coordinator.RangeMeta(ctx, world1, window, 0)
+			recs, meta, err := rangeDecoded(cl.Coordinator, world1, window, 0)
 			if err != nil {
 				t.Errorf("soak range: %v", err)
 				return
@@ -192,7 +192,7 @@ func TestSoakIngestQueriesTrackingRebalance(t *testing.T) {
 	// Settle, then one final complete check: the answer must be complete
 	// now (no faults beyond drops/dups, all retried) and still free of
 	// duplicates.
-	recs, meta, err := cl.Coordinator.RangeMeta(ctx, world1, window, 0)
+	recs, meta, err := rangeDecoded(cl.Coordinator, world1, window, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -697,12 +697,18 @@ func (w *Worker) onRange(m *wire.RangeQuery) (any, error) {
 	scanned := w.store.RangeQuery(m.Rect, m.Window.From, m.Window.To)
 	w.feedbackRange(m.Rect, len(scanned), w.store.Len())
 	recs := w.filterPrimary(scanned)
-	truncated := false
+	out := &wire.RangePart{QueryID: m.QueryID}
 	if m.Limit > 0 && len(recs) > m.Limit {
 		recs = recs[:m.Limit]
-		truncated = true
+		out.Truncated = true
 	}
-	out := &wire.RangeResult{QueryID: m.QueryID, Records: toWireRecords(recs), Truncated: truncated}
+	// The answer is encoded here, once: the coordinator merges these bytes
+	// and the client frame copies them. stindex.Record and wire.ResultRecord
+	// share an underlying type, so each record encodes in place.
+	out.Records.Grow(len(recs))
+	for i := range recs {
+		out.Records.Append((*wire.ResultRecord)(&recs[i]))
+	}
 	w.reg.Histogram("query.range").Observe(w.now().Sub(start))
 	return out, nil
 }

@@ -166,11 +166,11 @@ func (f *Frontend) serveQuery(ctx context.Context, req any) (any, bool) {
 func (f *Frontend) execute(ctx context.Context, req any) (resp any, cacheable bool) {
 	switch m := req.(type) {
 	case *wire.RangeQuery:
-		recs, meta, err := f.coord.RangeMeta(ctx, m.Rect, m.Window, m.Limit)
+		enc, meta, err := f.coord.RangeMeta(ctx, m.Rect, m.Window, m.Limit)
 		if err != nil {
 			return &wire.Error{Code: wire.CodeBadRequest, Message: err.Error()}, false
 		}
-		return &wire.RangeResult{Records: recs, Asked: meta.Asked, Answered: meta.Answered}, meta.Answered == meta.Asked
+		return &wire.RangeResult{Encoded: enc, Truncated: meta.Truncated, Asked: meta.Asked, Answered: meta.Answered}, meta.Answered == meta.Asked
 	case *wire.CountQuery:
 		n, meta, err := f.coord.CountMeta(ctx, m.Rect, m.Window)
 		if err != nil {

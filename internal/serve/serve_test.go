@@ -493,3 +493,34 @@ func TestIngestNeverShed(t *testing.T) {
 	// ...but ingest lands.
 	ingest(t, c, obsAt(1, 1, geo.Pt(200, 200), time.Unix(100, 0).UTC()))
 }
+
+// TestServedRangeIsEncodedOnce: the front-end answers a range query with the
+// coordinator's merged bytes — no decoded records — caches those bytes, and
+// reports a limit cut as Truncated on misses and hits alike.
+func TestServedRangeIsEncodedOnce(t *testing.T) {
+	c, _ := newServedCluster(t, 3, 3, Options{CacheTTL: time.Hour})
+	const total = 40
+	for i := 0; i < total; i++ {
+		ingest(t, c, obsAt(uint64(1+i), uint32(1+i%9), geo.Pt(float64(10+i*20), float64(20+(i*7)%900)), time.Unix(int64(100+i), 0).UTC()))
+	}
+	for _, limit := range []int{0, 7, total} {
+		q := &wire.RangeQuery{QueryID: 5, Rect: world, Window: window, Limit: limit}
+		want := total
+		if limit > 0 && limit < total {
+			want = limit
+		}
+		for _, pass := range []string{"miss", "hit"} {
+			rr := gw(t, c, q).(*wire.RangeResult)
+			if rr.Records != nil || rr.Encoded.N != want {
+				t.Fatalf("limit %d %s: %d records and %d encoded, want %d encoded only", limit, pass, len(rr.Records), rr.Encoded.N, want)
+			}
+			if rr.Truncated != (want < total) {
+				t.Fatalf("limit %d %s: Truncated = %v", limit, pass, rr.Truncated)
+			}
+			recs, err := rr.Encoded.Decode()
+			if err != nil || len(recs) != want {
+				t.Fatalf("limit %d %s: decode %d records, %v", limit, pass, len(recs), err)
+			}
+		}
+	}
+}

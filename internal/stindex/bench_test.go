@@ -76,7 +76,7 @@ func BenchmarkStoreHeatmap(b *testing.B) {
 // scanStore is shaped like one worker's store in the end-to-end benchmark's
 // query.scan workload: 50 m cells over a 2 km world, 30 k records over 300 s,
 // sealed up to a 2 min horizon so ~40 % stay hot and ~60 % are sealed.
-func scanStore(b *testing.B) *Store {
+func scanStore(b testing.TB) *Store {
 	s := NewStore(Config{CellSize: 50, SealHorizon: 2 * time.Minute})
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 30000; i++ {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"stcam/internal/geo"
@@ -137,14 +138,15 @@ func (c *sealedChunk) trimBefore(cutoff int64) int {
 	return n
 }
 
-// decode decodes the chunk's live records. Sealed data is immutable after
-// encode, so a failure here is a program bug, not an input condition.
-func (c *sealedChunk) decode() []Record {
-	recs, err := decodeChunk(c.data)
+// appendLive decodes the chunk's live records onto dst. Sealed data is
+// immutable after encode, so a failure here is a program bug, not an input
+// condition.
+func (c *sealedChunk) appendLive(dst []Record) []Record {
+	dst, err := appendDecoded(dst, c.data, c.skip)
 	if err != nil {
 		panic("stindex: sealed chunk decode: " + err.Error())
 	}
-	return recs[c.skip:]
+	return dst
 }
 
 // quantizable reports whether v is exactly representable as an integer count
@@ -351,99 +353,134 @@ func (r *chunkReader) xor() uint64 {
 // unknown format tag or flag, a truncated body, an impossible record count,
 // or trailing garbage all error without returning partial records.
 func decodeChunk(data []byte) ([]Record, error) {
+	return appendDecoded(nil, data, 0)
+}
+
+// appendDecoded decodes a sealed chunk and appends its records from index
+// skip on (the live suffix of a trimmed chunk) onto dst, growing dst once. It
+// fails closed like decodeChunk: on error dst comes back at its original
+// length, without partial records.
+func appendDecoded(dst []Record, data []byte, skip int) ([]Record, error) {
 	if len(data) == 0 {
-		return nil, ErrCorruptChunk
+		return dst, ErrCorruptChunk
 	}
 	if chunkFormat(data[0]) != chunkFormatV1 {
-		return nil, fmt.Errorf("%w: 0x%02x", ErrUnknownChunkFormat, data[0])
+		return dst, fmt.Errorf("%w: 0x%02x", ErrUnknownChunkFormat, data[0])
 	}
 	r := &chunkReader{b: data, off: 1}
 	n64 := r.uvarint()
 	if r.err != nil {
-		return nil, r.err
+		return dst, r.err
 	}
 	if n64 == 0 {
-		if r.off != len(data) {
-			return nil, ErrCorruptChunk
+		if r.off != len(data) || skip != 0 {
+			return dst, ErrCorruptChunk
 		}
-		return nil, nil
+		return dst, nil
 	}
 	// Every record costs at least one time-column byte, so a count beyond
 	// the chunk size is corruption — reject before allocating.
-	if n64 > uint64(len(data)) {
-		return nil, ErrCorruptChunk
+	if n64 > uint64(len(data)) || uint64(skip) >= n64 {
+		return dst, ErrCorruptChunk
 	}
 	n := int(n64)
 	flags := r.readByte()
 	if flags&^chunkFlagQuantized != 0 {
 		// Unknown flag bits change the layout; fail closed like an
 		// unknown format rather than guessing.
-		return nil, fmt.Errorf("%w: flags 0x%02x", ErrUnknownChunkFormat, flags)
+		return dst, fmt.Errorf("%w: flags 0x%02x", ErrUnknownChunkFormat, flags)
 	}
-	recs := make([]Record, n)
+	base := len(dst)
+	dst = slices.Grow(dst, n-skip)[:base+n-skip]
+	// recs[i-skip] holds record i; records before skip are read, not kept.
+	recs := dst[base:]
 
 	unit := int64(r.uvarint())
 	if unit <= 0 {
 		r.fail()
 	}
 	ns := r.varint()
-	recs[0].Time = time.Unix(0, ns)
-	for i := 1; i < n; i++ {
-		ns += r.varint() * unit
-		recs[i].Time = time.Unix(0, ns)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			ns += r.varint() * unit
+		}
+		if i >= skip {
+			recs[i-skip].Time = time.Unix(0, ns)
+		}
 	}
 
 	obs := r.uvarint()
-	recs[0].ObsID = obs
-	for i := 1; i < n; i++ {
-		obs += uint64(r.varint())
-		recs[i].ObsID = obs
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			obs += uint64(r.varint())
+		}
+		if i >= skip {
+			recs[i-skip].ObsID = obs
+		}
 	}
 	tgt := r.uvarint()
-	recs[0].TargetID = tgt
-	for i := 1; i < n; i++ {
-		tgt += uint64(r.varint())
-		recs[i].TargetID = tgt
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			tgt += uint64(r.varint())
+		}
+		if i >= skip {
+			recs[i-skip].TargetID = tgt
+		}
 	}
 	cam := int64(r.uvarint())
-	recs[0].Camera = uint32(cam)
-	for i := 1; i < n; i++ {
-		cam += r.varint()
-		recs[i].Camera = uint32(cam)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			cam += r.varint()
+		}
+		if i >= skip {
+			recs[i-skip].Camera = uint32(cam)
+		}
 	}
 
 	if flags&chunkFlagQuantized != 0 {
 		ix := r.varint()
-		recs[0].Pos.X = float64(ix) / posScale
-		for i := 1; i < n; i++ {
-			ix += r.varint()
-			recs[i].Pos.X = float64(ix) / posScale
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				ix += r.varint()
+			}
+			if i >= skip {
+				recs[i-skip].Pos.X = float64(ix) / posScale
+			}
 		}
 		iy := r.varint()
-		recs[0].Pos.Y = float64(iy) / posScale
-		for i := 1; i < n; i++ {
-			iy += r.varint()
-			recs[i].Pos.Y = float64(iy) / posScale
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				iy += r.varint()
+			}
+			if i >= skip {
+				recs[i-skip].Pos.Y = float64(iy) / posScale
+			}
 		}
 	} else {
 		xb := r.full8()
-		recs[0].Pos.X = math.Float64frombits(xb)
-		for i := 1; i < n; i++ {
-			xb ^= r.xor()
-			recs[i].Pos.X = math.Float64frombits(xb)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				xb ^= r.xor()
+			}
+			if i >= skip {
+				recs[i-skip].Pos.X = math.Float64frombits(xb)
+			}
 		}
 		yb := r.full8()
-		recs[0].Pos.Y = math.Float64frombits(yb)
-		for i := 1; i < n; i++ {
-			yb ^= r.xor()
-			recs[i].Pos.Y = math.Float64frombits(yb)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				yb ^= r.xor()
+			}
+			if i >= skip {
+				recs[i-skip].Pos.Y = math.Float64frombits(yb)
+			}
 		}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return dst[:base], r.err
 	}
 	if r.off != len(data) {
-		return nil, ErrCorruptChunk
+		return dst[:base], ErrCorruptChunk
 	}
-	return recs, nil
+	return dst, nil
 }

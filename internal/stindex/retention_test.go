@@ -137,7 +137,7 @@ func TestTrimKeepsChunkBytes(t *testing.T) {
 		}
 		if c.skip > 0 {
 			trimmed++
-			if got := c.decode(); len(got) != c.count || got[0].Time.UnixNano() != c.start {
+			if got := c.appendLive(nil); len(got) != c.count || got[0].Time.UnixNano() != c.start {
 				t.Fatalf("trimmed chunk decodes %d records from %d, want %d from %d", len(got), got[0].Time.UnixNano(), c.count, c.start)
 			}
 		}

@@ -390,22 +390,30 @@ func (s *Store) trimHistory(id uint64, hist []Record, lo int) {
 	}
 }
 
-// decodeForQuery decodes a sealed chunk on the query path, counting the
-// decode.
-func (s *Store) decodeForQuery(c *sealedChunk) []Record {
+// decodeForQuery appends a sealed chunk's live records onto dst on the query
+// path, counting the decode.
+func (s *Store) decodeForQuery(c *sealedChunk, dst []Record) []Record {
 	s.queryDecodes.Add(1)
-	return c.decode()
+	return c.appendLive(dst)
+}
+
+// decodeScratch decodes a sealed chunk into *scratch, a buffer the caller
+// owns for the length of one query, and returns the records. Every chunk a
+// query decodes reuses the one buffer.
+func (s *Store) decodeScratch(c *sealedChunk, scratch *[]Record) []Record {
+	*scratch = s.decodeForQuery(c, (*scratch)[:0])
+	return *scratch
 }
 
 // eachSealed calls fn for every record of cell key's sealed chunks matching
-// q. It decodes only the chunks that q cannot skip whole. Caller holds (at
-// least) the read lock.
-func (s *Store) eachSealed(key cellKey, q query, fn func(*Record)) {
+// q. It decodes only the chunks that q cannot skip whole, into scratch.
+// Caller holds (at least) the read lock.
+func (s *Store) eachSealed(key cellKey, q query, scratch *[]Record, fn func(*Record)) {
 	for _, c := range s.sealed[key] {
 		if q.settle(c.start, c.end, c.bounds) == coverNone {
 			continue
 		}
-		recs := s.decodeForQuery(c)
+		recs := s.decodeScratch(c, scratch)
 		for i := range recs {
 			if q.match(&recs[i]) {
 				fn(&recs[i])
@@ -414,11 +422,43 @@ func (s *Store) eachSealed(key cellKey, q query, fn func(*Record)) {
 	}
 }
 
+// appendSealed appends cell key's sealed records matching q onto out. A chunk
+// q covers whole is decoded straight into out; a partly covered one is
+// decoded there too and filtered in place. Caller holds (at least) the read
+// lock.
+func (s *Store) appendSealed(out []Record, key cellKey, q query) []Record {
+	for _, c := range s.sealed[key] {
+		cv := q.settle(c.start, c.end, c.bounds)
+		if cv == coverNone {
+			continue
+		}
+		base := len(out)
+		out = s.decodeForQuery(c, out)
+		if cv == coverSome {
+			out = filterFrom(out, base, q.match)
+		}
+	}
+	return out
+}
+
+// filterFrom keeps the records of recs[from:] that match, in order, and
+// returns the shortened slice.
+func filterFrom(recs []Record, from int, match func(*Record) bool) []Record {
+	k := from
+	for i := from; i < len(recs); i++ {
+		if match(&recs[i]) {
+			recs[k] = recs[i]
+			k++
+		}
+	}
+	return recs[:k]
+}
+
 // countCellLocked returns how many of cell key's records, hot and sealed,
 // match q. Hot buckets and sealed chunks q settles whole add their count
-// without visiting records or decoding. Caller holds (at least) the read
-// lock.
-func (s *Store) countCellLocked(key cellKey, q query) int {
+// without visiting records or decoding; the rest decode into scratch. Caller
+// holds (at least) the read lock.
+func (s *Store) countCellLocked(key cellKey, q query, scratch *[]Record) int {
 	n := 0
 	if cell, ok := s.cells[key]; ok {
 		n = cell.count(q)
@@ -430,7 +470,7 @@ func (s *Store) countCellLocked(key cellKey, q query) int {
 			n += c.count
 			hits++
 		case coverSome:
-			recs := s.decodeForQuery(c)
+			recs := s.decodeScratch(c, scratch)
 			for i := range recs {
 				if q.match(&recs[i]) {
 					n++
@@ -445,8 +485,9 @@ func (s *Store) countCellLocked(key cellKey, q query) int {
 }
 
 // RangeQuery returns the records inside r with time in [from, to], ordered by
-// time then ObsID. Hot buckets the query covers whole are appended in bulk;
-// the result is allocated once, sized from bucket and chunk counts.
+// time then ObsID. Hot buckets the query covers whole are appended in bulk
+// and sealed chunks decode straight into the result, which is allocated once,
+// sized from bucket and chunk counts.
 func (s *Store) RangeQuery(r geo.Rect, from, to time.Time) []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -473,7 +514,7 @@ func (s *Store) RangeQuery(r geo.Rect, from, to time.Time) []Record {
 		if cell, ok := s.cells[key]; ok {
 			out = cell.appendTo(out, q)
 		}
-		s.eachSealed(key, q, func(rec *Record) { out = append(out, *rec) })
+		out = s.appendSealed(out, key, q)
 	})
 	if len(out) == 0 {
 		return nil
@@ -493,8 +534,9 @@ func (s *Store) Count(r geo.Rect, from, to time.Time) int {
 	}
 	q := newQuery(r, from, to)
 	count := 0
+	var scratch []Record
 	s.forEachCellKeyIn(r, func(key cellKey) {
-		count += s.countCellLocked(key, q)
+		count += s.countCellLocked(key, q, &scratch)
 	})
 	return count
 }
@@ -640,6 +682,7 @@ func (s *Store) KNNBounded(q geo.Point, from, to time.Time, k int, maxDist2 floa
 		}
 	}
 	fromNs, toNs := unixNanos(from), unixNanos(to)
+	var scratch []Record
 	scan := func(key cellKey) {
 		if cell, ok := s.cells[key]; ok {
 			bs := cell.window(fromNs, toNs)
@@ -655,7 +698,7 @@ func (s *Store) KNNBounded(q geo.Point, from, to time.Time, k int, maxDist2 floa
 			if !c.overlaps(fromNs, toNs) {
 				continue
 			}
-			for _, rec := range s.decodeForQuery(c) {
+			for _, rec := range s.decodeScratch(c, &scratch) {
 				if ns := rec.Time.UnixNano(); ns >= fromNs && ns <= toNs {
 					consider(rec)
 				}
@@ -715,6 +758,7 @@ func (s *Store) Heatmap(r geo.Rect, from, to time.Time, cellSize float64, keep f
 	ownKey := keep == nil && cellSize == s.cfg.CellSize
 	q := newQuery(r, from, to)
 	acc := make(map[cellKey]int64)
+	var scratch []Record
 	tally := func(rec *Record) {
 		if keep == nil || keep(*rec) {
 			acc[gridKey(rec.Pos, cellSize)]++
@@ -722,7 +766,7 @@ func (s *Store) Heatmap(r geo.Rect, from, to time.Time, cellSize float64, keep f
 	}
 	s.forEachCellKeyIn(r, func(key cellKey) {
 		if ownKey {
-			if n := s.countCellLocked(key, q); n > 0 {
+			if n := s.countCellLocked(key, q, &scratch); n > 0 {
 				acc[key] = int64(n)
 			}
 			return
@@ -730,7 +774,7 @@ func (s *Store) Heatmap(r geo.Rect, from, to time.Time, cellSize float64, keep f
 		if cell, ok := s.cells[key]; ok {
 			cell.each(q, tally)
 		}
-		s.eachSealed(key, q, tally)
+		s.eachSealed(key, q, &scratch, tally)
 	})
 	out := make([]HeatCell, 0, len(acc))
 	for key, n := range acc {
@@ -756,11 +800,10 @@ func (s *Store) TargetHistory(id uint64, from, to time.Time) []Record {
 		if !c.overlaps(fromNs, toNs) {
 			continue
 		}
-		for _, rec := range s.decodeForQuery(c) {
-			if !rec.Time.Before(from) && !rec.Time.After(to) {
-				out = append(out, rec)
-			}
-		}
+		base := len(out)
+		out = filterFrom(s.decodeForQuery(c, out), base, func(rec *Record) bool {
+			return !rec.Time.Before(from) && !rec.Time.After(to)
+		})
 	}
 	sealedPart = len(out)
 	if hist := s.byTarget[id]; len(hist) > 0 {

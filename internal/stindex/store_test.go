@@ -268,3 +268,39 @@ func TestStoreConcurrentReadsAndWrites(t *testing.T) {
 		t.Errorf("Len = %d", s.Len())
 	}
 }
+
+// TestRangeQueryAllocsBounded: a wide range over the query.scan store shape
+// allocates a small constant number of objects — the result and the sort
+// keys — however many sealed chunks it decodes, because every chunk decodes
+// straight into the result.
+func TestRangeQueryAllocsBounded(t *testing.T) {
+	s := scanStore(t)
+	rect := geo.RectOf(500, 500, 1500, 1500)
+	if n := len(s.RangeQuery(rect, scanFrom, scanTo)); n < 5000 {
+		t.Fatalf("vacuous: range returned %d records", n)
+	}
+	before := s.queryDecodes.Load()
+	allocs := testing.AllocsPerRun(5, func() { scanSinkRecs = s.RangeQuery(rect, scanFrom, scanTo) })
+	if decodes := (s.queryDecodes.Load() - before) / 6; decodes < 100 {
+		t.Fatalf("vacuous: %d chunk decodes per query", decodes)
+	}
+	if allocs > 4 {
+		t.Fatalf("RangeQuery allocates %.0f objects per call, want <= 4", allocs)
+	}
+}
+
+// TestScanQueriesReuseScratch: count, heatmap and kNN decode every partly
+// covered chunk into one scratch buffer per query, so their allocations do
+// not grow with the number of chunks decoded.
+func TestScanQueriesReuseScratch(t *testing.T) {
+	s := scanStore(t)
+	rect := geo.RectOf(333, 333, 777, 777) // cuts through cells: partly covered chunks
+	before := s.queryDecodes.Load()
+	allocs := testing.AllocsPerRun(5, func() { scanSinkCount = s.Count(rect, scanFrom, t0.Add(100*time.Second)) })
+	if decodes := (s.queryDecodes.Load() - before) / 6; decodes < 20 {
+		t.Fatalf("vacuous: %d chunk decodes per count", decodes)
+	}
+	if allocs > 4 {
+		t.Fatalf("Count allocates %.0f objects per call, want <= 4", allocs)
+	}
+}

@@ -60,19 +60,23 @@ func AppendMarshal(dst []byte, kind MsgKind, payload any) ([]byte, error) {
 
 // EncodedLen returns the exact length AppendMarshal would produce for payload
 // without keeping the encoding. A RangeResult, whose answers run to
-// megabytes, is measured one record at a time through the encoder into a
-// stack array; any other payload is encoded into a pooled buffer.
+// megabytes, is measured without encoding its records: encoded bytes by
+// their length, in O(1), and records one at a time through the encoder into
+// a stack array. Any other payload is encoded into a pooled buffer.
 func EncodedLen(kind MsgKind, payload any) (int, error) {
-	if m, ok := payload.(*RangeResult); ok && len(m.Records) > 0 {
+	if m, ok := payload.(*RangeResult); ok && (len(m.Records) > 0 || m.Encoded.N > 0) {
+		if len(m.Records) > 0 && m.Encoded.N > 0 {
+			return 0, fmt.Errorf("wire: RangeResult carries both records and encoded records")
+		}
 		head := *m
-		head.Records = nil
+		head.Records, head.Encoded = nil, EncodedRecords{}
 		n, err := EncodedLen(kind, &head)
 		if err != nil {
 			return 0, err
 		}
 		var scratch [64]byte // holds any one record; a longer one would only allocate
 		// The head was measured with a one-byte zero record count.
-		n += len(binary.AppendVarint(scratch[:0], int64(len(m.Records)))) - 1
+		n += len(binary.AppendVarint(scratch[:0], int64(len(m.Records)+m.Encoded.N))) - 1 + len(m.Encoded.B)
 		for i := range m.Records {
 			e := encoder{buf: scratch[:0]}
 			e.record(&m.Records[i])
@@ -293,6 +297,8 @@ func KindOf(payload any) MsgKind {
 		return KindUnsubscribeAck
 	case *Error:
 		return KindError
+	case *RangePart:
+		return KindRangePart
 	}
 	return 0
 }

@@ -40,6 +40,12 @@ func FuzzUnmarshal(f *testing.F) {
 		Records: []KNNRecord{{ResultRecord: ResultRecord{ObsID: 1, Time: t0}, Dist2: 9}}})
 	seed(KindIngestBatch, &IngestBatch{Source: "i1", Seq: 2, Observations: []Observation{{ObsID: 1, Camera: 3, Feature: []float32{0.5}}}})
 	seed(KindError, &Error{Code: 1, Message: "boom"})
+	// A worker's encoded range answer: the indexing decode's strict checks
+	// (presence byte, count bound, trailing bytes) start from valid records.
+	seed(KindRangePart, &RangePart{QueryID: 8, Truncated: true, Records: blockOf(
+		ResultRecord{ObsID: 1, TargetID: 2, Camera: 3, Time: t0},
+		ResultRecord{ObsID: 2, Camera: 3},
+	)})
 
 	// Seed every kind's canonical payload from the committed golden frames
 	// (stripping the 5-byte frame header), plus mutations of the format tag

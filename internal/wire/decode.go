@@ -67,6 +67,7 @@ func decodeIntoV1(kind MsgKind, body []byte, msg any) error {
 	case *RangeResult:
 		m.QueryID = d.u64()
 		sliceInto(&d, &m.Records, (*decoder).recordInto)
+		m.Encoded = EncodedRecords{}
 		m.Truncated = d.boolean()
 		m.Asked = int(d.varint())
 		m.Answered = int(d.varint())
@@ -218,6 +219,16 @@ func decodeIntoV1(kind MsgKind, body []byte, msg any) error {
 	case *Error:
 		m.Code = int(d.varint())
 		d.strInto(&m.Message)
+	case *RangePart:
+		m.QueryID = d.u64()
+		d.recordBlockInto(&m.Records)
+		m.Truncated = d.boolean()
+		if d.err == nil && len(d.buf) != 0 {
+			d.err = errTrailingBytes
+		}
+		if d.err != nil {
+			m.Records.data, m.Records.idx = m.Records.data[:0], m.Records.idx[:0]
+		}
 	default:
 		return fmt.Errorf("wire: cannot unmarshal into %T", msg)
 	}
@@ -317,6 +328,8 @@ func newMessageV1(kind MsgKind) any {
 		return &UnsubscribeAck{}
 	case KindError:
 		return &Error{}
+	case KindRangePart:
+		return &RangePart{}
 	default:
 		// Fail closed: an unknown kind yields nil, which UnmarshalFormat
 		// converts to an error. Falling off the switch would decode the same

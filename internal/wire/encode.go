@@ -56,9 +56,8 @@ func appendV1(dst []byte, kind MsgKind, payload any) ([]byte, error) {
 		e.varint(int64(m.Limit))
 	case *RangeResult:
 		e.u64(m.QueryID)
-		e.varint(int64(len(m.Records)))
-		for i := range m.Records {
-			e.record(&m.Records[i])
+		if err := e.rangeRecords(m); err != nil {
+			return dst, err
 		}
 		e.boolean(m.Truncated)
 		e.varint(int64(m.Asked))
@@ -249,6 +248,11 @@ func appendV1(dst []byte, kind MsgKind, payload any) ([]byte, error) {
 	case *Error:
 		e.varint(int64(m.Code))
 		e.str(m.Message)
+	case *RangePart:
+		e.u64(m.QueryID)
+		e.varint(int64(m.Records.Len()))
+		e.buf = append(e.buf, m.Records.data...)
+		e.boolean(m.Truncated)
 	default:
 		return dst, fmt.Errorf("wire: cannot marshal %T as %v", payload, kind)
 	}

@@ -156,7 +156,17 @@ func goldenFixtures() []goldenFixture {
 		}},
 		{KindUnsubscribe, &Unsubscribe{SubID: 9001}},
 		{KindUnsubscribeAck, &UnsubscribeAck{Remaining: 63}},
+		{KindRangePart, &RangePart{QueryID: 1001, Records: blockOf(records...), Truncated: true}},
 	}
+}
+
+// blockOf appends recs to a fresh RecordBlock, as a worker builds one.
+func blockOf(recs ...ResultRecord) RecordBlock {
+	var b RecordBlock
+	for i := range recs {
+		b.Append(&recs[i])
+	}
+	return b
 }
 
 func goldenPath(kind MsgKind) string {

@@ -311,7 +311,7 @@ func TestQuickDecoderNeverPanics(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		body := make([]byte, int(n%2048))
 		rng.Read(body)
-		for kind := KindRegister; kind <= KindUnsubscribeAck; kind++ {
+		for kind := KindRegister; kind <= KindRangePart; kind++ {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {

@@ -63,6 +63,7 @@ const (
 	KindPollResult
 	KindUnsubscribe
 	KindUnsubscribeAck
+	KindRangePart
 )
 
 var kindNames = map[MsgKind]string{
@@ -109,6 +110,7 @@ var kindNames = map[MsgKind]string{
 	KindPollResult:         "PollResult",
 	KindUnsubscribe:        "Unsubscribe",
 	KindUnsubscribeAck:     "UnsubscribeAck",
+	KindRangePart:          "RangePart",
 }
 
 // String implements fmt.Stringer.
@@ -251,18 +253,34 @@ type ResultRecord struct {
 	Time     time.Time
 }
 
-// RangeResult returns the matching records from one worker — or, on the
-// coordinator's client-facing path, the merged answer. There Asked/Answered
-// report scatter completeness: how many workers the query fanned out to and
-// how many answered before their deadline, so remote clients can tell a
-// complete answer from one degraded by a partition. Worker→coordinator
-// results leave both zero (a single node always answers for itself).
+// RangeResult is the coordinator's merged answer to a RangeQuery: the
+// matching records ordered by (Time, ObsID). Truncated reports that the
+// answer was cut at the query's Limit with matching records left over.
+// Asked/Answered report scatter completeness: how many workers the query
+// fanned out to and how many answered before their deadline, so remote
+// clients can tell a complete answer from one degraded by a partition.
+//
+// On the send side the records may instead travel as Encoded, the merged
+// answer's bytes, which the encoder copies; the frame is the same either way.
+// Decoding always fills Records and leaves Encoded empty.
 type RangeResult struct {
 	QueryID   uint64
 	Records   []ResultRecord
+	Encoded   EncodedRecords
 	Truncated bool
 	Asked     int
 	Answered  int
+}
+
+// RangePart is one worker's answer to a RangeQuery: its matching records,
+// ordered by (Time, ObsID) and already encoded, which the coordinator merges
+// into the client's RangeResult without decoding them. Truncated reports that
+// the worker cut its answer at the query's Limit. The frame lays out like a
+// RangeResult without Asked/Answered.
+type RangePart struct {
+	QueryID   uint64
+	Records   RecordBlock
+	Truncated bool
 }
 
 // KNNQuery asks for the k observations nearest to a point within a window.

@@ -102,6 +102,17 @@ func allMessages() []any {
 		&HeatmapResult{QueryID: 30, CellSize: 50, Cells: []HeatCell{{CX: 1, CY: -2, Count: 17}, {CX: 0, CY: 0, Count: 3}}},
 		&FilterQuery{QueryID: 31, Rect: geo.RectOf(0, 0, 100, 100), Window: TimeWindow{From: t0, To: t0.Add(time.Minute)}, TargetID: 5, Cameras: []uint32{1, 3}, Limit: 10},
 		&FilterResult{QueryID: 31, Records: []ResultRecord{{ObsID: 4, TargetID: 5, Camera: 3, Pos: geo.Pt(1, 2), Time: t0}}, Plan: "target", Truncated: true},
+		&RangePart{QueryID: 32, Records: blockOf(
+			ResultRecord{ObsID: 5, TargetID: 2, Camera: 1, Pos: geo.Pt(3, 4), Time: t0},
+			ResultRecord{ObsID: 6, Camera: 2, Pos: geo.Pt(-3, 4)},
+		), Truncated: true},
+		&RangePart{QueryID: 33},
+		&Subscribe{Kind: ContinuousCount, Rect: geo.RectOf(0, 0, 10, 10), Threshold: 2, Tenant: "acme"},
+		&SubscribeAck{SubID: 40, QueryID: 15, Shared: 3},
+		&PollUpdates{SubID: 40, Max: 16},
+		&PollResult{SubID: 40, Updates: []ContinuousUpdate{{QueryID: 15, Time: t0, Count: 2}}, Dropped: 1, Evicted: true},
+		&Unsubscribe{SubID: 40},
+		&UnsubscribeAck{Remaining: 2},
 	}
 }
 
@@ -116,7 +127,7 @@ func TestEveryKindCovered(t *testing.T) {
 		}
 		covered[k] = true
 	}
-	for k := KindRegister; k <= KindClusterStatsResult; k++ {
+	for k := KindRegister; k <= KindRangePart; k++ {
 		if !covered[k] {
 			t.Errorf("message kind %v (%d) has no round-trip coverage", k, int(k))
 		}
