@@ -102,13 +102,13 @@ bench-assoc:
 	$(GO) test -run '^$$' -bench Associate -benchmem -cpuprofile assoc.prof ./internal/vision
 
 # bench-query prices the store's read path on a store shaped like one
-# query.scan worker (full-window heatmap, covered count, wide range; allocs
-# reported) and the coordinator's hop of a wide range answer (four 24 k-record
+# query.scan worker (full-window heatmap, covered count, wide range, kNN and
+# one target's history; allocs reported) and the coordinator's hop of a wide range answer (four 24 k-record
 # worker answers decoded, merged and framed), and leaves CPU profiles behind:
 # `go tool pprof -top stindex.test query.prof`, `go tool pprof -top core.test
 # merge.prof`.
 bench-query:
-	$(GO) test -run '^$$' -bench Scan -benchmem -cpuprofile query.prof ./internal/stindex
+	$(GO) test -run '^$$' -bench 'Scan|TargetHistory' -benchmem -cpuprofile query.prof ./internal/stindex
 	$(GO) test -run '^$$' -bench RangeMerge -benchmem -cpuprofile merge.prof ./internal/core
 
 # bench-insert prices one record insert on a store shaped like one

@@ -87,8 +87,6 @@ func run() error {
 		hbTimeout   = flag.Duration("failure-timeout", 5*time.Second, "coordinator: declare workers dead after this silence")
 		retention   = flag.Duration("retention", 0, "worker observation retention (0 = unlimited)")
 		sealHorizon = flag.Duration("seal-horizon", 0, "worker: compact observations older than this into compressed sealed chunks (0 = flat store)")
-		rollupWidth = flag.Duration("rollup-width", 0, "worker: seal granule; cell chunks never span one (0 = 16x bucket width)")
-		chunkTarget = flag.Int("chunk-target", 0, "worker: max records per sealed chunk (0 = default 512)")
 		sweep       = flag.Duration("sweep", time.Second, "coordinator: liveness sweep interval")
 		callTimeout = flag.Duration("call-timeout", 2*time.Second, "per-attempt RPC deadline for outbound calls (negative = unbounded)")
 		attempts    = flag.Int("call-attempts", 3, "RPC attempts per outbound call, including the first (1 = no retries)")
@@ -107,8 +105,6 @@ func run() error {
 		HeartbeatTimeout:    *hbTimeout,
 		Retention:           *retention,
 		SealHorizon:         *sealHorizon,
-		RollupWidth:         *rollupWidth,
-		ChunkTarget:         *chunkTarget,
 		CallTimeout:         *callTimeout,
 		RetryPolicy:         stcam.Policy{MaxAttempts: *attempts},
 		IngestPipelineDepth: *ingestDepth,

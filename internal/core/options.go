@@ -46,11 +46,6 @@ type Options struct {
 	// chunk are answered without decoding it. Zero (the default) keeps the
 	// store flat.
 	SealHorizon time.Duration
-	// RollupWidth is the seal granule: the seal frontier advances in steps
-	// of it, and cell chunks never span one (default 16× BucketWidth).
-	RollupWidth time.Duration
-	// ChunkTarget caps records per sealed chunk (default 512).
-	ChunkTarget int
 	// BroadcastHandoff switches tracking from vision-graph-scoped priming to
 	// priming every camera on every worker — the baseline experiment R3
 	// compares against.

@@ -164,8 +164,6 @@ func NewWorker(id wire.NodeID, addr, coordAddr string, transport cluster.Transpo
 			BucketWidth: opts.BucketWidth,
 			Retention:   opts.Retention,
 			SealHorizon: opts.SealHorizon,
-			RollupWidth: opts.RollupWidth,
-			ChunkTarget: opts.ChunkTarget,
 		}),
 		assoc:      vision.NewAssociator(opts.AssocThreshold),
 		featureLog: newFeatureRing(featureLogSize),
@@ -804,12 +802,13 @@ func (w *Worker) StatsSnapshot() metrics.RegistrySnapshot {
 
 // mirrorTierStats copies the store's sealed-tier sizes and query-path
 // counters into the registry as gauges, so /metrics and the stats RPC expose
-// chunk residency (count, compressed bytes, records) and how many sealed
-// chunks the query path decoded versus answered without decoding
-// (store.rollup_hits). All zeros when the store runs flat.
+// chunk residency (count, compressed bytes, records; each sealed record is
+// encoded once) and how many sealed chunks the query path decoded versus
+// answered without decoding (store.rollup_hits). All zeros when the store
+// runs flat.
 func mirrorTierStats(reg *metrics.Registry, ts stindex.TierStats) {
-	reg.Gauge("store.sealed_chunks").Set(int64(ts.SealedChunks + ts.TargetChunks))
-	reg.Gauge("store.sealed_bytes").Set(ts.SealedBytes + ts.TargetBytes)
+	reg.Gauge("store.sealed_chunks").Set(int64(ts.SealedChunks))
+	reg.Gauge("store.sealed_bytes").Set(ts.SealedBytes)
 	reg.Gauge("store.sealed_records").Set(int64(ts.SealedRecords))
 	reg.Gauge("store.chunk_decodes").Set(int64(ts.QueryDecodes))
 	reg.Gauge("store.rollup_hits").Set(int64(ts.RollupHits))

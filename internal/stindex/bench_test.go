@@ -101,6 +101,7 @@ var (
 	scanSinkHeat     []HeatCell
 	scanSinkCount    int
 	scanSinkRecs     []Record
+	scanSinkNear     []Neighbor
 )
 
 func scanSquare(rng *rand.Rand, side float64) geo.Rect {
@@ -140,6 +141,32 @@ func BenchmarkScanRangeWide(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scanSinkRecs = s.RangeQuery(scanSquare(rng, 1000), scanFrom, scanTo)
+	}
+}
+
+// BenchmarkScanKNN is query.scan's kNN: the 10 records nearest a random point
+// over the last 2 min of the stream.
+func BenchmarkScanKNN(b *testing.B) {
+	s := scanStore(b)
+	rng := rand.New(rand.NewSource(4))
+	from, to := t0.Add(180*time.Second), t0.Add(300*time.Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scanSinkNear = s.KNN(geo.Pt(rng.Float64()*2000, rng.Float64()*2000), from, to, 10)
+	}
+}
+
+// BenchmarkTargetHistory is a trajectory read on the query.scan store shape:
+// one of its 400 targets' whole history, 75 records spread over every cell
+// chunk that holds one of them.
+func BenchmarkTargetHistory(b *testing.B) {
+	s := scanStore(b)
+	rng := rand.New(rand.NewSource(5))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scanSinkRecs = s.TargetHistory(uint64(rng.Intn(400)+1), scanFrom, scanTo)
 	}
 }
 

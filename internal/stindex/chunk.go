@@ -1,6 +1,7 @@
 package stindex
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -60,14 +61,14 @@ var (
 	ErrCorruptChunk = errors.New("stindex: corrupt chunk")
 )
 
-// sealedChunk is one compacted run of time-ordered records for a spatial cell
-// or a target history. Its data is never re-encoded after seal: retention
-// trims a chunk by advancing a live-suffix view over it. The first skip
-// records are logically evicted; count, start and end describe only the live
-// suffix. [start, end] is the inclusive UnixNano span of the live record
-// times and bounds covers their positions (a superset once the view has
-// shrunk); with count they let a query settle the chunk whole without
-// decoding it (query.settle).
+// sealedChunk is one compacted run of a spatial cell's time-ordered records.
+// Its data is never re-encoded after seal: retention trims a chunk by
+// advancing a live-suffix view over it. The first skip records are logically
+// evicted; count, start and end describe only the live suffix. [start, end]
+// is the inclusive UnixNano span of the live record times and bounds covers
+// their positions (a superset once the view has shrunk); with count they let
+// a query settle the chunk whole without decoding it (query.settle). targets
+// is the chunk's target set as sealed, before any trim.
 type sealedChunk struct {
 	start, end int64
 	bounds     geo.Rect
@@ -75,25 +76,53 @@ type sealedChunk struct {
 	skip       int // leading records logically evicted
 	next       int // offset in data of the time delta of record skip+1
 	data       []byte
+	targets    []targetCount // ascending by id; nil when no record has a target
+}
+
+// targetCount is one entry of a chunk's target set: a target and how many of
+// the chunk's records it had when sealed.
+type targetCount struct {
+	id uint64
+	n  int
 }
 
 // newSealedChunk encodes time-ordered records into one immutable chunk.
 func newSealedChunk(recs []Record) *sealedChunk {
 	bounds := geo.EmptyRect()
+	var targets []targetCount
 	for i := range recs {
 		bounds = bounds.UnionPoint(recs[i].Pos)
+		if id := recs[i].TargetID; id != 0 {
+			j, ok := slices.BinarySearchFunc(targets, id, cmpTargetID)
+			if !ok {
+				targets = slices.Insert(targets, j, targetCount{id: id})
+			}
+			targets[j].n++
+		}
 	}
 	data := appendChunk(nil, recs)
 	r, _ := timeColumn(data)
 	r.varint() // first timestamp, already start
 	return &sealedChunk{
-		start:  recs[0].Time.UnixNano(),
-		end:    recs[len(recs)-1].Time.UnixNano(),
-		bounds: bounds,
-		count:  len(recs),
-		next:   r.off,
-		data:   data,
+		start:   recs[0].Time.UnixNano(),
+		end:     recs[len(recs)-1].Time.UnixNano(),
+		bounds:  bounds,
+		count:   len(recs),
+		next:    r.off,
+		data:    data,
+		targets: targets,
 	}
+}
+
+func cmpTargetID(t targetCount, id uint64) int { return cmp.Compare(t.id, id) }
+
+// targetCount returns how many of the chunk's records, as sealed, belong to
+// target id.
+func (c *sealedChunk) targetCount(id uint64) int {
+	if i, ok := slices.BinarySearchFunc(c.targets, id, cmpTargetID); ok {
+		return c.targets[i].n
+	}
+	return 0
 }
 
 // timeColumn returns a reader positioned at the first timestamp of a
@@ -186,9 +215,7 @@ func appendXor(dst []byte, x uint64) []byte {
 }
 
 // appendChunk appends the chunkFormatV1 encoding of recs onto dst. Record
-// order is preserved exactly — the caller owns ordering policy (cell chunks
-// are canonically (time, ObsID)-sorted; per-target chunks keep history
-// order, which the merge at query time depends on).
+// order is preserved exactly; the store seals records (Time, ObsID)-sorted.
 func appendChunk(dst []byte, recs []Record) []byte {
 	dst = append(dst, byte(chunkFormatV1))
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))

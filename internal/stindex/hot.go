@@ -274,11 +274,20 @@ func coverOf(r, bounds geo.Rect) cover {
 
 // gridKey is the square of side size holding p. It is the one keying
 // function of store cells and heat cells, so two grids of equal size key
-// every position identically.
+// every position identically. A coordinate past the int32 key range, ±Inf
+// included, keys to the edge cell on its side instead of wrapping.
 func gridKey(p geo.Point, size float64) cellKey {
-	return cellKey{
-		cx: int32(math.Floor(p.X / size)),
-		cy: int32(math.Floor(p.Y / size)),
+	return cellKey{cx: gridIndex(p.X / size), cy: gridIndex(p.Y / size)}
+}
+
+func gridIndex(v float64) int32 {
+	switch f := math.Floor(v); {
+	case f >= math.MaxInt32:
+		return math.MaxInt32
+	case f <= math.MinInt32:
+		return math.MinInt32
+	default:
+		return int32(f)
 	}
 }
 
@@ -337,6 +346,13 @@ func cmpRecordKey(a, b recordKey) int {
 		return 1
 	}
 	return a.idx - b.idx
+}
+
+// recordLess reports whether a sorts before b in (Time, ObsID) order, the
+// order sortRecords produces.
+func recordLess(a, b *Record) bool {
+	an, bn := a.Time.UnixNano(), b.Time.UnixNano()
+	return an < bn || (an == bn && a.ObsID < b.ObsID)
 }
 
 // sortRecords orders recs by (Time, ObsID) in place, stably. It sorts the

@@ -14,7 +14,8 @@ import (
 )
 
 // The linear-scan oracle: a plain []Record holding exactly what the store
-// should hold, answering Range, Count and Heatmap by testing every record.
+// should hold, answering Range, Count, Heatmap and target history by testing
+// every record.
 // The flat and tiered stores share the hot cell, so tiered ≡ flat no longer
 // checks the hot tier's bucket proofs independently; this does, on stores
 // whose records sit on cell edges, share timestamps and ObsIDs, arrive late,
@@ -81,10 +82,33 @@ func sameRecords(a, b []Record) bool {
 	return slices.EqualFunc(a, b, func(x, y Record) bool { return cmpRecord(x, y) == 0 })
 }
 
+// history returns target id's records with time in [from, to].
+func (l linearScan) history(id uint64, from, to time.Time) []Record {
+	var out []Record
+	for _, rec := range l {
+		if rec.TargetID == id && !rec.Time.Before(from) && !rec.Time.After(to) {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+// checkTimeObsOrder fails unless recs are in (Time, ObsID) order.
+func checkTimeObsOrder(t *testing.T, tag string, recs []Record) {
+	t.Helper()
+	for i := 1; i < len(recs); i++ {
+		if recordLess(&recs[i], &recs[i-1]) {
+			t.Fatalf("%s: out of (Time, ObsID) order at %d: %v then %v", tag, i, recs[i-1], recs[i])
+		}
+	}
+}
+
 // checkOracle compares a store's Range, Count and Heatmap answers with the
 // linear scan over a battery of rects and windows built from the records
 // themselves: rect edges on record coordinates and cell boundaries, windows
-// on bucket edges and one nanosecond either side of them.
+// on bucket edges and one nanosecond either side of them. Rects reaching
+// past the int32 cell-key range, to ±Inf, are among them. Each target's
+// history, count and presence in Targets are checked too.
 func checkOracle(t *testing.T, s *Store, ref linearScan, label string) {
 	t.Helper()
 	if s.Len() != len(ref) {
@@ -100,6 +124,9 @@ func checkOracle(t *testing.T, s *Store, ref linearScan, label string) {
 		geo.RectOf(0, 0, cs, cs),                // one cell, edges on cell boundaries
 		geo.RectOf(-cs, -cs, 3*cs, 2*cs),        // several whole cells
 		geo.RectOf(cs/3, -cs/2, 4.5*cs, 3.3*cs), // cuts cells
+		geo.RectOf(0, 0, math.Inf(1), 2*cs),     // past the key range
+		geo.RectOf(-1e12, -cs, 1e12, 3*cs),      // past the key range, finite
+		geo.RectOf(math.Inf(-1), math.Inf(-1), math.Inf(1), math.Inf(1)),
 	}
 	for i := 0; i < 6; i++ {
 		a, b := pick(), pick()
@@ -130,12 +157,7 @@ func checkOracle(t *testing.T, s *Store, ref linearScan, label string) {
 			tag := fmt.Sprintf("%s r%d=%v w%d=[%v, %v]", label, ri, r, wi, w[0], w[1])
 			want := ref.matches(r, w[0], w[1])
 			got := s.RangeQuery(r, w[0], w[1])
-			for i := 1; i < len(got); i++ {
-				p, q := got[i-1], got[i]
-				if q.Time.Before(p.Time) || (q.Time.Equal(p.Time) && q.ObsID < p.ObsID) {
-					t.Fatalf("%s: range out of (Time, ObsID) order at %d: %v then %v", tag, i, p, q)
-				}
-			}
+			checkTimeObsOrder(t, tag+": range", got)
 			if !sameRecords(got, want) {
 				t.Fatalf("%s: range diverged from linear scan\nstore:\n%s\nscan:\n%s", tag, dumpRecords(got), dumpRecords(want))
 			}
@@ -151,6 +173,30 @@ func checkOracle(t *testing.T, s *Store, ref linearScan, label string) {
 			gs, ws := dumpHeat(s.Heatmap(r, w[0], w[1], cs, oddCam)), dumpHeat(heatOf(want, cs, oddCam))
 			if gs != ws {
 				t.Fatalf("%s: heatmap with keep diverged\nstore:\n%s\nscan:\n%s", tag, gs, ws)
+			}
+		}
+	}
+
+	var ids []uint64
+	for _, rec := range ref {
+		if rec.TargetID != 0 && !slices.Contains(ids, rec.TargetID) {
+			ids = append(ids, rec.TargetID)
+		}
+	}
+	slices.Sort(ids)
+	if got := s.Targets(); !slices.Equal(got, ids) {
+		t.Fatalf("%s: Targets %v, linear scan %v", label, got, ids)
+	}
+	for _, id := range ids {
+		if g, w := s.TargetCount(id), len(ref.history(id, lo, hi)); g != w {
+			t.Fatalf("%s: TargetCount(%d) %d, linear scan %d", label, id, g, w)
+		}
+		for wi, w := range windows {
+			tag := fmt.Sprintf("%s history %d w%d=[%v, %v]", label, id, wi, w[0], w[1])
+			got, want := s.TargetHistory(id, w[0], w[1]), ref.history(id, w[0], w[1])
+			checkTimeObsOrder(t, tag, got)
+			if !sameRecords(got, want) {
+				t.Fatalf("%s: diverged from linear scan\nstore:\n%s\nscan:\n%s", tag, dumpRecords(got), dumpRecords(want))
 			}
 		}
 	}

@@ -79,9 +79,14 @@ func TestAnswersIndependentOfReclamationTiming(t *testing.T) {
 			}
 		}
 		for name, s := range map[string]*Store{"eager": eager, "lazy": lazy} {
-			if ts := s.TierStats(); ts.SealedRecords != wantSealed || ts.TargetRecords != wantTarget {
-				t.Fatalf("%s: %s store holds %d sealed and %d target records, want %d and %d",
-					label, name, ts.SealedRecords, ts.TargetRecords, wantSealed, wantTarget)
+			var scratch []Record
+			sealedTarget := 0
+			for id := range s.targetSealed {
+				sealedTarget += s.sealedTargetCount(id, &scratch)
+			}
+			if ts := s.TierStats(); ts.SealedRecords != wantSealed || sealedTarget != wantTarget {
+				t.Fatalf("%s: %s store holds %d sealed and %d sealed targeted records, want %d and %d",
+					label, name, ts.SealedRecords, sealedTarget, wantSealed, wantTarget)
 			}
 		}
 		diffBattery(t, flat, lazy, label+" (evict every 37, sealed)")

@@ -18,6 +18,7 @@
 package stindex
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
 	"slices"
@@ -25,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"stcam/internal/geo"
 )
@@ -104,8 +106,9 @@ type Store struct {
 	hotFloor int64
 
 	// Sealed tier (cfg.SealHorizon > 0). sealed holds each cell's chunks in
-	// seal order; targetSealed holds per-target history prefixes in history
-	// order; expiry holds every chunk of both, ordered for retention.
+	// seal order, the one encoded copy of every sealed record; targetSealed
+	// lists, per target, the same chunks that hold one of its records, in
+	// seal order; expiry holds every chunk, ordered for retention.
 	// sealFrontier is the exclusive upper bound of sealed time: after a seal
 	// sweep no hot record is older than it (late arrivals may dip below
 	// until the next sweep compacts them).
@@ -117,30 +120,15 @@ type Store struct {
 
 	gen uint64 // bumped on every mutation (insert/seal/evict)
 
-	cellTier, targetTier chunkStats
-	sweepVisits          int // chunks, hot cells and hot histories retention has touched
+	sweepVisits int // chunks, hot cells and hot histories retention has touched
 
 	queryDecodes atomic.Uint64 // chunks decoded to answer queries
 	rollupHits   atomic.Uint64 // chunks counted whole, without decoding
 }
 
-// chunkStats accounts a set of sealed chunks.
-type chunkStats struct {
-	chunks, records int
-	bytes           int64
-}
-
-func (a *chunkStats) add(c *sealedChunk) {
-	a.chunks++
-	a.records += c.count
-	a.bytes += int64(len(c.data))
-}
-
-func (a *chunkStats) remove(c *sealedChunk) {
-	a.chunks--
-	a.records -= c.count
-	a.bytes -= int64(len(c.data))
-}
+// targetRefBytes is what one (chunk, target) entry of the per-target index
+// costs: the chunk's set entry and the target list's pointer to the chunk.
+const targetRefBytes = int64(unsafe.Sizeof(targetCount{}) + unsafe.Sizeof((*sealedChunk)(nil)))
 
 type cellKey struct{ cx, cy int32 }
 
@@ -185,35 +173,30 @@ func (s *Store) Gen() uint64 {
 }
 
 // TierStats reports sealed-tier sizes and query-path counters. All zeros when
-// the store runs flat. Record counts are exact. Byte counts include the
-// expired prefix of a chunk that retention has trimmed but not yet dropped;
-// it leaves with its chunk, and only chunks straddling the retention cutoff
-// carry one (normally one per cell or target).
+// the store runs flat. Every sealed record is encoded once, in its cell's
+// chunk; the per-target index points at chunks. Record counts are exact; byte
+// counts keep the trimmed prefix of a chunk straddling the retention cutoff.
 type TierStats struct {
-	SealedChunks  int    // cell-side chunks resident
-	SealedRecords int    // live records held in cell-side chunks
-	SealedBytes   int64  // encoded bytes of cell-side chunks
-	TargetChunks  int    // per-target history chunks resident
-	TargetRecords int    // live records held in target chunks
-	TargetBytes   int64  // encoded bytes of target chunks
+	SealedChunks  int    // chunks resident
+	SealedRecords int    // live records held in chunks
+	SealedBytes   int64  // encoded bytes of chunks
+	IndexBytes    int64  // per-target index: targetRefBytes per (chunk, target) entry
 	QueryDecodes  uint64 // cumulative chunks decoded to answer queries
 	RollupHits    uint64 // cumulative sealed chunks answered without decoding
 }
 
-// TierStats returns a snapshot of the sealed tier.
+// TierStats returns a snapshot of the sealed tier, read off every resident
+// chunk.
 func (s *Store) TierStats() TierStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return TierStats{
-		SealedChunks:  s.cellTier.chunks,
-		SealedRecords: s.cellTier.records,
-		SealedBytes:   s.cellTier.bytes,
-		TargetChunks:  s.targetTier.chunks,
-		TargetRecords: s.targetTier.records,
-		TargetBytes:   s.targetTier.bytes,
-		QueryDecodes:  s.queryDecodes.Load(),
-		RollupHits:    s.rollupHits.Load(),
+	ts := TierStats{SealedChunks: len(s.expiry), QueryDecodes: s.queryDecodes.Load(), RollupHits: s.rollupHits.Load()}
+	for _, e := range s.expiry {
+		ts.SealedRecords += e.c.count
+		ts.SealedBytes += int64(len(e.c.data))
+		ts.IndexBytes += int64(len(e.c.targets)) * targetRefBytes
 	}
+	return ts
 }
 
 func (s *Store) keyOf(p geo.Point) cellKey { return gridKey(p, s.cfg.CellSize) }
@@ -250,17 +233,14 @@ func (s *Store) insertLocked(rec Record) {
 	}
 	s.hotFloor = min(s.hotFloor, ns)
 	if rec.TargetID != 0 {
+		// Insert keeping (Time, ObsID) order, after equal keys; appends are
+		// the common case.
 		hist := s.byTarget[rec.TargetID]
-		// Insert keeping time order; appends are the common case.
-		if n := len(hist); n == 0 || !rec.Time.Before(hist[n-1].Time) {
-			s.byTarget[rec.TargetID] = append(hist, rec)
-		} else {
-			i := sort.Search(n, func(i int) bool { return hist[i].Time.After(rec.Time) })
-			hist = append(hist, Record{})
-			copy(hist[i+1:], hist[i:])
-			hist[i] = rec
-			s.byTarget[rec.TargetID] = hist
+		i := len(hist)
+		if i > 0 && recordLess(&rec, &hist[i-1]) {
+			i = sort.Search(i, func(j int) bool { return recordLess(&rec, &hist[j]) })
 		}
+		s.byTarget[rec.TargetID] = slices.Insert(hist, i, rec)
 	}
 	if s.cfg.SealHorizon > 0 {
 		if !s.sealFrontier.IsZero() && rec.Time.Before(s.sealFrontier) {
@@ -299,7 +279,7 @@ func (s *Store) Seal() int {
 
 // sealLocked moves every cell record strictly before the frontier into
 // sealed chunks (grouped by RollupWidth bucket, split at ChunkTarget) and
-// seals the matching per-target history prefixes. Record counts do not
+// drops the sealed prefixes of the hot target histories. Record counts do not
 // change — records move between tiers. Caller holds the write lock.
 func (s *Store) sealLocked(frontier time.Time) int {
 	if frontier.After(s.sealFrontier) {
@@ -336,38 +316,31 @@ func (s *Store) sealLocked(frontier time.Time) int {
 			for j < len(recs) && floorDiv64(recs[j].Time.UnixNano(), width) == b {
 				j++
 			}
-			s.sealed[key] = s.appendChunks(s.sealed[key], recs[i:j], expiry{key: key})
+			for k := i; k < j; k += s.cfg.ChunkTarget {
+				s.addChunk(key, newSealedChunk(recs[k:min(k+s.cfg.ChunkTarget, j)]))
+			}
 			i = j
 		}
 		sealedCount += len(recs)
 	}
 	frontierNs := frontier.UnixNano()
 	for id, hist := range s.byTarget {
-		lo := searchTime(hist, frontierNs)
-		if lo == 0 {
-			continue
+		if lo := searchTime(hist, frontierNs); lo > 0 {
+			s.trimHistory(id, hist, lo)
 		}
-		// The concatenation of a target's chunks in seal order plus its hot
-		// tail reproduces the flat history array.
-		s.targetSealed[id] = s.appendChunks(s.targetSealed[id], hist[:lo], expiry{id: id})
-		s.trimHistory(id, hist, lo)
 	}
 	return sealedCount
 }
 
-// appendChunks encodes time-ordered records into chunks of at most
-// ChunkTarget records, appends them onto list in order, accounts them and
-// queues them for expiry under owner.
-func (s *Store) appendChunks(list []*sealedChunk, recs []Record, owner expiry) []*sealedChunk {
-	for k := 0; k < len(recs); k += s.cfg.ChunkTarget {
-		owner.c = newSealedChunk(recs[k:min(k+s.cfg.ChunkTarget, len(recs))])
-		owner.start = owner.c.start
-		s.tierOf(owner).add(owner.c)
-		s.expiry = append(s.expiry, owner) // heap.Push without boxing owner
-		heap.Fix(&s.expiry, len(s.expiry)-1)
-		list = append(list, owner.c)
+// addChunk lists a new chunk under cell key and under every target it holds,
+// and queues it for expiry.
+func (s *Store) addChunk(key cellKey, c *sealedChunk) {
+	s.sealed[key] = append(s.sealed[key], c)
+	for _, t := range c.targets {
+		s.targetSealed[t.id] = append(s.targetSealed[t.id], c)
 	}
-	return list
+	s.expiry = append(s.expiry, expiry{start: c.start, c: c, key: key}) // heap.Push without boxing
+	heap.Fix(&s.expiry, len(s.expiry)-1)
 }
 
 // searchTime returns the index of the first record of the time-ordered hist
@@ -403,23 +376,6 @@ func (s *Store) decodeForQuery(c *sealedChunk, dst []Record) []Record {
 func (s *Store) decodeScratch(c *sealedChunk, scratch *[]Record) []Record {
 	*scratch = s.decodeForQuery(c, (*scratch)[:0])
 	return *scratch
-}
-
-// eachSealed calls fn for every record of cell key's sealed chunks matching
-// q. It decodes only the chunks that q cannot skip whole, into scratch.
-// Caller holds (at least) the read lock.
-func (s *Store) eachSealed(key cellKey, q query, scratch *[]Record, fn func(*Record)) {
-	for _, c := range s.sealed[key] {
-		if q.settle(c.start, c.end, c.bounds) == coverNone {
-			continue
-		}
-		recs := s.decodeScratch(c, scratch)
-		for i := range recs {
-			if q.match(&recs[i]) {
-				fn(&recs[i])
-			}
-		}
-	}
 }
 
 // appendSealed appends cell key's sealed records matching q onto out. A chunk
@@ -542,29 +498,22 @@ func (s *Store) Count(r geo.Rect, from, to time.Time) int {
 }
 
 // forEachCellKeyIn visits every cell key overlapping r that has data in
-// either tier. Caller holds the read lock.
+// either tier. A rect reaching past the key range keys its edges to the edge
+// cells (gridKey saturates). Caller holds the read lock.
 func (s *Store) forEachCellKeyIn(r geo.Rect, fn func(cellKey)) {
 	lo, hi := s.keyOf(r.Min), s.keyOf(r.Max)
 	nx, ny := int64(hi.cx)-int64(lo.cx)+1, int64(hi.cy)-int64(lo.cy)+1
-	if nx*ny > int64(len(s.cells)+len(s.sealed))*2 {
-		for key := range s.cells {
+	if float64(nx)*float64(ny) > float64(len(s.cells)+len(s.sealed))*2 {
+		s.eachCellKey(func(key cellKey) {
 			if s.cellRect(key).Intersects(r) {
 				fn(key)
 			}
-		}
-		for key := range s.sealed {
-			if _, hot := s.cells[key]; hot {
-				continue // already visited
-			}
-			if s.cellRect(key).Intersects(r) {
-				fn(key)
-			}
-		}
+		})
 		return
 	}
-	for cx := lo.cx; cx <= hi.cx; cx++ {
-		for cy := lo.cy; cy <= hi.cy; cy++ {
-			key := cellKey{cx, cy}
+	for cx := int64(lo.cx); cx <= int64(hi.cx); cx++ {
+		for cy := int64(lo.cy); cy <= int64(hi.cy); cy++ {
+			key := cellKey{int32(cx), int32(cy)}
 			_, hot := s.cells[key]
 			if !hot {
 				if _, ok := s.sealed[key]; !ok {
@@ -576,29 +525,52 @@ func (s *Store) forEachCellKeyIn(r geo.Rect, fn func(cellKey)) {
 	}
 }
 
+// eachCellKey calls fn once for every cell key with data in either tier.
+// Caller holds the read lock.
+func (s *Store) eachCellKey(fn func(cellKey)) {
+	for key := range s.cells {
+		fn(key)
+	}
+	for key := range s.sealed {
+		if _, hot := s.cells[key]; !hot {
+			fn(key)
+		}
+	}
+}
+
+// cellRect is the extent of cell k. The edge cells of the key range reach to
+// infinity, since gridKey saturates every coordinate beyond them into them.
 func (s *Store) cellRect(k cellKey) geo.Rect {
-	cs := s.cfg.CellSize
-	return geo.RectOf(float64(k.cx)*cs, float64(k.cy)*cs, float64(k.cx+1)*cs, float64(k.cy+1)*cs)
+	x0, x1 := cellSpan(k.cx, s.cfg.CellSize)
+	y0, y1 := cellSpan(k.cy, s.cfg.CellSize)
+	return geo.Rect{Min: geo.Pt(x0, y0), Max: geo.Pt(x1, y1)}
+}
+
+func cellSpan(i int32, size float64) (lo, hi float64) {
+	lo, hi = float64(i)*size, (float64(i)+1)*size
+	if i == math.MinInt32 {
+		lo = math.Inf(-1)
+	}
+	if i == math.MaxInt32 {
+		hi = math.Inf(1)
+	}
+	return lo, hi
 }
 
 // KNN returns the k records nearest to q among those with time in [from, to],
 // ascending by distance with ObsID tie-break. It expands rings of grid cells
 // outward from q, pruning once the k-th distance beats the next ring.
 func (s *Store) KNN(q geo.Point, from, to time.Time, k int) []Neighbor {
-	return s.KNNFunc(q, from, to, k, nil)
+	return s.KNNBounded(q, from, to, k, 0, nil)
 }
 
-// KNNFunc is KNN with a candidate predicate: records for which keep returns
-// false are skipped (nil keeps everything). The worker uses it to answer from
-// primary-camera data only when replication is on.
-func (s *Store) KNNFunc(q geo.Point, from, to time.Time, k int, keep func(Record) bool) []Neighbor {
-	return s.KNNBounded(q, from, to, k, 0, keep)
-}
-
-// KNNBounded is KNNFunc with a pushed-down radius bound: when maxDist2 > 0,
-// candidates with squared distance strictly greater than maxDist2 are
-// discarded (the bound is inclusive, preserving ties at exactly maxDist2)
-// and ring expansion stops as soon as the next ring cannot reach the bound.
+// KNNBounded is KNN with a candidate predicate and a pushed-down radius
+// bound. Records for which keep returns false are skipped (nil keeps
+// everything); the worker uses it to answer from primary-camera data only
+// when replication is on. When maxDist2 > 0, candidates with squared
+// distance strictly greater than maxDist2 are discarded (the bound is
+// inclusive, preserving ties at exactly maxDist2) and ring expansion stops as
+// soon as the next ring cannot reach the bound.
 // The coordinator's two-phase kNN uses this to keep later-phase probes from
 // materializing candidates that cannot displace the current global top k.
 func (s *Store) KNNBounded(q geo.Point, from, to time.Time, k int, maxDist2 float64, keep func(Record) bool) []Neighbor {
@@ -608,77 +580,19 @@ func (s *Store) KNNBounded(q geo.Point, from, to time.Time, k int, maxDist2 floa
 		return nil
 	}
 	center := s.keyOf(q)
-	maxRing := 1
-	widen := func(key cellKey) {
-		dx := int(key.cx) - int(center.cx)
-		if dx < 0 {
-			dx = -dx
-		}
-		dy := int(key.cy) - int(center.cy)
-		if dy < 0 {
-			dy = -dy
-		}
-		if dx > maxRing {
-			maxRing = dx
-		}
-		if dy > maxRing {
-			maxRing = dy
-		}
-	}
-	for key := range s.cells {
-		widen(key)
-	}
-	for key := range s.sealed {
-		widen(key)
-	}
-	var best []Neighbor // max-heap by (Dist2, ObsID)
-	less := func(a, b Neighbor) bool {
-		if a.Dist2 != b.Dist2 {
-			return a.Dist2 < b.Dist2
-		}
-		return a.ObsID < b.ObsID
-	}
-	offer := func(n Neighbor) {
-		if len(best) < k {
-			best = append(best, n)
-			for i := len(best) - 1; i > 0; {
-				p := (i - 1) / 2
-				if less(best[p], best[i]) {
-					best[p], best[i] = best[i], best[p]
-					i = p
-				} else {
-					break
-				}
-			}
-			return
-		}
-		if less(n, best[0]) {
-			best[0] = n
-			i := 0
-			for {
-				l, r := 2*i+1, 2*i+2
-				largest := i
-				if l < len(best) && less(best[largest], best[l]) {
-					largest = l
-				}
-				if r < len(best) && less(best[largest], best[r]) {
-					largest = r
-				}
-				if largest == i {
-					break
-				}
-				best[i], best[largest] = best[largest], best[i]
-				i = largest
-			}
-		}
-	}
+	best := make(neighborHeap, 0, min(k, 64)) // room for a usual k without regrowing
 	consider := func(rec Record) {
 		if keep == nil || keep(rec) {
-			d2 := q.Dist2(rec.Pos)
-			if maxDist2 > 0 && d2 > maxDist2 {
-				return
+			n := Neighbor{Record: rec, Dist2: q.Dist2(rec.Pos)}
+			switch {
+			case maxDist2 > 0 && n.Dist2 > maxDist2:
+			case len(best) < k:
+				best = append(best, n) // heap.Push without boxing n
+				heap.Fix(&best, len(best)-1)
+			case neighborLess(n, best[0]):
+				best[0] = n
+				heap.Fix(&best, 0)
 			}
-			offer(Neighbor{Record: rec, Dist2: d2})
 		}
 	}
 	fromNs, toNs := unixNanos(from), unixNanos(to)
@@ -705,35 +619,99 @@ func (s *Store) KNNBounded(q geo.Point, from, to time.Time, k int, maxDist2 floa
 			}
 		}
 	}
-	for ring := 0; ring <= maxRing; ring++ {
-		if ring > 0 {
-			minDist := float64(ring-1) * s.cfg.CellSize
-			if minDist > 0 {
-				if len(best) == k && minDist*minDist > best[0].Dist2 {
-					break
-				}
-				if maxDist2 > 0 && minDist*minDist > maxDist2 {
-					break
-				}
-			}
+	// stop reports whether no record of ring or beyond can enter best: its
+	// cells lie at least (ring-1)·CellSize from q.
+	stop := func(ring int64) bool {
+		minDist := float64(ring-1) * s.cfg.CellSize
+		if minDist <= 0 {
+			return false
 		}
-		if ring == 0 {
-			scan(center)
+		return len(best) == k && minDist*minDist > best[0].Dist2 || maxDist2 > 0 && minDist*minDist > maxDist2
+	}
+	// Walk whole rings outward while they cost less, in all, than one pass
+	// over the occupied keys; then visit only those, in walk order.
+	budget := int64(len(s.cells) + len(s.sealed))
+	for ring := int64(0); !stop(ring); ring++ {
+		if cost := max(8*ring, 1); cost <= budget {
+			budget -= cost
+			walkRing(center, ring, scan)
 			continue
 		}
-		lo := int(center.cx) - ring
-		hi := int(center.cx) + ring
-		for cx := lo; cx <= hi; cx++ {
-			scan(cellKey{int32(cx), center.cy - int32(ring)})
-			scan(cellKey{int32(cx), center.cy + int32(ring)})
+		var rest []ringKey
+		s.eachCellKey(func(key cellKey) {
+			if rk := ringPos(center, key); rk.ring >= ring {
+				rest = append(rest, rk)
+			}
+		})
+		slices.SortFunc(rest, func(a, b ringKey) int {
+			return cmp.Or(cmp.Compare(a.ring, b.ring), cmp.Compare(a.order, b.order))
+		})
+		for i, rk := range rest {
+			if (i == 0 || rk.ring != rest[i-1].ring) && stop(rk.ring) {
+				break
+			}
+			scan(rk.key)
 		}
-		for cy := int(center.cy) - ring + 1; cy <= int(center.cy)+ring-1; cy++ {
-			scan(cellKey{center.cx - int32(ring), int32(cy)})
-			scan(cellKey{center.cx + int32(ring), int32(cy)})
+		break
+	}
+	sort.Slice(best, func(i, j int) bool { return neighborLess(best[i], best[j]) })
+	return best
+}
+
+func neighborLess(a, b Neighbor) bool {
+	return a.Dist2 < b.Dist2 || a.Dist2 == b.Dist2 && a.ObsID < b.ObsID
+}
+
+// neighborHeap is a max-heap (container/heap) of kNN candidates by
+// (Dist2, ObsID). Its users grow it by append and heap.Fix and never pop.
+type neighborHeap []Neighbor
+
+func (h neighborHeap) Len() int           { return len(h) }
+func (h neighborHeap) Less(i, j int) bool { return neighborLess(h[j], h[i]) }
+func (h neighborHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *neighborHeap) Push(x any)        { *h = append(*h, x.(Neighbor)) }
+func (h *neighborHeap) Pop() any          { return nil }
+
+// walkRing calls fn for every key of ring around center within the int32
+// range: bottom and top rows interleaved, then left and right columns.
+func walkRing(center cellKey, ring int64, fn func(cellKey)) {
+	cx, cy := int64(center.cx), int64(center.cy)
+	visit := func(x, y int64) {
+		if x >= math.MinInt32 && x <= math.MaxInt32 && y >= math.MinInt32 && y <= math.MaxInt32 {
+			fn(cellKey{int32(x), int32(y)})
 		}
 	}
-	sort.Slice(best, func(i, j int) bool { return less(best[i], best[j]) })
-	return best
+	if ring == 0 {
+		visit(cx, cy)
+		return
+	}
+	for x := cx - ring; x <= cx+ring; x++ {
+		visit(x, cy-ring)
+		visit(x, cy+ring)
+	}
+	for y := cy - ring + 1; y <= cy+ring-1; y++ {
+		visit(cx-ring, y)
+		visit(cx+ring, y)
+	}
+}
+
+// ringKey is a cell key with the ring around a center holding it (their
+// Chebyshev distance in cells) and its position in walkRing's order.
+type ringKey struct {
+	ring, order int64
+	key         cellKey
+}
+
+func ringPos(center, key cellKey) ringKey {
+	dx, dy := int64(key.cx)-int64(center.cx), int64(key.cy)-int64(center.cy)
+	rk := ringKey{ring: max(dx, -dx, dy, -dy), key: key}
+	switch r := rk.ring; {
+	case dy == -r || dy == r:
+		rk.order = 2*(dx+r) + min(dy+r, 1)
+	default:
+		rk.order = 2*(2*r+1) + 2*(dy+r-1) + min(dx+r, 1)
+	}
+	return rk
 }
 
 // HeatCell accumulates the observation count of one heatmap cell.
@@ -774,7 +752,10 @@ func (s *Store) Heatmap(r geo.Rect, from, to time.Time, cellSize float64, keep f
 		if cell, ok := s.cells[key]; ok {
 			cell.each(q, tally)
 		}
-		s.eachSealed(key, q, &scratch, tally)
+		scratch = s.appendSealed(scratch[:0], key, q)
+		for i := range scratch {
+			tally(&scratch[i])
+		}
 	})
 	out := make([]HeatCell, 0, len(acc))
 	for key, n := range acc {
@@ -784,9 +765,8 @@ func (s *Store) Heatmap(r geo.Rect, from, to time.Time, cellSize float64, keep f
 }
 
 // TargetHistory returns the records associated with a target in [from, to],
-// time-ordered (insertion order among equal timestamps, matching the flat
-// store: sealed chunks concatenate in seal order, the hot tail follows, and
-// a stable sort merges late arrivals into place).
+// in (Time, ObsID) order. Sealed ones are decoded from the cell chunks listing
+// the target, and filtered from the other targets' records there.
 func (s *Store) TargetHistory(id uint64, from, to time.Time) []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -794,7 +774,6 @@ func (s *Store) TargetHistory(id uint64, from, to time.Time) []Record {
 		return nil
 	}
 	var out []Record
-	sealedPart := 0
 	fromNs, toNs := unixNanos(from), unixNanos(to)
 	for _, c := range s.targetSealed[id] {
 		if !c.overlaps(fromNs, toNs) {
@@ -802,23 +781,18 @@ func (s *Store) TargetHistory(id uint64, from, to time.Time) []Record {
 		}
 		base := len(out)
 		out = filterFrom(s.decodeForQuery(c, out), base, func(rec *Record) bool {
-			return !rec.Time.Before(from) && !rec.Time.After(to)
+			ns := rec.Time.UnixNano()
+			return rec.TargetID == id && ns >= fromNs && ns <= toNs
 		})
 	}
-	sealedPart = len(out)
+	sealedPart := len(out)
 	if hist := s.byTarget[id]; len(hist) > 0 {
 		lo := sort.Search(len(hist), func(i int) bool { return !hist[i].Time.Before(from) })
 		hi := sort.Search(len(hist), func(i int) bool { return hist[i].Time.After(to) })
-		if lo < hi {
-			out = append(out, hist[lo:hi]...)
-		}
+		out = append(out, hist[lo:hi]...)
 	}
 	if sealedPart > 0 {
-		// Straggler seals append old records after newer chunks, and late
-		// arrivals can leave hot records older than sealed ones; a stable
-		// sort restores global time order while preserving the insertion
-		// order the tiers already encode for equal timestamps.
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
+		sortRecords(out) // straggler seals and late hot records break seal order
 	}
 	return out
 }
@@ -827,25 +801,32 @@ func (s *Store) TargetHistory(id uint64, from, to time.Time) []Record {
 func (s *Store) TargetCount(id uint64) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := len(s.byTarget[id])
+	var scratch []Record
+	return len(s.byTarget[id]) + s.sealedTargetCount(id, &scratch)
+}
+
+// sealedTargetCount returns how many live sealed records target id has. A
+// trimmed chunk (at most one per cell) may have lost them to its expired
+// prefix, so it is decoded into scratch; the rest answer from their target
+// sets. Caller holds (at least) the read lock.
+func (s *Store) sealedTargetCount(id uint64, scratch *[]Record) int {
+	n := 0
 	for _, c := range s.targetSealed[id] {
-		n += c.count
+		if c.skip == 0 {
+			n += c.targetCount(id)
+			continue
+		}
+		for _, rec := range s.decodeScratch(c, scratch) {
+			if rec.TargetID == id {
+				n++
+			}
+		}
 	}
 	return n
 }
 
-// Trajectory reconstructs a target's path over [from, to] from its indexed
-// observations.
-func (s *Store) Trajectory(id uint64, from, to time.Time) geo.Trajectory {
-	recs := s.TargetHistory(id, from, to)
-	var tr geo.Trajectory
-	for _, rec := range recs {
-		tr.Append(rec.Time, rec.Pos)
-	}
-	return tr
-}
-
-// Targets returns the IDs with at least one associated record, sorted.
+// Targets returns the IDs with at least one associated record, sorted; a
+// target listed only under chunks that trimmed all its records is omitted.
 func (s *Store) Targets() []uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -853,8 +834,9 @@ func (s *Store) Targets() []uint64 {
 	for id := range s.byTarget {
 		out = append(out, id)
 	}
+	var scratch []Record
 	for id := range s.targetSealed {
-		if _, hot := s.byTarget[id]; !hot {
+		if _, hot := s.byTarget[id]; !hot && s.sealedTargetCount(id, &scratch) > 0 {
 			out = append(out, id)
 		}
 	}
@@ -863,7 +845,7 @@ func (s *Store) Targets() []uint64 {
 }
 
 // EvictBefore removes every record older than cutoff, returning the count
-// (cell-side records, hot and sealed; the per-target index trims alongside).
+// (hot and sealed; the per-target index trims alongside).
 func (s *Store) EvictBefore(cutoff time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -871,9 +853,10 @@ func (s *Store) EvictBefore(cutoff time.Time) int {
 }
 
 // evictLocked removes every record before the UnixNano cutoff and returns
-// how many cell-side records went. Its work follows what expired: the hot
-// tier is swept only when its watermark lies below the cutoff, and the
-// expiry queue yields exactly the sealed chunks holding an expired record.
+// how many went. Its work follows what expired: the hot tier is swept only
+// when its watermark lies below the cutoff, and the expiry queue yields
+// exactly the sealed chunks holding an expired record. A trim advances the
+// view that cell and target lists share.
 func (s *Store) evictLocked(cutoff int64) int {
 	removed := 0
 	if s.hotFloor < cutoff {
@@ -898,17 +881,16 @@ func (s *Store) evictLocked(cutoff int64) int {
 		n := e.c.count
 		if e.c.end < cutoff {
 			heap.Pop(&s.expiry)
-			s.tierOf(e).remove(e.c)
-			s.unlist(e)
+			unlistChunk(s.sealed, e.key, e.c)
+			for _, t := range e.c.targets {
+				unlistChunk(s.targetSealed, t.id, e.c)
+			}
 		} else {
 			n = e.c.trimBefore(cutoff)
-			s.tierOf(e).records -= n
 			s.expiry[0].start = e.c.start
 			heap.Fix(&s.expiry, 0)
 		}
-		if e.id == 0 {
-			removed += n // target chunks index the same records
-		}
+		removed += n
 	}
 	if removed > 0 {
 		s.n -= removed
@@ -917,16 +899,8 @@ func (s *Store) evictLocked(cutoff int64) int {
 	return removed
 }
 
-// unlist removes e's chunk from the cell or target list holding it, deleting
-// a list it leaves empty.
-func (s *Store) unlist(e expiry) {
-	if e.id == 0 {
-		unlistChunk(s.sealed, e.key, e.c)
-	} else {
-		unlistChunk(s.targetSealed, e.id, e.c)
-	}
-}
-
+// unlistChunk removes c from the list under k, deleting a list it leaves
+// empty.
 func unlistChunk[K comparable](m map[K][]*sealedChunk, k K, c *sealedChunk) {
 	list := m[k]
 	i := slices.Index(list, c)
@@ -937,29 +911,19 @@ func unlistChunk[K comparable](m map[K][]*sealedChunk, k K, c *sealedChunk) {
 	}
 }
 
-// tierOf returns the accounting of e's chunk list.
-func (s *Store) tierOf(e expiry) *chunkStats {
-	if e.id == 0 {
-		return &s.cellTier
-	}
-	return &s.targetTier
-}
-
 // expiry is a sealed chunk's entry in the expiry queue: its live start, kept
-// beside the pointer so ordering reads no chunk, and the list holding it,
-// cell key's or target id's when id is nonzero (no target ID is zero).
+// beside the pointer so ordering reads no chunk, and the cell holding it.
 type expiry struct {
 	start int64
 	c     *sealedChunk
 	key   cellKey
-	id    uint64
 }
 
-// expiryQueue is a min-heap (container/heap) of every sealed chunk, cell and
-// target alike, keyed by the time of its first live record. Whatever order
-// chunks are sealed in — stragglers included — the chunks holding records
-// before a cutoff are exactly those at the top. Its users read the top entry
-// before popping it, so Pop returns nothing and no entry is boxed.
+// expiryQueue is a min-heap (container/heap) of every sealed chunk, keyed by
+// the time of its first live record. Whatever order chunks are sealed in —
+// stragglers included — the chunks holding records before a cutoff are
+// exactly those at the top. Its users read the top entry before popping it,
+// so Pop returns nothing and no entry is boxed.
 type expiryQueue []expiry
 
 func (q expiryQueue) Len() int           { return len(q) }

@@ -1,8 +1,11 @@
 package stindex
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -163,8 +166,11 @@ func TestTargetHistoryAndTrajectory(t *testing.T) {
 	if len(hist) != 2 || hist[0].ObsID != 2 {
 		t.Fatalf("windowed history = %v", hist)
 	}
-	// Trajectory reconstruction.
-	tr := s.Trajectory(7, at(0), at(time.Hour))
+	// A trajectory built from the history interpolates between its records.
+	var tr geo.Trajectory
+	for _, r := range s.TargetHistory(7, at(0), at(time.Hour)) {
+		tr.Append(r.Time, r.Pos)
+	}
 	if tr.Len() != 3 {
 		t.Fatalf("trajectory len = %d", tr.Len())
 	}
@@ -302,5 +308,136 @@ func TestScanQueriesReuseScratch(t *testing.T) {
 	}
 	if allocs > 4 {
 		t.Fatalf("Count allocates %.0f objects per call, want <= 4", allocs)
+	}
+}
+
+// TestKNNFarQueryMatchesLinearScan: a kNN query point far from every record,
+// or at ±Inf, costs about what a near one does and answers what the linear
+// scan does. The ring walk used to visit every empty ring between the query
+// and the data, and a point past the int32 cell-key range wrapped its key.
+func TestKNNFarQueryMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var all []Record
+	for i := 0; i < 100; i++ {
+		all = append(all, Record{
+			ObsID: uint64(i + 1),
+			Pos:   geo.Pt(rng.Float64()*200-100, rng.Float64()*200-100),
+			Time:  at(time.Duration(i) * time.Second),
+		})
+	}
+	inf := math.Inf(1)
+	points := []geo.Point{
+		geo.Pt(1e3, 0), geo.Pt(1e4, 50), geo.Pt(-1e5, 0), geo.Pt(3e5, -3e5),
+		geo.Pt(1e10, 0), geo.Pt(0, -1e12), geo.Pt(inf, 0), geo.Pt(-inf, 7), geo.Pt(inf, -inf),
+	}
+	for _, cfg := range []Config{
+		{CellSize: 50, BucketWidth: time.Second},
+		{CellSize: 50, BucketWidth: time.Second, SealHorizon: 30 * time.Second},
+	} {
+		s := NewStore(cfg)
+		for _, r := range all {
+			s.Insert(r)
+		}
+		s.Seal()
+		done := make(chan string, 1)
+		go func() {
+			for _, q := range points {
+				for _, k := range []int{1, 7, 150} {
+					want := slices.Clone(all)
+					slices.SortFunc(want, func(a, b Record) int {
+						return cmp.Or(cmp.Compare(q.Dist2(a.Pos), q.Dist2(b.Pos)), cmp.Compare(a.ObsID, b.ObsID))
+					})
+					want = want[:min(k, len(want))]
+					got := s.KNN(q, at(0), at(time.Hour), k)
+					if len(got) != len(want) {
+						done <- fmt.Sprintf("KNN(%v, k=%d) returned %d, want %d", q, k, len(got), len(want))
+						return
+					}
+					for i := range want {
+						if got[i].ObsID != want[i].ObsID {
+							done <- fmt.Sprintf("KNN(%v, k=%d) rank %d = obs %d, want %d", q, k, i, got[i].ObsID, want[i].ObsID)
+							return
+						}
+					}
+				}
+			}
+			done <- ""
+		}()
+		select {
+		case msg := <-done:
+			if msg != "" {
+				t.Fatalf("%+v: %s", cfg, msg)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%+v: far kNN queries did not answer within 1 s", cfg)
+		}
+	}
+}
+
+// TestTargetHistoryEqualTimes: records of one target sharing a timestamp come
+// back in ObsID order whatever order they arrived in, from the hot tier, the
+// sealed tier and across both.
+func TestTargetHistoryEqualTimes(t *testing.T) {
+	for _, cfg := range []Config{
+		{CellSize: 50, BucketWidth: time.Second},
+		{CellSize: 50, BucketWidth: time.Second, SealHorizon: 10 * time.Second},
+	} {
+		s := NewStore(cfg)
+		// Two instants, each with ObsIDs arriving out of order and spread
+		// over two cells, so a sealed instant spans two chunks.
+		for _, d := range []time.Duration{time.Second, 30 * time.Second} {
+			base := uint64(d / time.Second * 10)
+			for i, obs := range []uint64{5, 3, 9, 1, 7} {
+				s.Insert(rec(base+obs, 4, float64(i%2)*60+1, 1, d))
+			}
+		}
+		// Two late records behind the seal frontier stay hot, between the
+		// sealed instant and the hot one.
+		s.Insert(rec(1000, 4, 1, 1, 2*time.Second))
+		s.Insert(rec(999, 4, 1, 1, time.Second+time.Nanosecond))
+		if s.cfg.SealHorizon > 0 {
+			if sealed := s.TierStats().SealedRecords; sealed != 5 {
+				t.Fatalf("sealed %d records, want the first instant's 5", sealed)
+			}
+		}
+		got := s.TargetHistory(4, at(0), at(time.Hour))
+		var ids []uint64
+		for _, r := range got {
+			ids = append(ids, r.ObsID)
+		}
+		want := []uint64{11, 13, 15, 17, 19, 999, 1000, 301, 303, 305, 307, 309}
+		if !slices.Equal(ids, want) {
+			t.Fatalf("%+v: history ObsIDs %v, want %v", cfg, ids, want)
+		}
+	}
+}
+
+// TestFarRecordsKeyToEdgeCells: positions past the int32 cell-key range key
+// to the edge cells, which reach to infinity, so range, count and kNN still
+// find them.
+func TestFarRecordsKeyToEdgeCells(t *testing.T) {
+	far := []geo.Point{geo.Pt(5e11, 1), geo.Pt(-5e11, 1), geo.Pt(1, 1e15), geo.Pt(math.Inf(1), 2)}
+	for _, cfg := range []Config{
+		{CellSize: 50, BucketWidth: time.Second},
+		{CellSize: 50, BucketWidth: time.Second, SealHorizon: 10 * time.Second},
+	} {
+		s := NewStore(cfg)
+		for i := 0; i < 50; i++ {
+			s.Insert(rec(uint64(i+1), 0, float64(i), float64(i), time.Duration(i)*time.Second))
+		}
+		for i, p := range far {
+			s.Insert(Record{ObsID: uint64(100 + i), Pos: p, Time: at(time.Duration(i) * time.Second)})
+		}
+		s.Seal()
+		from, to := at(0), at(time.Hour)
+		if got := s.RangeQuery(geo.RectOf(2e11, -1e6, math.Inf(1), 1e6), from, to); len(got) != 2 || got[0].ObsID != 100 || got[1].ObsID != 103 {
+			t.Fatalf("%+v: range east of the key range = %v, want obs 100 and 103", cfg, got)
+		}
+		if n := s.Count(geo.RectOf(-1e12, -1e6, -2e11, 1e6), from, to); n != 1 {
+			t.Fatalf("%+v: count west of the key range = %d, want 1", cfg, n)
+		}
+		if got := s.KNN(geo.Pt(0, 2e15), from, to, 1); len(got) != 1 || got[0].ObsID != 102 {
+			t.Fatalf("%+v: KNN north of the key range = %v, want obs 102", cfg, got)
+		}
 	}
 }

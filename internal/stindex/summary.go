@@ -104,7 +104,7 @@ func (s *Store) Summarize(cellSize float64, timeBuckets int) Summary {
 
 	acc := make(map[cellKey]*SummaryCell)
 	coarse := func(key cellKey) *SummaryCell {
-		ck := cellKey{cx: floorDiv(key.cx, ratio), cy: floorDiv(key.cy, ratio)}
+		ck := cellKey{cx: int32(floorDiv64(int64(key.cx), int64(ratio))), cy: int32(floorDiv64(int64(key.cy), int64(ratio)))}
 		c, ok := acc[ck]
 		if !ok {
 			c = &SummaryCell{CX: ck.cx, CY: ck.cy, Bounds: s.cellRect(key), Buckets: make([]int64, nb)}
@@ -157,12 +157,4 @@ func (s *Store) Summarize(cellSize float64, timeBuckets int) Summary {
 		return sum.Cells[i].CX < sum.Cells[j].CX
 	})
 	return sum
-}
-
-func floorDiv(a, b int32) int32 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
 }

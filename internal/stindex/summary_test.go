@@ -196,7 +196,7 @@ func TestKNNBoundedMatchesFiltered(t *testing.T) {
 			from := sumT0.Add(time.Duration(rng.Intn(1800)) * time.Second)
 			to := from.Add(time.Duration(rng.Intn(1800)) * time.Second)
 			k := 1 + rng.Intn(10)
-			full := s.KNNFunc(q, from, to, len(recs), nil)
+			full := s.KNN(q, from, to, len(recs))
 			maxDist2 := 0.0
 			if len(full) > 0 {
 				maxDist2 = full[rng.Intn(len(full))].Dist2 // exercises ties at the bound

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -49,14 +50,6 @@ func dumpHeat(cells []HeatCell) string {
 	var b strings.Builder
 	for _, c := range cells {
 		fmt.Fprintf(&b, "%d,%d=%d\n", c.CX, c.CY, c.Count)
-	}
-	return b.String()
-}
-
-func dumpTrajectory(tr geo.Trajectory) string {
-	var b strings.Builder
-	for _, p := range tr.Points {
-		fmt.Fprintf(&b, "%d@%x,%x\n", p.T.UnixNano(), math.Float64bits(p.P.X), math.Float64bits(p.P.Y))
 	}
 	return b.String()
 }
@@ -138,9 +131,6 @@ func diffBattery(t *testing.T, flat, tiered *Store, label string) {
 		check(fmt.Sprintf("history-window %d", id),
 			dumpRecords(flat.TargetHistory(id, at(5*time.Second), at(45*time.Second))),
 			dumpRecords(tiered.TargetHistory(id, at(5*time.Second), at(45*time.Second))))
-		check(fmt.Sprintf("trajectory %d", id),
-			dumpTrajectory(flat.Trajectory(id, lo, hi)),
-			dumpTrajectory(tiered.Trajectory(id, lo, hi)))
 	}
 }
 
@@ -260,8 +250,8 @@ func TestTieredDifferentialEviction(t *testing.T) {
 			tiered.Len(), tiered.CellCount(), tiered.Targets())
 	}
 	if ts := tiered.TierStats(); ts.SealedChunks != 0 || ts.SealedRecords != 0 || ts.SealedBytes != 0 ||
-		ts.TargetChunks != 0 || ts.TargetRecords != 0 || ts.TargetBytes != 0 {
-		t.Fatalf("sealed-tier accounting not empty after full evict: %+v", ts)
+		ts.IndexBytes != 0 || len(tiered.targetSealed) != 0 {
+		t.Fatalf("sealed-tier accounting not empty after full evict: %+v, %d target lists", ts, len(tiered.targetSealed))
 	}
 }
 
@@ -421,4 +411,59 @@ func TestTieredConcurrentSmoke(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestTieredDifferentialSharedStraddler: the per-target index lists shared
+// cell chunks, so a chunk that retention trims can stay listed under a target
+// whose every record in it sat in the expired prefix. That target has no
+// record left: TargetCount is 0 and Targets omits it, as on the flat store.
+func TestTieredDifferentialSharedStraddler(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	flat, tiered := tieredPair()
+	const early, shared = 1, 2 // target IDs; target 3 also comes later
+	var recs []Record
+	add := func(target uint64, x, y float64, d time.Duration) {
+		recs = append(recs, Record{ObsID: uint64(len(recs) + 1), TargetID: target, Camera: uint32(rng.Intn(4)), Pos: geo.Pt(x, y), Time: at(d)})
+	}
+	// One cell, one RollupWidth bucket: the early target's records come
+	// first, the others' fill the rest of the bucket.
+	for i := 0; i < 5; i++ {
+		add(early, rng.Float64()*50, rng.Float64()*50, time.Duration(100+rng.Intn(900))*time.Millisecond)
+	}
+	for i := 0; i < 20; i++ {
+		add(uint64(shared+i%2), rng.Float64()*50, rng.Float64()*50, time.Duration(1500+rng.Intn(6000))*time.Millisecond)
+	}
+	// Later records elsewhere push the seal frontier past the bucket.
+	for i := 0; i < 60; i++ {
+		add(uint64(rng.Intn(2)*3), 100+rng.Float64()*300, rng.Float64()*300, 8*time.Second+time.Duration(i)*500*time.Millisecond)
+	}
+	for _, r := range recs {
+		flat.Insert(r)
+		tiered.Insert(r)
+	}
+	tiered.Seal()
+	cutoff := at(1200 * time.Millisecond) // after every early record, before the shared ones
+	if fr, gr := flat.EvictBefore(cutoff), tiered.EvictBefore(cutoff); fr != 5 || gr != 5 {
+		t.Fatalf("EvictBefore removed %d flat, %d tiered records, want the early target's 5", fr, gr)
+	}
+	list := tiered.targetSealed[early]
+	if len(list) != 1 || list[0].skip != 5 || list[0].targetCount(shared) == 0 {
+		t.Fatalf("vacuous: the early target is not listed under one straddler shared with target %d", shared)
+	}
+	if n := tiered.TargetCount(early); n != 0 {
+		t.Fatalf("TargetCount(%d) = %d, want 0", early, n)
+	}
+	if ids := tiered.Targets(); slices.Contains(ids, early) {
+		t.Fatalf("Targets() = %v lists target %d", ids, early)
+	}
+	if h := tiered.TargetHistory(early, at(-time.Hour), at(time.Hour)); len(h) != 0 {
+		t.Fatalf("TargetHistory(%d) = %v, want none", early, h)
+	}
+	diffBattery(t, flat, tiered, "after trimming the early target out of a shared chunk")
+	tiered.EvictBefore(at(7600 * time.Millisecond))
+	flat.EvictBefore(at(7600 * time.Millisecond))
+	if len(tiered.targetSealed[early]) != 0 || len(tiered.targetSealed[shared]) != 0 {
+		t.Fatal("the expired straddler stayed listed")
+	}
+	diffBattery(t, flat, tiered, "after the shared chunk expired")
 }
