@@ -103,13 +103,16 @@ bench-assoc:
 
 # bench-query prices the store's read path on a store shaped like one
 # query.scan worker (full-window heatmap, covered count, wide range, kNN and
-# one target's history; allocs reported) and the coordinator's hop of a wide range answer (four 24 k-record
-# worker answers decoded, merged and framed), and leaves CPU profiles behind:
+# one target's history; allocs reported), the coordinator's hop of a wide range answer (four 24 k-record
+# worker answers decoded, merged and framed) and the worker's filter planner
+# (plan priced by exact counts, then executed; once, -benchtime=1x), and
+# leaves CPU profiles behind:
 # `go tool pprof -top stindex.test query.prof`, `go tool pprof -top core.test
 # merge.prof`.
 bench-query:
 	$(GO) test -run '^$$' -bench 'Scan|TargetHistory' -benchmem -cpuprofile query.prof ./internal/stindex
 	$(GO) test -run '^$$' -bench RangeMerge -benchmem -cpuprofile merge.prof ./internal/core
+	$(GO) test -run '^$$' -bench FilterPlan -benchmem -benchtime=1x ./internal/core
 
 # bench-insert prices one record insert on a store shaped like one
 # ingest.plain worker at its retention bound (seal, trim and expiry all live;

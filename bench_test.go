@@ -91,11 +91,6 @@ func BenchmarkR10Crossover(b *testing.B) {
 	runExperiment(b, bench.R10Crossover)
 }
 
-func BenchmarkR11Histogram(b *testing.B) {
-	tbl := runExperiment(b, bench.R11Histogram)
-	b.ReportMetric(cell(tbl, len(tbl.Rows)-1, 1), "final-abs-error")
-}
-
 func BenchmarkR12Trajectory(b *testing.B) {
 	tbl := runExperiment(b, bench.R12Trajectory)
 	b.ReportMetric(cell(tbl, 0, 4), "clean-mean-err-m")

@@ -132,7 +132,6 @@ func All() []Experiment {
 		{"R8", "Worker failure recovery", R8Failover},
 		{"R9", "Memory vs retention window", R9Retention},
 		{"R10", "Centralized/distributed crossover", R10Crossover},
-		{"R11", "ST-histogram convergence", R11Histogram},
 		{"R12", "Trajectory reconstruction vs detector noise", R12Trajectory},
 		{"R13", "Adaptive query planner ablation", R13Planner},
 		{"R14", "Query availability under injected faults", R14FaultSweep},

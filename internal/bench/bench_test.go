@@ -220,19 +220,3 @@ func TestR9ShapeRetentionBounds(t *testing.T) {
 		t.Errorf("retention bounds not monotone: %v", held)
 	}
 }
-
-// TestR11ShapeErrorFalls verifies histogram error decreases with feedback.
-func TestR11ShapeErrorFalls(t *testing.T) {
-	tbl := R11Histogram(1)
-	var first, last float64
-	for i, r := range tbl.Rows {
-		v, _ := strconv.ParseFloat(r[1], 64)
-		if i == 0 {
-			first = v
-		}
-		last = v
-	}
-	if last >= first {
-		t.Errorf("error did not fall with feedback: first=%v last=%v", first, last)
-	}
-}

@@ -98,14 +98,6 @@ func R13Planner(s Scale) *Table {
 	}
 
 	window := wire.TimeWindow{From: start, To: start.Add(24 * time.Hour)}
-	// Warm the histogram.
-	for x := 0.0; x < 1000; x += 125 {
-		for y := 0.0; y < 1000; y += 125 {
-			if _, err := c.Coordinator.Range(ctx, geo.RectOf(x, y, x+125, y+125), window, 0); err != nil {
-				panic(err)
-			}
-		}
-	}
 	// Resolve target IDs via re-id search.
 	resolve := func(f vision.Feature) uint64 {
 		for _, w := range c.Workers {

@@ -262,60 +262,6 @@ func R9Retention(s Scale) *Table {
 	return t
 }
 
-// R11Histogram measures ST-histogram selectivity error as feedback
-// accumulates — the ablation of the query-feedback design. Expected shape:
-// error falls steeply with the first hundred feedbacks, then plateaus at the
-// grid-resolution floor.
-func R11Histogram(s Scale) *Table {
-	t := &Table{
-		ID:     "R11",
-		Title:  "ST-histogram selectivity error vs feedback volume",
-		Notes:  "hotspot ground truth (70% mass in 4% area); 20×20 grid",
-		Header: []string{"feedbacks", "mean abs error", "lit fraction"},
-	}
-	world := geo.RectOf(0, 0, 1000, 1000)
-	hot := geo.RectOf(0, 0, 200, 200)
-	trueSel := func(q geo.Rect) float64 {
-		hotPart := q.Intersect(hot).Area()
-		inHot := hotPart / hot.Area() * 0.7
-		full := q.Intersect(world).Area()
-		outside := (full - hotPart) / (world.Area() - hot.Area()) * 0.3
-		return inHot + outside
-	}
-	probes := make([]geo.Rect, 100)
-	prng := rand.New(rand.NewSource(9))
-	for i := range probes {
-		c := geo.Pt(prng.Float64()*1000, prng.Float64()*1000)
-		probes[i] = geo.RectAround(c, 40+prng.Float64()*80).Intersect(world)
-	}
-	meanErr := func(h *stindex.STHistogram) float64 {
-		var sum float64
-		for _, p := range probes {
-			d := h.Estimate(p) - trueSel(p)
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
-		return sum / float64(len(probes))
-	}
-	for _, nf := range []int{0, 10, 50, 200, 1000, 5000} {
-		nf := s.n(nf)
-		if nf == 1 {
-			nf = 0
-		}
-		h := stindex.NewSTHistogram(world, 20, 20)
-		frng := rand.New(rand.NewSource(10))
-		for i := 0; i < nf; i++ {
-			c := geo.Pt(frng.Float64()*1000, frng.Float64()*1000)
-			q := geo.RectAround(c, 30+frng.Float64()*120).Intersect(world)
-			h.Feedback(q, trueSel(q))
-		}
-		t.AddRow(nf, meanErr(h), h.LitFraction())
-	}
-	return t
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -357,11 +357,13 @@ func (c *Coordinator) proxyIngest(ctx context.Context, m *wire.IngestBatch) (any
 	byAddr := make(map[string][]wire.Observation)
 	unrouted := 0
 	for _, obs := range m.Observations {
-		cam := obs.Camera
-		if cam == 0 {
-			cam = m.Camera // legacy single-camera batches may omit per-obs routing
+		if obs.Camera == 0 {
+			// Legacy single-camera batches may omit per-obs routing; the
+			// worker checks ownership per observation, so the forwarded
+			// copy carries the hint.
+			obs.Camera = m.Camera
 		}
-		addrs := c.RoutesFor(cam)
+		addrs := c.RoutesFor(obs.Camera)
 		if len(addrs) == 0 {
 			unrouted++
 			continue

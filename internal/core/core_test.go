@@ -40,7 +40,7 @@ func gridCams(world geo.Rect, n int) []wire.CameraInfo {
 	return out
 }
 
-func newTestCluster(t *testing.T, workers int, opts Options) *Cluster {
+func newTestCluster(t testing.TB, workers int, opts Options) *Cluster {
 	t.Helper()
 	c, err := NewLocalCluster(workers, nil, opts)
 	if err != nil {
@@ -84,7 +84,7 @@ func obsAt(id uint64, cam uint32, p geo.Point, at time.Time, feat []float32) wir
 	return wire.Observation{ObsID: id, Camera: cam, Time: at, Pos: p, Feature: feat}
 }
 
-func ingestDirect(t *testing.T, c *Cluster, obs ...wire.Observation) int {
+func ingestDirect(t testing.TB, c *Cluster, obs ...wire.Observation) int {
 	t.Helper()
 	byCam := map[uint32][]wire.Observation{}
 	for _, o := range obs {
@@ -228,6 +228,33 @@ func TestIngestRejectsUnownedCamera(t *testing.T) {
 	ack := resp.(*wire.IngestAck)
 	if ack.Accepted != 0 || ack.Rejected != 1 {
 		t.Errorf("ack = %+v, want 0 accepted / 1 rejected", ack)
+	}
+}
+
+// TestProxyIngestStampsCameraHint: an observation without its own camera,
+// sent through the coordinator in a single-camera batch, routes by the
+// batch's hint and is indexed under that camera by the owning worker.
+func TestProxyIngestStampsCameraHint(t *testing.T) {
+	c := newTestCluster(t, 2, Options{})
+	if err := c.Coordinator.AddCameras(ctx, gridCams(world1, 2), 50); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Transport.Call(ctx, c.Coordinator.Addr(), &wire.IngestBatch{
+		Camera:       1,
+		Observations: []wire.Observation{obsAt(1, 0, geo.Pt(10, 10), simT0, nil)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack := resp.(*wire.IngestAck); ack.Accepted != 1 || ack.Rejected != 0 {
+		t.Fatalf("ack = %+v, want 1 accepted / 0 rejected", ack)
+	}
+	recs, err := c.Coordinator.Range(ctx, world1, wire.TimeWindow{From: simT0, To: simT0.Add(time.Second)}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Camera != 1 {
+		t.Errorf("indexed %+v, want one record from camera 1", recs)
 	}
 }
 

@@ -67,26 +67,3 @@ func TestNewLocalClusterValidation(t *testing.T) {
 		t.Error("zero-worker cluster accepted")
 	}
 }
-
-func TestWorldGuess(t *testing.T) {
-	c := newTestCluster(t, 1, Options{})
-	w := c.Workers[0]
-	if !w.worldGuess().IsEmpty() {
-		t.Error("worldGuess before assignment should be empty")
-	}
-	if err := c.Coordinator.AddCameras(ctx, gridCams(world1, 2), 50); err != nil {
-		t.Fatal(err)
-	}
-	g := w.worldGuess()
-	if g.IsEmpty() {
-		t.Fatal("worldGuess after assignment empty")
-	}
-	// The guess covers every owned camera's FOV.
-	w.mu.Lock()
-	for _, cam := range w.cameras {
-		if !g.ContainsRect(cam.Bounds()) {
-			t.Errorf("worldGuess %v misses camera %d bounds %v", g, cam.ID, cam.Bounds())
-		}
-	}
-	w.mu.Unlock()
-}

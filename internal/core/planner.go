@@ -1,7 +1,6 @@
 package core
 
 import (
-	"stcam/internal/geo"
 	"stcam/internal/stindex"
 	"stcam/internal/wire"
 )
@@ -10,48 +9,13 @@ import (
 // target and camera-set predicates; the worker has two physical plans:
 //
 //   - "spatial": walk the spatio-temporal index for the rectangle, then
-//     filter by target/cameras. Cost ∝ spatial selectivity of the rectangle.
+//     filter by target/cameras. Cost ∝ records in the rectangle and window.
 //   - "target": walk the per-target history index, then filter by
 //     rectangle/cameras. Cost ∝ the target's observation count.
 //
-// The planner compares the two estimates: spatial selectivity comes from the
-// worker's feedback-driven ST-histogram (refined by every executed range
-// query — the "queries as light" design), target cardinality from the history
-// index itself. This is the adaptive predicate-ordering machinery the
-// spatio-temporal stream-optimization literature motivates, applied at the
-// worker level where the statistics live.
-
-const plannerHistogramGrid = 16
-
-// histogramFor lazily builds the worker's selectivity histogram over its
-// camera territory. Caller holds w.mu.
-func (w *Worker) histogramLocked() *stindex.STHistogram {
-	if w.hist != nil {
-		return w.hist
-	}
-	world := w.worldGuess()
-	if world.IsEmpty() {
-		return nil
-	}
-	w.hist = stindex.NewSTHistogram(world.Expand(routeSlack), plannerHistogramGrid, plannerHistogramGrid)
-	return w.hist
-}
-
-// feedbackRange reports an executed range query's actual selectivity to the
-// histogram. Selectivity is measured against the store size so estimates
-// translate directly to expected records scanned.
-func (w *Worker) feedbackRange(rect geo.Rect, matched, stored int) {
-	if stored == 0 {
-		return
-	}
-	w.mu.Lock()
-	h := w.histogramLocked()
-	w.mu.Unlock()
-	if h == nil {
-		return
-	}
-	h.Feedback(rect, float64(matched)/float64(stored))
-}
+// The planner prices both plans with the store's exact counts: Count settles
+// hot buckets and sealed chunks from their own counts, and TargetCount reads
+// the per-target index.
 
 // planFilter chooses the evaluation order for a multi-predicate query,
 // returning "spatial" or "target".
@@ -62,19 +26,11 @@ func (w *Worker) planFilter(m *wire.FilterQuery) string {
 	if m.TargetID == 0 {
 		return "spatial"
 	}
-	targetCost := float64(w.store.TargetCount(m.TargetID))
+	targetCost := w.store.TargetCount(m.TargetID)
 	if targetCost == 0 {
 		return "target" // provably empty: the cheapest possible plan
 	}
-	stored := float64(w.store.Len())
-	w.mu.Lock()
-	h := w.histogramLocked()
-	w.mu.Unlock()
-	spatialCost := stored // no statistics → assume full scan
-	if h != nil {
-		spatialCost = h.Estimate(m.Rect) * stored
-	}
-	if targetCost <= spatialCost {
+	if targetCost <= w.store.Count(m.Rect, m.Window.From, m.Window.To) {
 		return "target"
 	}
 	return "spatial"
@@ -107,10 +63,7 @@ func (w *Worker) onFilter(m *wire.FilterQuery) (any, error) {
 			}
 		}
 	default:
-		scanned := w.store.RangeQuery(m.Rect, m.Window.From, m.Window.To)
-		// The spatial scan doubles as histogram feedback.
-		w.feedbackRange(m.Rect, len(scanned), w.store.Len())
-		for _, r := range scanned {
+		for _, r := range w.store.RangeQuery(m.Rect, m.Window.From, m.Window.To) {
 			if match(r) {
 				recs = append(recs, r)
 			}
@@ -123,7 +76,7 @@ func (w *Worker) onFilter(m *wire.FilterQuery) (any, error) {
 		truncated = true
 	}
 	w.reg.Histogram("query.filter").Observe(w.now().Sub(start))
-	w.reg.Counter("plan." + plan).Inc() //lint:allow metricname cardinality bounded by the three planner strategies (spatial/temporal/target)
+	w.reg.Counter("plan." + plan).Inc() //lint:allow metricname cardinality bounded by the two planner strategies (spatial/target)
 	return &wire.FilterResult{
 		QueryID:   m.QueryID,
 		Records:   toWireRecords(recs),

@@ -12,7 +12,7 @@ import (
 // plannerFixture ingests a skewed workload: one "frequent" target with many
 // observations spread over the world, one "rare" target with few, plus
 // background observations concentrated in a hotspot rectangle.
-func plannerFixture(t *testing.T, workers int) (*Cluster, vision.Feature, vision.Feature) {
+func plannerFixture(t testing.TB, workers int) (*Cluster, vision.Feature, vision.Feature) {
 	t.Helper()
 	c := newTestCluster(t, workers, Options{LostAfter: time.Hour, AssocThreshold: 0.7})
 	if err := c.Coordinator.AddCameras(ctx, gridCams(world1, 2), 50); err != nil {
@@ -49,7 +49,7 @@ func plannerFixture(t *testing.T, workers int) (*Cluster, vision.Feature, vision
 	return c, frequent, rare
 }
 
-func targetIDOf(t *testing.T, c *Cluster, probe vision.Feature) uint64 {
+func targetIDOf(t testing.TB, c *Cluster, probe vision.Feature) uint64 {
 	t.Helper()
 	window := wire.TimeWindow{From: simT0, To: simT0.Add(time.Hour)}
 	for _, w := range c.Workers {
@@ -128,50 +128,98 @@ func TestFilterQueryCorrectness(t *testing.T) {
 	}
 }
 
-// TestPlannerAdaptsToSelectivity: after histogram warm-up, a rare-target
-// query picks the target plan, while a frequent-target query over a tiny
-// dense rectangle picks the spatial plan.
+// TestPlannerAdaptsToSelectivity: on a cold worker, a rare-target query
+// picks the target plan, a frequent-target query over a tiny sparse
+// rectangle picks the spatial plan, and the same frequent target over the
+// dense hotspot picks the target plan.
 func TestPlannerAdaptsToSelectivity(t *testing.T) {
 	// Single worker: target IDs are namespaced per worker, so plan choice —
 	// a per-worker decision — is only meaningful when the target's history
 	// lives on the worker answering the query.
 	c, frequent, rare := plannerFixture(t, 1)
 	window := wire.TimeWindow{From: simT0, To: simT0.Add(time.Hour)}
-
-	// Warm the selectivity histograms with range queries over the world,
-	// teaching the workers where the data is dense.
-	for x := 0.0; x < 1000; x += 125 {
-		for y := 0.0; y < 1000; y += 125 {
-			if _, err := c.Coordinator.Range(ctx, geo.RectOf(x, y, x+125, y+125), window, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
 	rareID := targetIDOf(t, c, rare)
 	freqID := targetIDOf(t, c, frequent)
 
-	// Rare target over the dense hotspot: scanning 3 history records beats
-	// scanning ~500 spatial records.
-	_, plans, err := c.Coordinator.Filter(ctx, wire.FilterQuery{
-		Rect: geo.RectOf(0, 0, 200, 200), Window: window, TargetID: rareID,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		rect   geo.Rect
+		target uint64
+		want   string
+	}{
+		// Scanning 3 history records beats scanning ~500 spatial records.
+		{"rare target, dense hotspot", geo.RectOf(0, 0, 200, 200), rareID, "target"},
+		// The spatial index wins over walking 200 history records.
+		{"frequent target, sparse rect", geo.RectOf(800, 800, 850, 850), freqID, "spatial"},
+		// 200 history records beat the hotspot's ~500.
+		{"frequent target, dense hotspot", geo.RectOf(0, 0, 200, 200), freqID, "target"},
+	} {
+		_, plans, err := c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: tc.rect, Window: window, TargetID: tc.target})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plans[tc.want] == 0 {
+			t.Errorf("%s: never chose the %s plan: %v", tc.name, tc.want, plans)
+		}
 	}
-	if plans["target"] == 0 {
-		t.Errorf("rare-target query never chose the target plan: %v", plans)
+}
+
+// TestPlannerPicksCheaperPlan: over a grid of rectangles, each for the rare
+// and the frequent target, the chosen plan is the one that visits fewer
+// records — the target's history length against the records in the
+// rectangle and window, both measured by materializing them.
+func TestPlannerPicksCheaperPlan(t *testing.T) {
+	c, frequent, rare := plannerFixture(t, 1)
+	w := c.Workers[0]
+	window := wire.TimeWindow{From: simT0, To: simT0.Add(time.Hour)}
+	ids := []uint64{targetIDOf(t, c, rare), targetIDOf(t, c, frequent)}
+	chosen := map[string]int{}
+	for x := 0.0; x < 1000; x += 125 {
+		for y := 0.0; y < 1000; y += 125 {
+			rect := geo.RectOf(x, y, x+125, y+125)
+			spatialCost := len(w.store.RangeQuery(rect, window.From, window.To))
+			for _, id := range ids {
+				targetCost := len(w.store.TargetHistory(id, time.Time{}, simT0.Add(24*time.Hour)))
+				want := "spatial"
+				if targetCost <= spatialCost {
+					want = "target"
+				}
+				resp, err := w.onFilter(&wire.FilterQuery{Rect: rect, Window: window, TargetID: id})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := resp.(*wire.FilterResult).Plan
+				if got != want {
+					t.Errorf("rect %v target %d: plan %s, want %s (target %d records, spatial %d)", rect, id, got, want, targetCost, spatialCost)
+				}
+				chosen[got]++
+			}
+		}
 	}
-	// Frequent target over a tiny sparse rectangle: the spatial index wins
-	// over walking 200 history records.
-	_, plans, err = c.Coordinator.Filter(ctx, wire.FilterQuery{
-		Rect: geo.RectOf(800, 800, 850, 850), Window: window, TargetID: freqID,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if chosen["spatial"] == 0 || chosen["target"] == 0 {
+		t.Errorf("the grid exercised only one plan: %v", chosen)
 	}
-	if plans["spatial"] == 0 {
-		t.Errorf("frequent-target query never chose the spatial plan: %v", plans)
+}
+
+// BenchmarkFilterPlan prices planning plus execution of a multi-predicate
+// query on the planner fixture's store: one rare-target query over the dense
+// hotspot and one frequent-target query over a sparse rectangle per op.
+func BenchmarkFilterPlan(b *testing.B) {
+	c, frequent, rare := plannerFixture(b, 1)
+	w := c.Workers[0]
+	window := wire.TimeWindow{From: simT0, To: simT0.Add(time.Hour)}
+	queries := []*wire.FilterQuery{
+		{Rect: geo.RectOf(0, 0, 200, 200), Window: window, TargetID: targetIDOf(b, c, rare)},
+		{Rect: geo.RectOf(800, 800, 850, 850), Window: window, TargetID: targetIDOf(b, c, frequent)},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range queries {
+			if _, err := w.onFilter(q); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"stcam/internal/camera"
 	"stcam/internal/cluster"
-	"stcam/internal/geo"
 	"stcam/internal/metrics"
 	"stcam/internal/stindex"
 	"stcam/internal/vision"
@@ -46,7 +45,7 @@ type Worker struct {
 
 	// mu guards the ingest stage-1 state: membership (epoch, cameras,
 	// primary), index-insert coherence (store, assoc, featureLog), delivery
-	// dedup (ingestSeqs), selectivity stats, and heartbeat state.
+	// dedup (ingestSeqs), and heartbeat state.
 	mu         sync.Mutex
 	epoch      uint64
 	cameras    map[uint32]*camera.Camera
@@ -57,7 +56,6 @@ type Worker struct {
 	localIDs   []uint64       // onIngest scratch: their associated identities
 	featureLog *featureRing
 	ingestSeqs map[string]*ingestSeqState
-	hist       *stindex.STHistogram
 	hbSeq      uint64
 	loadMeter  *metrics.Meter
 
@@ -539,7 +537,6 @@ func (w *Worker) onAssign(m *wire.AssignCameras) (any, error) {
 	for _, ci := range m.Replicas {
 		w.cameras[ci.ID] = camera.New(camera.ID(ci.ID), ci.Pos, ci.Orient, ci.HalfFOV, ci.Range)
 	}
-	w.hist = nil // territory changed; rebuild selectivity statistics lazily
 	w.reg.Gauge("cameras.owned").Set(int64(len(w.primary)))
 	w.reg.Gauge("cameras.replica").Set(int64(len(m.Replicas)))
 	return &wire.AssignAck{Epoch: m.Epoch, Accepted: len(m.Cameras) + len(m.Replicas)}, nil
@@ -692,9 +689,7 @@ func (w *Worker) curEpoch() uint64 {
 
 func (w *Worker) onRange(m *wire.RangeQuery) (any, error) {
 	start := w.now()
-	scanned := w.store.RangeQuery(m.Rect, m.Window.From, m.Window.To)
-	w.feedbackRange(m.Rect, len(scanned), w.store.Len())
-	recs := w.filterPrimary(scanned)
+	recs := w.filterPrimary(w.store.RangeQuery(m.Rect, m.Window.From, m.Window.To))
 	out := &wire.RangePart{QueryID: m.QueryID}
 	if m.Limit > 0 && len(recs) > m.Limit {
 		recs = recs[:m.Limit]
@@ -898,14 +893,4 @@ func (r *featureRing) scan(fn func(*wire.Observation)) {
 	for i := 0; i < n; i++ {
 		fn(&r.buf[i])
 	}
-}
-
-// worldGuess returns a bounding box around this worker's cameras, used to
-// seed continuous-query geometry checks.
-func (w *Worker) worldGuess() geo.Rect {
-	out := geo.EmptyRect()
-	for _, c := range w.cameras {
-		out = out.Union(c.Bounds())
-	}
-	return out
 }

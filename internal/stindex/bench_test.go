@@ -222,15 +222,3 @@ func BenchmarkInsertAtRetention(b *testing.B) {
 		s.Insert(st.record())
 	}
 }
-
-func BenchmarkHistogramFeedback(b *testing.B) {
-	world := geo.RectOf(0, 0, 2000, 2000)
-	h := NewSTHistogram(world, 20, 20)
-	rng := rand.New(rand.NewSource(3))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := geo.Pt(rng.Float64()*2000, rng.Float64()*2000)
-		h.Feedback(geo.RectAround(c, 150), rng.Float64()*0.1)
-	}
-}

@@ -1,7 +1,6 @@
 // Package stindex implements the per-worker spatio-temporal observation
 // store: a uniform spatial grid whose cells hold time-bucketed observation
-// records, plus a per-target history index and a feedback-driven selectivity
-// histogram. It answers the snapshot query repertoire of the framework —
+// records, plus a per-target history index. It answers the snapshot query repertoire of the framework —
 // spatio-temporal range, k-nearest within a time window, target history and
 // trajectory reconstruction — and supports retention eviction.
 //
