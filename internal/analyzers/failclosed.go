@@ -16,7 +16,7 @@ import (
 // Two switch shapes are in scope inside internal/wire and internal/stindex:
 //
 //   - expression switches whose tag is a named type ending in Kind or Format
-//     (wire.MsgKind, wire.Format, stindex chunk enums);
+//     (wire.MsgKind, stindex's chunkFormat);
 //   - type switches inside decode/unmarshal functions (the per-message decode
 //     dispatch).
 //

@@ -14,8 +14,8 @@ import (
 // documented //lint:allow suppressions.
 //
 // This is the regression lock for the PR-9 audit: the suite's initial run
-// over the tree found one genuine fail-open decode dispatch (newMessageV1 in
-// internal/wire, fixed with an explicit fail-closed default and pinned by
+// over the tree found one genuine fail-open decode dispatch (the message
+// factory in internal/wire, now newMessage, fixed with an explicit fail-closed default and pinned by
 // TestNewMessageFailsClosedOnUnknownKind) and no surviving RPC-under-lock or
 // missing-Release violations — the bug classes PRs 3, 5, 7 and 8 designed
 // out stay designed out. Any new raw time.Now, dynamic metric key, lock-held

@@ -10,25 +10,27 @@ import (
 	"stcam/internal/geo"
 )
 
-// r16Counters snapshots the coordinator counters R16 reports.
+// r16Counters snapshots the coordinator counters and the transport's
+// response bytes R16 reports.
 func r16Counters(c *core.Cluster) (asked, pruned, bytes int64) {
 	reg := c.Coordinator.Metrics()
 	return reg.Counter("scatter.asked").Value(),
 		reg.Counter("scatter.pruned").Value(),
-		reg.Counter("scatter.resp_bytes").Value()
+		c.Transport.Stats().BytesIn
 }
 
 // R16ScatterPruning measures the pruned two-phase read path against broadcast
 // fan-out as the cluster grows, on an identical localized query mix. Asked
 // and pruned are exact per-query worker counts from the coordinator's scatter
-// counters; response bytes are the re-marshaled wire size of every gathered
-// response (Options.WireAccounting). Expected shape: broadcast asks every
-// worker per kNN, so its asked column grows linearly with cluster size and
-// its gathered bytes with it; the pruned engine's asked column stays
-// near-flat because summaries bound the search to the few workers owning
-// data near each query point. Answers are identical by construction (the
-// differential suite in internal/core proves it); this table prices the
-// fan-out.
+// counters. Response bytes are the encoded size of every gathered response,
+// counted by the in-proc transport, which runs each call through the wire
+// codec (cluster.WithWireFormat); the latency columns therefore include the
+// codec round trip. Expected shape: broadcast asks every worker per kNN, so
+// its asked column grows linearly with cluster size and its gathered bytes
+// with it; the pruned engine's asked column stays near-flat because
+// summaries bound the search to the few workers owning data near each query
+// point. Answers are identical by construction (the differential suite in
+// internal/core proves it); this table prices the fan-out.
 func R16ScatterPruning(s Scale) *Table {
 	t := &Table{
 		ID:     "R16",
@@ -41,12 +43,11 @@ func R16ScatterPruning(s Scale) *Table {
 	queries := s.n(100)
 	for _, workers := range []int{4, 8, 16, 32} {
 		for _, engine := range []string{"broadcast", "pruned"} {
-			faulty := cluster.NewFaulty(cluster.NewInProc(), 1)
+			faulty := cluster.NewFaulty(cluster.NewInProc(cluster.WithWireFormat()), 1)
 			c, err := core.NewLocalClusterOver(faulty, workers, nil, core.Options{
-				CellSize:       50,
-				DisablePrune:   engine == "broadcast",
-				WireAccounting: true,
-				LostAfter:      time.Hour,
+				CellSize:     50,
+				DisablePrune: engine == "broadcast",
+				LostAfter:    time.Hour,
 			})
 			if err != nil {
 				panic(err)

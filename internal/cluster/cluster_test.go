@@ -240,6 +240,51 @@ func TestInProcWireFormatValueSemantics(t *testing.T) {
 	}
 }
 
+// TestTransportCountsPayloadBytes: BytesOut and BytesIn count the encoded
+// payload bytes of each request sent and each response received — frame
+// headers and their trace/QoS tags excluded — identically on the wire-format
+// in-proc transport and over loopback TCP.
+func TestTransportCountsPayloadBytes(t *testing.T) {
+	req := &wire.CountQuery{QueryID: 7, Rect: geo.RectOf(0, 0, 1, 1)}
+	resp, _ := echoHandler(context.Background(), "", req)
+	wantOut, err := wire.Marshal(wire.KindCountQuery, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIn, err := wire.Marshal(wire.KindCountResult, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mk := range map[string]func() (Transport, string){
+		"inproc-wire": func() (Transport, string) { return NewInProc(WithWireFormat()), "nodeA" },
+		"tcp":         func() (Transport, string) { return NewTCP(), "127.0.0.1:0" },
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr, addr := mk()
+			defer tr.Close()
+			srv, err := tr.Serve(addr, echoHandler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			// Two calls, the second traced and QoS-tagged: the tags must
+			// not count as payload.
+			tagged := WithTenant(WithPriority(WithTrace(ctx, 0xfeed), PriorityBackground), "acme")
+			for _, c := range []context.Context{ctx, tagged} {
+				if _, err := tr.Call(c, srv.Addr(), req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := tr.Stats()
+			if s.BytesOut != 2*int64(len(wantOut)) || s.BytesIn != 2*int64(len(wantIn)) {
+				t.Fatalf("BytesOut %d, BytesIn %d; want %d, %d", s.BytesOut, s.BytesIn, 2*len(wantOut), 2*len(wantIn))
+			}
+		})
+	}
+}
+
 func TestMembershipLifecycle(t *testing.T) {
 	m := NewMembership(time.Second)
 	now := time.Date(2026, 7, 5, 0, 0, 0, 0, time.UTC)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -40,8 +41,8 @@ func TestFrameV1Decode(t *testing.T) {
 	if hdr.reqID != 99 || hdr.flags != 0 || hdr.traceID != 0 || hdr.pri != PriorityNone || hdr.tenant != "" {
 		t.Fatalf("header = %+v, want reqID 99, zero flags/trace/QoS", hdr)
 	}
-	if !reflect.DeepEqual(env.Payload, msg) {
-		t.Fatalf("payload mismatch: %#v", env.Payload)
+	if !reflect.DeepEqual(env.payload, msg) {
+		t.Fatalf("payload mismatch: %#v", env.payload)
 	}
 }
 
@@ -64,7 +65,7 @@ func TestFrameUntracedIsV1(t *testing.T) {
 // trace bit tracking whether a trace ID rode along.
 func TestQuickFrameHeaderRoundTrip(t *testing.T) {
 	prop := func(reqID uint64, flags byte, traceID uint64, seq uint64) bool {
-		flags &^= flagTrace | flagFormat | flagQoS // encoder owns these bits
+		flags &= flagResponse // the encoder owns every other bit
 		msg := &wire.Heartbeat{Node: "w1", Seq: seq}
 		frame, err := appendRPCFrame(nil, reqID, flags, traceID, msg)
 		if err != nil {
@@ -79,7 +80,7 @@ func TestQuickFrameHeaderRoundTrip(t *testing.T) {
 			wantFlags |= flagTrace
 		}
 		return hdr.reqID == reqID && hdr.flags == wantFlags && hdr.traceID == traceID &&
-			reflect.DeepEqual(env.Payload, msg)
+			reflect.DeepEqual(env.payload, msg)
 	}
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(7))}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -118,7 +119,7 @@ func TestFrameQoSRoundTrip(t *testing.T) {
 		{0xfeed, PriorityControl, "tenant-with-a-longer-name"},
 	}
 	for _, tc := range cases {
-		frame, err := appendRPCFrameFull(nil, wire.FormatV1, 7, 0, tc.traceID, tc.pri, tc.tenant, msg)
+		frame, _, err := appendRPCFrameFull(nil, 7, 0, tc.traceID, tc.pri, tc.tenant, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,8 +133,8 @@ func TestFrameQoSRoundTrip(t *testing.T) {
 		if hdr.reqID != 7 || hdr.traceID != tc.traceID || hdr.pri != tc.pri || hdr.tenant != tc.tenant {
 			t.Fatalf("case %+v: header round trip changed: %+v", tc, hdr)
 		}
-		if !reflect.DeepEqual(env.Payload, msg) {
-			t.Fatalf("case %+v: payload mismatch: %#v", tc, env.Payload)
+		if !reflect.DeepEqual(env.payload, msg) {
+			t.Fatalf("case %+v: payload mismatch: %#v", tc, env.payload)
 		}
 	}
 }
@@ -143,7 +144,7 @@ func TestFrameQoSRoundTrip(t *testing.T) {
 // senders.
 func TestFrameQoSUntaggedIsV1(t *testing.T) {
 	msg := &wire.TrackStop{TrackID: 11}
-	got, err := appendRPCFrameFull(nil, wire.FormatV1, 5, 0, 0, PriorityNone, "", msg)
+	got, _, err := appendRPCFrameFull(nil, 5, 0, 0, PriorityNone, "", msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestFrameQoSUntaggedIsV1(t *testing.T) {
 // TestFrameQoSTruncated: flagQoS with a tenant length pointing past the end
 // of the frame must error, not panic or misparse.
 func TestFrameQoSTruncated(t *testing.T) {
-	frame, err := appendRPCFrameFull(nil, wire.FormatV1, 1, 0, 0, PriorityBackground, "acme", &wire.TrackStop{TrackID: 2})
+	frame, _, err := appendRPCFrameFull(nil, 1, 0, 0, PriorityBackground, "acme", &wire.TrackStop{TrackID: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,57 @@ func TestFrameQoSTruncated(t *testing.T) {
 	}
 	// And a tenant over the one-byte length bound must be refused at encode.
 	long := string(make([]byte, maxTenantLen+1))
-	if _, err := appendRPCFrameFull(nil, wire.FormatV1, 1, 0, 0, PriorityNone, long, &wire.TrackStop{TrackID: 2}); err == nil {
+	if _, _, err := appendRPCFrameFull(nil, 1, 0, 0, PriorityNone, long, &wire.TrackStop{TrackID: 2}); err == nil {
 		t.Fatal("oversized tenant encoded without error")
+	}
+}
+
+// TestFrameUnknownFlagsRejected: a frame setting a flag bit this build does
+// not read — bit2, once the payload-format tag, or any bit above the QoS
+// tag — must fail cleanly, never decode as if the bit were clear. The
+// encoder refuses such bits from its caller, so it never emits what the
+// reader rejects.
+func TestFrameUnknownFlagsRejected(t *testing.T) {
+	msg := &wire.Heartbeat{Node: "w1", Seq: 9}
+	for _, bit := range []byte{0x04, 0x10, 0x20, 0x40, 0x80} {
+		frame := encodeV1Frame(t, 3, bit, msg)
+		if _, _, err := readRPCFrame(bytes.NewReader(frame)); err == nil {
+			t.Errorf("frame with flag 0x%02x decoded without error", bit)
+		}
+		if _, err := appendRPCFrame(nil, 3, bit, 0, msg); err == nil {
+			t.Errorf("encoder accepted caller flag 0x%02x", bit)
+		}
+	}
+	for _, bit := range []byte{flagTrace, flagQoS} {
+		if _, err := appendRPCFrame(nil, 3, bit, 0, msg); err == nil {
+			t.Errorf("encoder accepted tag bit 0x%02x from its caller", bit)
+		}
+	}
+}
+
+// TestFrameOversizeRefused: a frame over MaxFrameSize is refused with
+// ErrFrameTooLarge on both sides — the encoder leaves buf as it was, and
+// the reader rejects a declared length past the cap (or shorter than the
+// header) before allocating for it.
+func TestFrameOversizeRefused(t *testing.T) {
+	over := &wire.IngestBatch{Observations: []wire.Observation{{
+		ObsID:   1,
+		Camera:  1,
+		Feature: make([]float32, MaxFrameSize/4+1),
+	}}}
+	pre := []byte{1, 2, 3}
+	out, err := appendRPCFrame(pre, 1, 0, 0, over)
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversize batch: got %v, want ErrFrameTooLarge", err)
+	}
+	if !bytes.Equal(out, pre) {
+		t.Fatalf("refused frame left %d bytes, want the original %d", len(out), len(pre))
+	}
+	for _, declared := range []uint32{MaxFrameSize + 1, 0xFFFFFFFF, rpcHeaderLen - 1, 0} {
+		frame := binary.BigEndian.AppendUint32(nil, declared)
+		frame = append(frame, make([]byte, rpcHeaderLen)...)
+		if _, _, err := readRPCFrame(bytes.NewReader(frame)); !errors.Is(err, ErrFrameTooLarge) {
+			t.Errorf("declared length %d: got %v, want ErrFrameTooLarge", declared, err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -18,21 +19,19 @@ import (
 //
 // RPC frame layout (inside the TCP stream):
 //
-//	[4B frame length][8B request id][1B flags][1B kind][8B trace id]?[1B priority][1B tenant len][tenant]?[1B format]?[payload]
+//	[4B frame length][8B request id][1B flags][1B kind][8B trace id]?[1B priority][1B tenant len][tenant]?[payload]
 //
 // where flags bit0 = response, bit1 = trace id present (frame v2: the 8-byte
-// trace field sits between the kind byte and the payload), bit2 = wire
-// format byte present (frame v3: a wire.Format byte follows the trace field —
-// or the kind byte when untraced — naming the payload encoding; without bit2
-// the payload is wire.FormatV1), and bit3 = QoS tag present (frame v4: a
-// priority byte plus a length-prefixed tenant name sit between the trace
-// field and the format byte; the serving plane's admission control reads
-// them via PriorityFrom/TenantFrom). Frames without bit1/bit2/bit3 are the
-// original v1 layout, so old and new peers interoperate: a v1 frame decodes
-// as an untraced, untagged FormatV1 call, and untraced untagged FormatV1
-// calls are emitted as v1 frames byte-for-byte. An unknown format byte fails
-// the frame cleanly — it is never mis-decoded as FormatV1. The frame length
-// covers everything after the length field itself.
+// trace field follows the kind byte), and bit3 = QoS tag present (frame v4: a
+// priority byte plus a length-prefixed tenant name follow the trace field;
+// the serving plane's admission control reads them via
+// PriorityFrom/TenantFrom). Frames without bit1/bit3 are the original v1
+// layout, so old and new peers interoperate: a v1 frame decodes as an
+// untraced, untagged call, and untraced untagged calls are emitted as v1
+// frames byte-for-byte. Any other flag bit fails the frame cleanly, so a
+// frame from a newer layout is never misread as this one. The payload is the
+// wire codec's encoding of the kind's message; the frame length covers
+// everything after the length field itself and is capped at MaxFrameSize.
 //
 // Frames are built in and read into pooled wire.Buf buffers: encode appends
 // the header and payload into one borrowed buffer released after the socket
@@ -53,16 +52,31 @@ func NewTCP() *TCP {
 
 var _ Transport = (*TCP)(nil)
 
+// MaxFrameSize bounds a single frame; larger frames are rejected on both
+// sides to keep a corrupt or malicious peer from forcing huge allocations.
+const MaxFrameSize = 64 << 20
+
+// ErrFrameTooLarge is returned for frames exceeding MaxFrameSize.
+var ErrFrameTooLarge = errors.New("cluster: frame exceeds maximum size")
+
 const (
 	flagResponse = 1 << 0
 	flagTrace    = 1 << 1 // frame v2: 8-byte trace id follows the kind byte
-	flagFormat   = 1 << 2 // frame v3: wire.Format byte follows the trace field
 	flagQoS      = 1 << 3 // frame v4: priority byte + tenant string follow the trace field
+	// flagsKnown is every flag bit this build reads; a frame setting any
+	// other bit is rejected.
+	flagsKnown   = flagResponse | flagTrace | flagQoS
 	rpcHeaderLen = 8 + 1 + 1
 	rpcTraceLen  = 8
 	// maxTenantLen bounds the tenant name on the wire (one length byte).
 	maxTenantLen = 255
 )
+
+// envelope is a decoded payload and its encoded size in bytes.
+type envelope struct {
+	payload any
+	size    int
+}
 
 // frameHeader is the decoded RPC frame header: identity, routing flags, and
 // the optional trace/QoS tags.
@@ -167,7 +181,7 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 			hctx := WithTrace(context.Background(), hdr.traceID)
 			hctx = WithPriority(hctx, hdr.pri)
 			hctx = WithTenant(hctx, hdr.tenant)
-			resp, err := s.handler(hctx, peer, env.Payload)
+			resp, err := s.handler(hctx, peer, env.payload)
 			if err != nil {
 				resp = &wire.Error{Code: wire.CodeUnknown, Message: err.Error()}
 			}
@@ -275,7 +289,7 @@ type tcpClient struct {
 	w       *bufio.Writer
 
 	mu      sync.Mutex
-	pending map[uint64]chan wire.Envelope
+	pending map[uint64]chan envelope
 	nextID  uint64
 	closed  bool
 }
@@ -285,7 +299,7 @@ func newTCPClient(conn net.Conn, stats *statCounters) *tcpClient {
 		conn:    conn,
 		stats:   stats,
 		w:       bufio.NewWriterSize(conn, 64<<10),
-		pending: make(map[uint64]chan wire.Envelope),
+		pending: make(map[uint64]chan envelope),
 		nextID:  1,
 	}
 	go c.readLoop()
@@ -337,7 +351,7 @@ func (c *tcpClient) readLoop() {
 }
 
 func (c *tcpClient) call(ctx context.Context, req any) (any, error) {
-	ch := make(chan wire.Envelope, 1)
+	ch := make(chan envelope, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -349,7 +363,7 @@ func (c *tcpClient) call(ctx context.Context, req any) (any, error) {
 	c.mu.Unlock()
 
 	c.writeMu.Lock()
-	err := writeRPCFrame(c.w, id, 0, TraceFrom(ctx), PriorityFrom(ctx), TenantFrom(ctx), req)
+	n, err := writeRPCFrame(c.w, id, TraceFrom(ctx), PriorityFrom(ctx), TenantFrom(ctx), req)
 	if err == nil {
 		err = c.w.Flush()
 	}
@@ -361,13 +375,15 @@ func (c *tcpClient) call(ctx context.Context, req any) (any, error) {
 		c.close()
 		return nil, fmt.Errorf("cluster: send: %w", err)
 	}
+	c.stats.bytesOut.Add(int64(n))
 
 	select {
 	case env, ok := <-ch:
 		if !ok {
 			return nil, ErrUnreachable
 		}
-		return env.Payload, nil
+		c.stats.bytesIn.Add(int64(env.size))
+		return env.payload, nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, id)
@@ -385,42 +401,31 @@ func (c *tcpClient) call(ctx context.Context, req any) (any, error) {
 // (flagTrace set, 8-byte trace field); traceID 0 emits the original v1 frame
 // byte-for-byte.
 func appendRPCFrame(buf []byte, reqID uint64, flags byte, traceID uint64, payload any) ([]byte, error) {
-	return appendRPCFrameFull(buf, wire.FormatV1, reqID, flags, traceID, PriorityNone, "", payload)
+	frame, _, err := appendRPCFrameFull(buf, reqID, flags, traceID, PriorityNone, "", payload)
+	return frame, err
 }
 
-// appendRPCFrameFormat is appendRPCFrame for an explicit wire format.
-// FormatV1 is always emitted untagged (flagFormat clear, no format byte) so
-// v1 peers keep decoding it; any other format sets flagFormat and inserts its
-// format byte before the payload.
-func appendRPCFrameFormat(buf []byte, f wire.Format, reqID uint64, flags byte, traceID uint64, payload any) ([]byte, error) {
-	return appendRPCFrameFull(buf, f, reqID, flags, traceID, PriorityNone, "", payload)
-}
-
-// appendRPCFrameFull is the full frame encoder: format, trace, and QoS tags.
-// An untagged call (PriorityNone, empty tenant) emits a pre-QoS frame
-// byte-for-byte, so old peers keep decoding traffic from new clients.
-func appendRPCFrameFull(buf []byte, f wire.Format, reqID uint64, flags byte, traceID uint64, pri Priority, tenant string, payload any) ([]byte, error) {
+// appendRPCFrameFull is the full frame encoder: trace and QoS tags. It also
+// returns the payload's encoded size. The caller may set only flagResponse;
+// the encoder owns the tag bits. An untagged call (PriorityNone, empty
+// tenant) emits a pre-QoS frame byte-for-byte, so old peers keep decoding
+// traffic from new clients.
+func appendRPCFrameFull(buf []byte, reqID uint64, flags byte, traceID uint64, pri Priority, tenant string, payload any) ([]byte, int, error) {
 	kind := wire.KindOf(payload)
 	if kind == 0 {
-		return buf, &RemoteError{Code: wire.CodeBadRequest, Message: fmt.Sprintf("unknown message type %T", payload)}
+		return buf, 0, &RemoteError{Code: wire.CodeBadRequest, Message: fmt.Sprintf("unknown message type %T", payload)}
+	}
+	if flags&^flagResponse != 0 {
+		return buf, 0, fmt.Errorf("cluster: frame flags 0x%02x: only the response bit is the caller's", flags)
 	}
 	if len(tenant) > maxTenantLen {
-		return buf, &RemoteError{Code: wire.CodeBadRequest, Message: fmt.Sprintf("tenant name %d bytes exceeds %d", len(tenant), maxTenantLen)}
+		return buf, 0, &RemoteError{Code: wire.CodeBadRequest, Message: fmt.Sprintf("tenant name %d bytes exceeds %d", len(tenant), maxTenantLen)}
 	}
 	if traceID != 0 {
 		flags |= flagTrace
-	} else {
-		flags &^= flagTrace
-	}
-	if f != wire.FormatV1 {
-		flags |= flagFormat
-	} else {
-		flags &^= flagFormat
 	}
 	if pri != PriorityNone || tenant != "" {
 		flags |= flagQoS
-	} else {
-		flags &^= flagQoS
 	}
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0)
@@ -433,92 +438,86 @@ func appendRPCFrameFull(buf []byte, f wire.Format, reqID uint64, flags byte, tra
 		buf = append(buf, byte(pri), byte(len(tenant)))
 		buf = append(buf, tenant...)
 	}
-	if f != wire.FormatV1 {
-		buf = append(buf, byte(f))
-	}
-	out, err := wire.MarshalFormat(f, buf, kind, payload)
+	out, err := wire.AppendMarshal(buf, kind, payload)
 	if err != nil {
-		return buf[:start], err
+		return buf[:start], 0, err
 	}
 	total := len(out) - start - 4
-	if total > wire.MaxFrameSize {
-		return out[:start], wire.ErrFrameTooLarge
+	if total > MaxFrameSize {
+		return out[:start], 0, ErrFrameTooLarge
 	}
 	binary.BigEndian.PutUint32(out[start:start+4], uint32(total))
-	return out, nil
+	return out, len(out) - len(buf), nil
 }
 
-// writeRPCFrame marshals and writes one framed RPC message via a pooled
-// buffer (w is buffered, so the frame is copied before release). pri/tenant
-// add the QoS tag; untagged calls stay pre-QoS frames byte-for-byte.
-func writeRPCFrame(w io.Writer, reqID uint64, flags byte, traceID uint64, pri Priority, tenant string, payload any) error {
+// writeRPCFrame marshals and writes one framed RPC request via a pooled
+// buffer (w is buffered, so the frame is copied before release) and returns
+// the payload's encoded size. pri/tenant add the QoS tag; untagged calls
+// stay pre-QoS frames byte-for-byte.
+func writeRPCFrame(w io.Writer, reqID uint64, traceID uint64, pri Priority, tenant string, payload any) (int, error) {
 	buf := wire.BorrowBuf()
 	defer buf.Release()
-	frame, err := appendRPCFrameFull(buf.B[:0], wire.FormatV1, reqID, flags, traceID, pri, tenant, payload)
+	frame, n, err := appendRPCFrameFull(buf.B[:0], reqID, 0, traceID, pri, tenant, payload)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	buf.B = frame
-	_, err = w.Write(frame)
-	return err
+	if _, err := w.Write(frame); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // readRPCFrame reads one framed RPC message into a pooled buffer, released
 // before returning (decoded payloads never alias it). hdr.traceID is 0 and
-// hdr.pri/hdr.tenant are zero for v1 frames. A flagFormat frame dispatches on
-// its format byte; unknown formats error cleanly instead of being decoded as
-// FormatV1.
-func readRPCFrame(r io.Reader) (hdr frameHeader, env wire.Envelope, err error) {
+// hdr.pri/hdr.tenant are zero for v1 frames. A frame setting a flag bit
+// outside flagsKnown is rejected, never decoded as if the bit were clear.
+func readRPCFrame(r io.Reader) (hdr frameHeader, env envelope, err error) {
 	var lenBuf [4]byte
 	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
-		return frameHeader{}, wire.Envelope{}, err
+		return frameHeader{}, envelope{}, err
 	}
 	total := binary.BigEndian.Uint32(lenBuf[:])
-	if total < rpcHeaderLen || total > wire.MaxFrameSize {
-		return frameHeader{}, wire.Envelope{}, wire.ErrFrameTooLarge
+	if total < rpcHeaderLen || total > MaxFrameSize {
+		return frameHeader{}, envelope{}, ErrFrameTooLarge
 	}
 	b := wire.BorrowBuf()
 	defer b.Release()
 	buf := b.Grow(int(total))
 	if _, err = io.ReadFull(r, buf); err != nil {
-		return frameHeader{}, wire.Envelope{}, err
+		return frameHeader{}, envelope{}, err
 	}
 	hdr.reqID = binary.BigEndian.Uint64(buf[0:8])
 	hdr.flags = buf[8]
+	if hdr.flags&^flagsKnown != 0 {
+		return frameHeader{}, envelope{}, fmt.Errorf("cluster: unknown frame flags 0x%02x", hdr.flags&^flagsKnown)
+	}
 	kind := wire.MsgKind(buf[9])
 	body := buf[rpcHeaderLen:]
 	if hdr.flags&flagTrace != 0 {
 		if len(body) < rpcTraceLen {
-			return frameHeader{}, wire.Envelope{}, io.ErrUnexpectedEOF
+			return frameHeader{}, envelope{}, io.ErrUnexpectedEOF
 		}
 		hdr.traceID = binary.BigEndian.Uint64(body[:rpcTraceLen])
 		body = body[rpcTraceLen:]
 	}
 	if hdr.flags&flagQoS != 0 {
 		if len(body) < 2 {
-			return frameHeader{}, wire.Envelope{}, io.ErrUnexpectedEOF
+			return frameHeader{}, envelope{}, io.ErrUnexpectedEOF
 		}
 		hdr.pri = Priority(body[0])
 		tlen := int(body[1])
 		body = body[2:]
 		if len(body) < tlen {
-			return frameHeader{}, wire.Envelope{}, io.ErrUnexpectedEOF
+			return frameHeader{}, envelope{}, io.ErrUnexpectedEOF
 		}
 		// The tenant must not alias the pooled read buffer.
 		hdr.tenant = string(body[:tlen])
 		body = body[tlen:]
 	}
-	format := wire.FormatV1
-	if hdr.flags&flagFormat != 0 {
-		if len(body) < 1 {
-			return frameHeader{}, wire.Envelope{}, io.ErrUnexpectedEOF
-		}
-		format = wire.Format(body[0])
-		body = body[1:]
-	}
-	payload, err := wire.UnmarshalFormat(format, kind, body)
+	payload, err := wire.Unmarshal(kind, body)
 	if err != nil {
-		return frameHeader{}, wire.Envelope{}, err
+		return frameHeader{}, envelope{}, err
 	}
-	return hdr, wire.Envelope{Kind: kind, Payload: payload}, nil
+	return hdr, envelope{payload: payload, size: len(body)}, nil
 }

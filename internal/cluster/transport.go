@@ -42,8 +42,11 @@ type Transport interface {
 // resilience counters are zero unless the transport is wrapped in a
 // Resilient decorator, which fills them in its Stats snapshot.
 type TransportStats struct {
-	Calls    int64
-	Errors   int64
+	Calls  int64
+	Errors int64
+	// BytesOut and BytesIn are the encoded payload bytes of the requests
+	// Call sent and the responses it received, frame headers excluded. TCP
+	// always counts them; InProc only with WithWireFormat.
 	BytesOut int64
 	BytesIn  int64
 

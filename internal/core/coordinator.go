@@ -823,13 +823,6 @@ func (c *Coordinator) scatter(ctx context.Context, addrs []string, req any) ([]a
 				c.reg.Counter("scatter.errors").Inc()
 				return
 			}
-			if c.opts.WireAccounting {
-				// Measure the response's encoding so bytes-on-wire is
-				// known even on in-process transports (experiment R16).
-				if n, merr := wire.EncodedLen(wire.KindOf(resp), resp); merr == nil {
-					c.reg.Counter("scatter.resp_bytes").Add(int64(n))
-				}
-			}
 			out[i] = resp
 		}(i, addr)
 	}

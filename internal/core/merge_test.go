@@ -333,8 +333,8 @@ func TestRangeLimitReportsTruncated(t *testing.T) {
 }
 
 // BenchmarkRangeMerge prices the coordinator's hop of a wide range answer:
-// four workers' 24 k-record RangePart frames decoded, merged, sized for the
-// cache and framed as the client's RangeResult.
+// four workers' 24 k-record RangePart payloads decoded, merged, sized for the
+// cache and encoded as the client's RangeResult.
 func BenchmarkRangeMerge(b *testing.B) {
 	const workers, perWorker = 4, 24000
 	rng := rand.New(rand.NewSource(1))
@@ -370,11 +370,11 @@ func BenchmarkRangeMerge(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf := wire.BorrowBuf()
-		frame, err := wire.AppendFrame(buf.B[:0], wire.KindRangeResult, res)
+		out, err := wire.AppendMarshal(buf.B[:0], wire.KindRangeResult, res)
 		if err != nil {
 			b.Fatal(err)
 		}
-		buf.B = frame
+		buf.B = out
 		buf.Release()
 	}
 }

@@ -112,12 +112,6 @@ type Options struct {
 	// internal/core and internal/cluster are rejected by the clockinject
 	// static analyzer.
 	Clock clock.Clock
-	// WireAccounting, when true, re-marshals every scatter response to count
-	// result bytes into the scatter.resp_bytes counter — meaningful even on
-	// in-process transports with no real wire. Off by default (it duplicates
-	// marshal work on the read path); experiment R16 enables it to measure
-	// bytes-on-wire under pruning vs broadcast.
-	WireAccounting bool
 }
 
 func (o *Options) fill() {

@@ -15,10 +15,13 @@ import (
 
 // This file is the sealed-chunk codec: once a run of observations ages past
 // the store's seal horizon it is compacted into an immutable, delta-compressed
-// byte blob. Chunks follow the wire.Format discipline (and metrictank's chunk
-// format enum): byte 0 names the encoding, decoding dispatches on that tag,
-// and an unknown tag or flag is a clean error — never a fallback to v1, since
-// mis-decoding a future encoding as v1 would corrupt query answers silently.
+// byte blob. The chunk tag is the repository's only format tag: sealed bytes
+// are the one encoding that could outlive the binary that wrote them, while
+// the wire codec has a single encoding and no RPC frame outlives the process
+// that reads it. Following metrictank's chunk format enum, byte 0 names the
+// encoding, decoding dispatches on that tag, and an unknown tag or flag is a
+// clean error — never a fallback to v1, since mis-decoding a future encoding
+// as v1 would corrupt query answers silently.
 
 // chunkFormat tags one encoding of a sealed chunk.
 type chunkFormat byte

@@ -2,27 +2,24 @@ package wire
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"testing"
 	"time"
 )
 
-// FuzzUnmarshal throws arbitrary (format, kind, body) triples at the codec's
-// dispatch layer: UnmarshalFormat must either return a value or an error —
-// never panic, never over-allocate on a hostile length prefix, and NEVER
-// decode an unknown format tag as if it were FormatV1 (a future encoding
-// mis-read as v1 would corrupt silently; erroring is the only safe answer).
-// Anything FormatV1 does accept must survive a Marshal/Unmarshal round trip
-// unchanged. The corpus is seeded from the committed golden frames, so every
-// message kind's canonical v1 payload is a fuzz starting point.
+// FuzzUnmarshal throws arbitrary (kind, body) pairs at the decoder: Unmarshal
+// must either return a value or an error — never panic, never over-allocate
+// on a hostile length prefix, and never decode an unknown kind. Anything it
+// does accept must survive a Marshal/Unmarshal round trip unchanged. The
+// corpus is seeded from the committed golden frames, so every message kind's
+// canonical payload is a fuzz starting point.
 func FuzzUnmarshal(f *testing.F) {
 	seed := func(kind MsgKind, payload any) {
 		body, err := Marshal(kind, payload)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(int(kind), byte(FormatV1), body)
+		f.Add(int(kind), body)
 	}
 	t0 := time.Unix(1700000000, 0).UTC()
 	// A heartbeat carrying a spatial summary covers the sketch codec the
@@ -48,8 +45,9 @@ func FuzzUnmarshal(f *testing.F) {
 	)})
 
 	// Seed every kind's canonical payload from the committed golden frames
-	// (stripping the 5-byte frame header), plus mutations of the format tag
-	// so the dispatch-rejection path starts in the corpus.
+	// (stripping the 5-byte frame header), plus two rejections per kind: the
+	// payload cut short by one byte, and the payload under its kind with the
+	// retired format-tag bit (0x80) set, which is no kind at all.
 	for _, fx := range goldenFixtures() {
 		frame, err := os.ReadFile(goldenPath(fx.kind))
 		if err != nil {
@@ -59,23 +57,18 @@ func FuzzUnmarshal(f *testing.F) {
 			f.Fatalf("golden frame for %v shorter than a header", fx.kind)
 		}
 		body := frame[5:]
-		f.Add(int(fx.kind), byte(FormatV1), body)
-		f.Add(int(fx.kind), byte(0), body)    // reserved format 0
-		f.Add(int(fx.kind), byte(0x7f), body) // far-future format
+		f.Add(int(fx.kind), body)
+		f.Add(int(fx.kind), body[:max(len(body)-1, 0)])
+		f.Add(int(fx.kind)|0x80, body)
 	}
+	// Unknown kinds, so the rejection path starts in the corpus.
+	f.Add(0, []byte{})    // reserved kind 0
+	f.Add(0x7f, []byte{}) // far-future kind
 
-	f.Fuzz(func(t *testing.T, kind int, format byte, body []byte) {
-		v, err := UnmarshalFormat(Format(format), MsgKind(kind), body)
-		if Format(format) != FormatV1 {
-			// Unknown format: must error cleanly, and specifically with the
-			// dispatch error — not fall through to a v1 decode.
-			if err == nil {
-				t.Fatalf("unknown format 0x%02x decoded (kind %d) instead of erroring", format, kind)
-			}
-			if !errors.Is(err, ErrUnknownFormat) {
-				t.Fatalf("unknown format 0x%02x: got %v, want ErrUnknownFormat", format, err)
-			}
-			return
+	f.Fuzz(func(t *testing.T, kind int, body []byte) {
+		v, err := Unmarshal(MsgKind(kind), body)
+		if newMessage(MsgKind(kind)) == nil && err == nil {
+			t.Fatalf("unknown kind %d decoded instead of erroring", kind)
 		}
 		if err != nil {
 			return
@@ -86,7 +79,7 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		// The decode-into path must agree with the value path on every input
 		// the value path accepts.
-		into := newMessageV1(MsgKind(kind))
+		into := newMessage(MsgKind(kind))
 		if err := UnmarshalInto(MsgKind(kind), body, into); err != nil {
 			t.Fatalf("value path accepted but decode-into rejected: %v", err)
 		}

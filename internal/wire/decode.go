@@ -10,9 +10,9 @@ import (
 	"stcam/internal/geo"
 )
 
-// FormatV1 decoding. There is one decode implementation — decodeIntoV1 — and
-// the value-returning path is just the same code run against a freshly
-// allocated struct (newMessageV1), so the two flavors cannot drift apart.
+// There is one decode implementation — UnmarshalInto — and the
+// value-returning Unmarshal is just the same code run against a freshly
+// allocated struct (newMessage), so the two flavors cannot drift apart.
 //
 // Decode-into reuses capacity reachable from msg: slices are re-sliced when
 // their backing arrays are big enough (length 0 on the wire decodes to nil,
@@ -20,13 +20,18 @@ import (
 // bytes differ (the comparison does not allocate; stable tags like Source and
 // node IDs cost nothing after the first decode), and nested structs recurse
 // the same way. Every field of msg is overwritten — stale contents of a
-// reused struct never leak into a decode. Nothing decoded aliases the input
-// buffer, so body may come from a pool and be released as soon as decode
-// returns.
+// reused struct never leak into a decode.
 
-// decodeIntoV1 decodes a FormatV1 payload into msg, which must be a pointer
-// to the message struct matching kind.
-func decodeIntoV1(kind MsgKind, body []byte, msg any) error {
+// UnmarshalInto decodes a payload of the given kind into msg, reusing msg's
+// existing slice capacity (Observations, Records, Feature backing arrays,
+// strings left untouched when unchanged) instead of allocating. msg must be a
+// pointer to the message struct matching kind.
+//
+// Reuse contract: the decode overwrites msg in place, including backing
+// arrays reached through it, so a struct may be handed back for reuse only
+// once nothing else references its previous contents. Decoded messages never
+// alias body — the input buffer may be pooled and released immediately after.
+func UnmarshalInto(kind MsgKind, body []byte, msg any) error {
 	if k := KindOf(msg); k != kind {
 		return fmt.Errorf("wire: cannot unmarshal kind %v into %T", kind, msg)
 	}
@@ -238,9 +243,9 @@ func decodeIntoV1(kind MsgKind, body []byte, msg any) error {
 	return nil
 }
 
-// newMessageV1 allocates the zero message struct for a kind, or nil when the
+// newMessage allocates the zero message struct for a kind, or nil when the
 // kind is unknown. It is the factory behind the value-returning Unmarshal.
-func newMessageV1(kind MsgKind) any {
+func newMessage(kind MsgKind) any {
 	switch kind {
 	case KindRegister:
 		return &Register{}
@@ -331,7 +336,7 @@ func newMessageV1(kind MsgKind) any {
 	case KindRangePart:
 		return &RangePart{}
 	default:
-		// Fail closed: an unknown kind yields nil, which UnmarshalFormat
+		// Fail closed: an unknown kind yields nil, which Unmarshal
 		// converts to an error. Falling off the switch would decode the same
 		// way today, but only by accident of the caller — the explicit
 		// default is the contract (and what the failclosed analyzer checks).

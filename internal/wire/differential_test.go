@@ -59,7 +59,7 @@ func decodeBoth(t *testing.T, kind MsgKind, body []byte, dirtyWith []byte, wantD
 	if err != nil {
 		t.Fatalf("Unmarshal %v: %v", kind, err)
 	}
-	vNew := newMessageV1(kind)
+	vNew := newMessage(kind)
 	if dirtyWith != nil {
 		if err := UnmarshalInto(kind, dirtyWith, vNew); err != nil {
 			t.Fatalf("UnmarshalInto (dirtying) %v: %v", kind, err)

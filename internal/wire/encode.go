@@ -9,14 +9,11 @@ import (
 	"stcam/internal/geo"
 )
 
-// FormatV1 encoding. appendV1 is append-style: it extends dst in place and
-// allocates only when dst lacks capacity, so hot paths can encode into pooled
-// buffers with zero allocations. The byte layout is frozen by the golden
-// frames under testdata/golden/ — any change here is a new Format, not an
-// edit to this one.
-
-// appendV1 appends the FormatV1 encoding of payload onto dst.
-func appendV1(dst []byte, kind MsgKind, payload any) ([]byte, error) {
+// AppendMarshal appends the encoding of payload onto dst and returns the
+// extended slice. It allocates only when dst lacks capacity, so a pooled or
+// reused dst makes encoding allocation-free. The byte layout is frozen by the
+// golden frames under testdata/golden/.
+func AppendMarshal(dst []byte, kind MsgKind, payload any) ([]byte, error) {
 	e := encoder{buf: dst}
 	switch m := payload.(type) {
 	case *Register:

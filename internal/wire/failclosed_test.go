@@ -6,8 +6,8 @@ import (
 )
 
 // TestNewMessageFailsClosedOnUnknownKind pins the factory's fail-closed
-// contract over the whole kind space: every value newMessageV1 does not
-// recognize must yield untyped nil, and UnmarshalFormat must convert that nil
+// contract over the whole kind space: every value newMessage does not
+// recognize must yield untyped nil, and Unmarshal must convert that nil
 // into an explicit "unknown message kind" error — never hand back a silently
 // zero-decoded message. (Regression for the fall-open switch the failclosed
 // analyzer flagged: the old code fell off the end of the switch, and the
@@ -16,12 +16,12 @@ func TestNewMessageFailsClosedOnUnknownKind(t *testing.T) {
 	known := 0
 	for k := 0; k < 256; k++ {
 		kind := MsgKind(k)
-		msg := newMessageV1(kind)
+		msg := newMessage(kind)
 		if msg != nil {
 			known++
 			continue
 		}
-		got, err := UnmarshalFormat(FormatV1, kind, nil)
+		got, err := Unmarshal(kind, nil)
 		if err == nil {
 			t.Fatalf("kind %d: unknown kind decoded without error (got %T)", k, got)
 		}

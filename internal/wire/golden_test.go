@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -12,11 +13,12 @@ import (
 	"stcam/internal/geo"
 )
 
-// The golden-frame suite freezes the v1 wire encoding: one committed frame
-// per message kind under testdata/golden/, generated once from the original
-// encoder. The tests assert the current encoder reproduces every committed
-// frame byte for byte and the decoder accepts them, so a codec rewrite
-// provably cannot break nodes speaking the old encoding mid-rolling-upgrade.
+// The golden-frame suite freezes the wire encoding: one committed frame per
+// message kind under testdata/golden/ (4-byte length, kind byte, payload),
+// generated once from the original encoder. The tests check each frame's
+// header and assert the current encoder reproduces every committed payload
+// byte for byte and the decoder accepts it, so a codec rewrite provably
+// cannot break nodes speaking the old encoding mid-rolling-upgrade.
 //
 // Regenerate (only for a deliberate, versioned format change — never to make
 // a red test green) with:
@@ -197,8 +199,25 @@ func TestGoldenCoversEveryKind(t *testing.T) {
 	}
 }
 
+// goldenPayload checks a committed frame's header — the 4-byte big-endian
+// length of everything after it, then the kind byte — and returns the
+// payload that follows.
+func goldenPayload(t *testing.T, kind MsgKind, frame []byte) []byte {
+	t.Helper()
+	if len(frame) < 5 {
+		t.Fatalf("%v: committed frame of %d bytes is shorter than its header", kind, len(frame))
+	}
+	if n := binary.BigEndian.Uint32(frame[:4]); int(n) != len(frame)-4 {
+		t.Fatalf("%v: committed frame declares length %d, carries %d", kind, n, len(frame)-4)
+	}
+	if MsgKind(frame[4]) != kind {
+		t.Fatalf("%v: committed frame has kind byte %d", kind, frame[4])
+	}
+	return frame[5:]
+}
+
 // TestGoldenEncoderByteIdentical: the current encoder must reproduce every
-// committed frame byte for byte. With STCAM_UPDATE_GOLDEN set the files are
+// committed payload byte for byte. With STCAM_UPDATE_GOLDEN set the files are
 // rewritten instead (a deliberate format change).
 func TestGoldenEncoderByteIdentical(t *testing.T) {
 	update := os.Getenv("STCAM_UPDATE_GOLDEN") != ""
@@ -208,28 +227,29 @@ func TestGoldenEncoderByteIdentical(t *testing.T) {
 		}
 	}
 	for _, fx := range goldenFixtures() {
-		var buf bytes.Buffer
-		if err := WriteMessage(&buf, fx.kind, fx.msg); err != nil {
+		got, err := AppendMarshal(nil, fx.kind, fx.msg)
+		if err != nil {
 			t.Fatalf("encode %v: %v", fx.kind, err)
 		}
 		path := goldenPath(fx.kind)
 		if update {
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			frame := append(binary.BigEndian.AppendUint32(nil, uint32(1+len(got))), byte(fx.kind))
+			if err := os.WriteFile(path, append(frame, got...), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
-		want, err := os.ReadFile(path)
+		frame, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("missing golden frame for %v (run with STCAM_UPDATE_GOLDEN=1 only for a deliberate format change): %v", fx.kind, err)
 		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%v: encoder output differs from committed v1 frame\n got  %x\n want %x", fx.kind, buf.Bytes(), want)
+		if want := goldenPayload(t, fx.kind, frame); !bytes.Equal(got, want) {
+			t.Errorf("%v: encoder output differs from committed payload\n got  %x\n want %x", fx.kind, got, want)
 		}
 	}
 }
 
-// TestGoldenDecoderAccepts: every committed frame must decode, and the
+// TestGoldenDecoderAccepts: every committed payload must decode, and the
 // decoded value must re-encode to exactly the committed bytes (the decoder
 // preserves float bit patterns, so byte equality is the correct oracle even
 // for NaN-carrying fixtures).
@@ -242,19 +262,17 @@ func TestGoldenDecoderAccepts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", fx.kind, err)
 		}
-		env, err := ReadMessage(bytes.NewReader(frame))
+		body := goldenPayload(t, fx.kind, frame)
+		msg, err := Unmarshal(fx.kind, body)
 		if err != nil {
-			t.Fatalf("decode committed %v frame: %v", fx.kind, err)
+			t.Fatalf("decode committed %v payload: %v", fx.kind, err)
 		}
-		if env.Kind != fx.kind {
-			t.Fatalf("committed %v frame decoded as kind %v", fx.kind, env.Kind)
-		}
-		var buf bytes.Buffer
-		if err := WriteMessage(&buf, env.Kind, env.Payload); err != nil {
+		got, err := Marshal(fx.kind, msg)
+		if err != nil {
 			t.Fatalf("re-encode decoded %v: %v", fx.kind, err)
 		}
-		if !bytes.Equal(buf.Bytes(), frame) {
-			t.Errorf("%v: decode→encode does not reproduce the committed frame\n got  %x\n want %x", fx.kind, buf.Bytes(), frame)
+		if !bytes.Equal(got, body) {
+			t.Errorf("%v: decode→encode does not reproduce the committed payload\n got  %x\n want %x", fx.kind, got, body)
 		}
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// Pooled encode/read scratch buffers. Every hot path that frames a message —
-// the TCP writer, the TCP reader, WriteMessage, the in-proc wire-format
-// round-trip — borrows a Buf, appends into it, and releases it once the bytes
+// Pooled encode/read scratch buffers. Every hot path that moves a message —
+// the TCP writer, the TCP reader, the in-proc wire-format round-trip —
+// borrows a Buf, appends into it, and releases it once the bytes
 // have been copied out (written to the socket, or decoded into structs). At
 // steady state the pool serves every borrow without allocating, which is what
 // takes the per-message cost of the codec to near zero.

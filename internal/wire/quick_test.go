@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -59,15 +58,15 @@ func randRecord(rng *rand.Rand) ResultRecord {
 func roundTrip(t *testing.T, msg any) any {
 	t.Helper()
 	kind := KindOf(msg)
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, kind, msg); err != nil {
-		t.Fatalf("write %T: %v", msg, err)
-	}
-	env, err := ReadMessage(&buf)
+	body, err := Marshal(kind, msg)
 	if err != nil {
-		t.Fatalf("read %T: %v", msg, err)
+		t.Fatalf("marshal %T: %v", msg, err)
 	}
-	return env.Payload
+	out, err := Unmarshal(kind, body)
+	if err != nil {
+		t.Fatalf("unmarshal %T: %v", msg, err)
+	}
+	return out
 }
 
 // randSource draws an ingest sender identity; empty (unsequenced) is a legal
@@ -141,9 +140,9 @@ func TestIngestBatchClockOnlyRoundTrip(t *testing.T) {
 }
 
 // TestIngestBatchMaxSizeRoundTrip: a coalesced batch in the megabyte range
-// (every camera of a large deployment in one frame) round-trips intact, and a
-// batch whose encoding exceeds MaxFrameSize is rejected with
-// ErrFrameTooLarge rather than silently truncated.
+// (every camera of a large deployment in one frame) round-trips intact. The
+// frame-size cap is the transport's: see TestFrameOversizeRefused in
+// internal/cluster.
 func TestIngestBatchMaxSizeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := &IngestBatch{Source: "ingest-max", Seq: 1, FrameTime: randTime(rng)}
@@ -162,26 +161,8 @@ func TestIngestBatchMaxSizeRoundTrip(t *testing.T) {
 	if len(body) < 1<<20 {
 		t.Fatalf("want a megabyte-range encoding, got %d bytes", len(body))
 	}
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, KindIngestBatch, m); err != nil {
-		t.Fatal(err)
-	}
-	env, err := ReadMessage(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(env.Payload, m) {
+	if got := roundTrip(t, m); !reflect.DeepEqual(got, m) {
 		t.Fatal("large batch changed in transit")
-	}
-
-	// One observation's feature vector pushes the frame past the cap.
-	over := &IngestBatch{Observations: []Observation{{
-		ObsID:   1,
-		Camera:  1,
-		Feature: make([]float32, MaxFrameSize/4+1),
-	}}}
-	if err := WriteMessage(&buf, KindIngestBatch, over); err != ErrFrameTooLarge {
-		t.Fatalf("oversize batch: got %v, want ErrFrameTooLarge", err)
 	}
 }
 

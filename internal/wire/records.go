@@ -11,7 +11,7 @@ import (
 
 // A range answer's records are encoded once, at the worker, and only copied
 // after that. The worker appends each matching record to a RecordBlock, which
-// keeps the FormatV1 record bytes back to back plus, per record, its order
+// keeps the encoded record bytes back to back plus, per record, its order
 // key and end offset. The block travels in a RangePart; the coordinator's
 // indexing decode rebuilds the keys without materializing records, and the
 // coordinator merges the workers' blocks by key into one EncodedRecords —
@@ -23,7 +23,7 @@ import (
 // that time.Time compares (see package time).
 const unixToInternal int64 = (1969*365 + 1969/4 - 1969/100 + 1969/400) * 24 * 60 * 60
 
-// minRecordLen is the shortest FormatV1 record: ObsID, TargetID, Camera,
+// minRecordLen is the shortest encoded record: ObsID, TargetID, Camera,
 // position, and an absent timestamp's presence byte. maxRecordLen adds the
 // longest seconds and nanoseconds varints.
 const (
@@ -58,7 +58,7 @@ func (a RecordKey) Less(b RecordKey) bool {
 }
 
 // RecordBlock is the pointer-free carrier of one worker's encoded range
-// answer: FormatV1 ResultRecord encodings back to back, with each record's
+// answer: ResultRecord encodings back to back, with each record's
 // order key and end offset. Build it with Append, or receive it decoded from
 // a RangePart; either way its records are in the order they were appended.
 type RecordBlock struct {
@@ -103,7 +103,7 @@ func (b *RecordBlock) Key(i int) RecordKey {
 	return RecordKey{sec: x.sec, nsec: x.nsec, obs: x.obs}
 }
 
-// Record returns record i's FormatV1 bytes. The slice aliases the block.
+// Record returns record i's encoded bytes. The slice aliases the block.
 func (b *RecordBlock) Record(i int) []byte {
 	start := uint32(0)
 	if i > 0 {
@@ -112,11 +112,11 @@ func (b *RecordBlock) Record(i int) []byte {
 	return b.data[start:b.idx[i].end]
 }
 
-// Bytes returns the block's records' FormatV1 bytes, back to back. The slice
+// Bytes returns the block's records' encoded bytes, back to back. The slice
 // aliases the block.
 func (b *RecordBlock) Bytes() []byte { return b.data }
 
-// EncodedRecords is a merged range answer in wire form: N FormatV1 result
+// EncodedRecords is a merged range answer in wire form: N encoded result
 // records back to back in B, without per-record keys. A RangeResult carrying
 // it encodes by copying B; Decode materializes the records.
 type EncodedRecords struct {

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -138,97 +136,37 @@ func TestEveryKindCovered(t *testing.T) {
 // equals m for every protocol message.
 func TestRoundTripAll(t *testing.T) {
 	for _, msg := range allMessages() {
-		kind := KindOf(msg)
-		t.Run(kind.String(), func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteMessage(&buf, kind, msg); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			env, err := ReadMessage(&buf)
-			if err != nil {
-				t.Fatalf("read: %v", err)
-			}
-			if env.Kind != kind {
-				t.Fatalf("kind = %v, want %v", env.Kind, kind)
-			}
-			if !reflect.DeepEqual(env.Payload, msg) {
-				t.Errorf("round trip mismatch:\n got  %#v\n want %#v", env.Payload, msg)
+		t.Run(KindOf(msg).String(), func(t *testing.T) {
+			if got := roundTrip(t, msg); !reflect.DeepEqual(got, msg) {
+				t.Errorf("round trip mismatch:\n got  %#v\n want %#v", got, msg)
 			}
 		})
 	}
 }
 
-func TestRoundTripStream(t *testing.T) {
-	var buf bytes.Buffer
-	msgs := allMessages()
-	for _, m := range msgs {
-		if err := WriteMessage(&buf, KindOf(m), m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, want := range msgs {
-		env, err := ReadMessage(&buf)
-		if err != nil {
-			t.Fatalf("message %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(env.Payload, want) {
-			t.Fatalf("message %d mismatch: %#v", i, env.Payload)
-		}
-	}
-	if _, err := ReadMessage(&buf); err != io.EOF {
-		t.Errorf("trailing read = %v, want io.EOF", err)
-	}
-}
-
 func TestZeroTimes(t *testing.T) {
-	msg := &TrackStart{TrackID: 1, Camera: 2}
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, KindTrackStart, msg); err != nil {
-		t.Fatal(err)
-	}
-	env, err := ReadMessage(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := env.Payload.(*TrackStart)
+	got := roundTrip(t, &TrackStart{TrackID: 1, Camera: 2}).(*TrackStart)
 	if !got.Time.IsZero() {
 		t.Errorf("zero time decoded as %v", got.Time)
 	}
 }
 
 func TestCorruptFrames(t *testing.T) {
-	// Truncated header.
-	if _, err := ReadMessage(bytes.NewReader([]byte{0, 0})); err == nil {
-		t.Error("truncated header accepted")
-	}
-	// Oversized length.
-	big := []byte{0xFF, 0xFF, 0xFF, 0xFF, byte(KindHeartbeat)}
-	if _, err := ReadMessage(bytes.NewReader(big)); err != ErrFrameTooLarge {
-		t.Errorf("oversized frame error = %v", err)
-	}
-	// Zero-size frame.
-	zero := []byte{0, 0, 0, 0, 0}
-	if _, err := ReadMessage(bytes.NewReader(zero)); err == nil {
-		t.Error("zero-size frame accepted")
-	}
 	// Unknown kind.
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 1, 200})
-	if _, err := ReadMessage(&buf); err == nil {
+	if _, err := Unmarshal(200, nil); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	// Truncated body: valid header, missing payload bytes.
-	var good bytes.Buffer
-	if err := WriteMessage(&good, KindHeartbeat, &Heartbeat{Node: "w", Seq: 1}); err != nil {
+	// Truncated body: a valid payload missing its last bytes.
+	good, err := Marshal(KindHeartbeat, &Heartbeat{Node: "w", Seq: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	cut := good.Bytes()[:good.Len()-3]
-	if _, err := ReadMessage(bytes.NewReader(cut)); err == nil {
+	if _, err := Unmarshal(KindHeartbeat, good[:len(good)-3]); err == nil {
 		t.Error("truncated body accepted")
 	}
 	// Corrupt payload with a declared slice length beyond the buffer.
-	evil := []byte{0, 0, 0, 6, byte(KindIngestBatch), 0, 0, 0, 1, 0x7E} // camera=1, len=63
-	if _, err := ReadMessage(bytes.NewReader(evil)); err == nil {
+	evil := []byte{0, 0, 0, 1, 0x7E} // camera=1, len=63
+	if _, err := Unmarshal(KindIngestBatch, evil); err == nil {
 		t.Error("corrupt slice length accepted")
 	}
 }
@@ -252,15 +190,7 @@ func TestTimeWindowContains(t *testing.T) {
 func TestTimestampPrecision(t *testing.T) {
 	// Nanosecond precision must survive the round trip.
 	msg := &TrackUpdate{TrackID: 1, Time: time.Unix(1234567890, 987654321).UTC()}
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, KindTrackUpdate, msg); err != nil {
-		t.Fatal(err)
-	}
-	env, err := ReadMessage(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := env.Payload.(*TrackUpdate).Time
+	got := roundTrip(t, msg).(*TrackUpdate).Time
 	if !got.Equal(msg.Time) {
 		t.Errorf("timestamp = %v, want %v", got, msg.Time)
 	}
