@@ -75,11 +75,12 @@ soak-core: soak
 # soak-serve is the serving-plane churn soak (PR-time CI job serve-soak):
 # seeded subscribe/unsubscribe storms, lagging pollers, and mid-stream epoch
 # bumps under the race detector, asserting no leaked installed queries and no
-# stale cache hits across epochs. SOAK_ROUNDS scales it up for the nightly
-# run (empty = the test's default).
+# stale cache hits across epochs, plus the concurrent first-subscriber install
+# race (one install per shape, the continuous.active gauge exact). SOAK_ROUNDS
+# scales the churn soak up for the nightly run (empty = the test's default).
 SOAK_ROUNDS ?=
 soak-serve:
-	STCAM_SOAK_ROUNDS=$(SOAK_ROUNDS) $(GO) test -race -count=1 -timeout 10m -run 'TestSoakServeChurn' -v ./internal/serve/
+	STCAM_SOAK_ROUNDS=$(SOAK_ROUNDS) $(GO) test -race -count=1 -timeout 10m -run 'TestSoakServeChurn|TestConcurrentFirstSubscribe' -v ./internal/serve/
 
 # bench regenerates the experiment tables at CI scale.
 bench:

@@ -54,7 +54,7 @@ func BenchmarkR2QueryLatency(b *testing.B) {
 
 func BenchmarkR3Handoff(b *testing.B) {
 	tbl := runExperiment(b, bench.R3Handoff)
-	// Headline: primes per handoff for scoped (row 0) vs broadcast (row 1).
+	// Headline: primes per begun handoff for scoped (row 0) vs broadcast (row 1).
 	b.ReportMetric(cell(tbl, 0, 4), "scoped-primes/handoff")
 	b.ReportMetric(cell(tbl, 1, 4), "broadcast-primes/handoff")
 }

@@ -168,7 +168,7 @@ func r21Shared(ctx context.Context, c *core.Cluster, flips int) (float64, int) {
 		}
 		subIDs = append(subIDs, resp.(*wire.SubscribeAck).SubID)
 	}
-	installs := c.Coordinator.SharedContinuousCount()
+	installs := int(c.Coordinator.Metrics().Snapshot().Gauges["continuous.active"])
 
 	start := time.Now()
 	for f := 0; f < flips; f++ {

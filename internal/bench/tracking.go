@@ -15,16 +15,18 @@ import (
 
 // R3Handoff compares tracking handoff cost between vision-graph-scoped
 // priming and broadcast priming as the camera network grows. A single target
-// traverses a camera corridor; we count prime messages and total transport
-// calls. Expected shape: scoped cost is O(graph degree) per handoff
-// (constant in network size); broadcast is O(workers) per handoff, so the
-// gap widens linearly with the deployment.
+// traverses a camera corridor; we count prime messages per begun handoff
+// (every handoff primes, including the ones a local re-sight then aborts),
+// next to the handoffs begun, aborted and claimed (a claim is an ownership
+// move, the count TrackInfo reports). Expected shape: scoped cost is
+// O(graph degree) per handoff (constant in network size); broadcast is
+// O(workers) per handoff, so the gap widens linearly with the deployment.
 func R3Handoff(s Scale) *Table {
 	t := &Table{
 		ID:     "R3",
 		Title:  "Handoff cost: vision-graph scoped vs broadcast",
 		Notes:  "one target traversing a camera corridor; 8 workers",
-		Header: []string{"cameras", "strategy", "handoffs", "primes sent", "primes/handoff", "final camera"},
+		Header: []string{"cameras", "strategy", "begun", "primes sent", "primes/begun", "aborted", "claims", "final camera"},
 	}
 	ctx := context.Background()
 	for _, nCams := range []int{16, 64, 128} {
@@ -66,14 +68,15 @@ func R3Handoff(s Scale) *Table {
 			}
 			drainTrack(ch)
 			snap := c.Coordinator.Metrics().Snapshot()
-			_, lastCam, handoffs, _ := c.Coordinator.TrackInfo(trackID)
-			primes := snap.Counters["handoff.primes_sent"]
+			_, lastCam, _, _ := c.Coordinator.TrackInfo(trackID)
+			primes, begun := snap.Counters["handoff.primes_sent"], snap.Counters["handoff.begun"]
 			name := "scoped"
 			if broadcast {
 				name = "broadcast"
 			}
-			per := float64(primes) / float64(max(handoffs, 1))
-			t.AddRow(nCams, name, handoffs, primes, fmt.Sprintf("%.1f", per), lastCam)
+			per := float64(primes) / float64(max(int(begun), 1))
+			t.AddRow(nCams, name, begun, primes, fmt.Sprintf("%.1f", per),
+				snap.Counters["handoff.aborted"], snap.Counters["handoff.completed"], lastCam)
 			c.Stop()
 		}
 	}

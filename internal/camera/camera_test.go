@@ -252,25 +252,6 @@ func TestCamerasCoveringAndIntersecting(t *testing.T) {
 	}
 }
 
-func TestCoverage(t *testing.T) {
-	world := geo.RectOf(0, 0, 100, 100)
-	empty := NewNetwork()
-	if got := empty.Coverage(world, 10); got != 0 {
-		t.Errorf("empty coverage = %v", got)
-	}
-	full := NewNetwork()
-	full.Add(New(1, geo.Pt(50, 50), 0, math.Pi, 200)) // omni covering everything
-	if got := full.Coverage(world, 10); got != 1 {
-		t.Errorf("full coverage = %v", got)
-	}
-	partial := NewNetwork()
-	partial.Add(New(1, geo.Pt(50, 50), 0, math.Pi, 30))
-	got := partial.Coverage(world, 30)
-	if got <= 0.1 || got >= 0.6 {
-		t.Errorf("partial coverage = %v, want within (0.1, 0.6)", got)
-	}
-}
-
 func TestGridLayout(t *testing.T) {
 	cfg := LayoutConfig{World: geo.RectOf(0, 0, 1000, 1000), Seed: 1}
 	n := GridLayout(cfg, 4, 5)

@@ -303,37 +303,6 @@ func (n *Network) CamerasIntersecting(r geo.Rect) []ID {
 	return out
 }
 
-// Coverage estimates the fraction of the world rectangle observable by at
-// least one camera, sampling on a res × res lattice. res < 2 is clamped to 2.
-func (n *Network) Coverage(world geo.Rect, res int) float64 {
-	if res < 2 {
-		res = 2
-	}
-	n.mu.RLock()
-	cams := make([]*Camera, 0, len(n.cams))
-	for _, c := range n.cams {
-		cams = append(cams, c)
-	}
-	n.mu.RUnlock()
-	covered, total := 0, 0
-	for i := 0; i < res; i++ {
-		for j := 0; j < res; j++ {
-			p := geo.Pt(
-				world.Min.X+(world.Width())*float64(i)/float64(res-1),
-				world.Min.Y+(world.Height())*float64(j)/float64(res-1),
-			)
-			total++
-			for _, c := range cams {
-				if c.Sees(p) {
-					covered++
-					break
-				}
-			}
-		}
-	}
-	return float64(covered) / float64(total)
-}
-
 // AvgDegree returns the mean out-degree of the vision graph (0 when the
 // network is empty). Experiment R3's message bound is O(degree), so this is
 // the number that explains the handoff-cost gap against broadcast.

@@ -57,8 +57,6 @@ type Coordinator struct {
 	replicas   map[uint32][]wire.NodeID
 	camInfos   map[uint32]wire.CameraInfo
 	continuous map[uint64]*coordContinuous
-	shared     map[string]*sharedContinuous // canonical shape -> refcounted install
-	sharedKey  map[uint64]string            // query id -> canonical shape
 	tracks     map[uint64]*coordTrack
 
 	// sumMu guards the per-node store sketches piggybacked on heartbeats,
@@ -76,15 +74,6 @@ type coordContinuous struct {
 	queryID uint64
 	install wire.InstallContinuous
 	ch      chan wire.ContinuousUpdate
-	workers map[wire.NodeID]bool
-}
-
-// sharedContinuous is one refcounted standing-query install: N subscribers to
-// the same canonical shape share one worker-side evaluation.
-type sharedContinuous struct {
-	id   uint64
-	ch   <-chan wire.ContinuousUpdate
-	refs int
 }
 
 // coordTrack is the coordinator's record of one active track.
@@ -127,8 +116,6 @@ func NewCoordinator(addr string, transport cluster.Transport, p cluster.Partitio
 		replicas:    make(map[uint32][]wire.NodeID),
 		camInfos:    make(map[uint32]wire.CameraInfo),
 		continuous:  make(map[uint64]*coordContinuous),
-		shared:      make(map[string]*sharedContinuous),
-		sharedKey:   make(map[uint64]string),
 		tracks:      make(map[uint64]*coordTrack),
 		summaries:   make(map[wire.NodeID]nodeSummary),
 	}
@@ -193,13 +180,14 @@ func (c *Coordinator) Stop() {
 		close(cc.ch)
 		delete(c.continuous, id)
 	}
+	c.reg.Gauge("continuous.active").Set(0)
 	for id, tr := range c.tracks {
 		close(tr.ch)
 		delete(c.tracks, id)
 	}
 }
 
-// Network exposes the camera topology (vision graph seeding, coverage).
+// Network exposes the camera topology (vision graph seeding).
 func (c *Coordinator) Network() *camera.Network { return c.network }
 
 // Metrics exposes the coordinator's instrumentation.
@@ -863,13 +851,12 @@ func (c *Coordinator) InstallContinuous(ctx context.Context, kind wire.Continuou
 		queryID: id,
 		install: wire.InstallContinuous{QueryID: id, Kind: kind, Rect: rect, Threshold: threshold},
 		ch:      make(chan wire.ContinuousUpdate, 1024),
-		workers: make(map[wire.NodeID]bool),
 	}
 	c.mu.Lock()
 	c.continuous[id] = cc
+	c.reg.Gauge("continuous.active").Set(int64(len(c.continuous)))
 	c.mu.Unlock()
 	c.installContinuousOnWorkers(ctx, cc)
-	c.reg.Gauge("continuous.active").Set(int64(len(c.continuous)))
 	return id, cc.ch, nil
 }
 
@@ -888,6 +875,7 @@ func (c *Coordinator) RemoveContinuous(ctx context.Context, id uint64) error {
 	cc, ok := c.continuous[id]
 	if ok {
 		delete(c.continuous, id)
+		c.reg.Gauge("continuous.active").Set(int64(len(c.continuous)))
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -897,76 +885,7 @@ func (c *Coordinator) RemoveContinuous(ctx context.Context, id uint64) error {
 		c.rpc.Call(ctx, addr, &wire.RemoveContinuous{QueryID: id}) //nolint:errcheck // best-effort uninstall
 	}
 	close(cc.ch)
-	c.reg.Gauge("continuous.active").Set(int64(len(c.continuous)))
 	return nil
-}
-
-// AcquireContinuous is the refcounted flavor of InstallContinuous: queries
-// with the same canonical shape (kind, normalized rect, threshold) share one
-// worker-side install and one update channel. The returned refs is the share
-// count after this acquire. Callers must pair every Acquire with exactly one
-// ReleaseContinuous; the channel closes when the last reference releases.
-func (c *Coordinator) AcquireContinuous(ctx context.Context, kind wire.ContinuousKind, rect geo.Rect, threshold int) (uint64, <-chan wire.ContinuousUpdate, int, error) {
-	key := CanonicalContinuousKey(kind, rect, threshold)
-	c.mu.Lock()
-	if sc, ok := c.shared[key]; ok {
-		sc.refs++
-		id, ch, refs := sc.id, sc.ch, sc.refs
-		c.mu.Unlock()
-		c.reg.Counter("continuous.dedup_hits").Inc()
-		return id, ch, refs, nil
-	}
-	c.mu.Unlock()
-	// Install outside mu: InstallContinuous RPCs the owning workers.
-	id, ch, err := c.InstallContinuous(ctx, kind, rect, threshold)
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	c.mu.Lock()
-	if sc, ok := c.shared[key]; ok {
-		// Lost an install race: fold into the winner and uninstall ours.
-		sc.refs++
-		winID, winCh, refs := sc.id, sc.ch, sc.refs
-		c.mu.Unlock()
-		c.RemoveContinuous(ctx, id) //nolint:errcheck // best-effort uninstall of the losing duplicate
-		c.reg.Counter("continuous.dedup_hits").Inc()
-		return winID, winCh, refs, nil
-	}
-	c.shared[key] = &sharedContinuous{id: id, ch: ch, refs: 1}
-	c.sharedKey[id] = key
-	c.mu.Unlock()
-	c.reg.Counter("continuous.dedup_installs").Inc()
-	return id, ch, 1, nil
-}
-
-// ReleaseContinuous drops one reference on a shared install. The last
-// release uninstalls the query from the workers and closes the channel; the
-// returned count is the references remaining.
-func (c *Coordinator) ReleaseContinuous(ctx context.Context, id uint64) (int, error) {
-	c.mu.Lock()
-	key, ok := c.sharedKey[id]
-	if !ok {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("core: continuous query %d is not a shared install", id)
-	}
-	sc := c.shared[key]
-	sc.refs--
-	if sc.refs > 0 {
-		refs := sc.refs
-		c.mu.Unlock()
-		return refs, nil
-	}
-	delete(c.shared, key)
-	delete(c.sharedKey, id)
-	c.mu.Unlock()
-	return 0, c.RemoveContinuous(ctx, id)
-}
-
-// SharedContinuousCount reports the live shared installs (test/metric hook).
-func (c *Coordinator) SharedContinuousCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.shared)
 }
 
 func (c *Coordinator) onContinuousUpdate(m *wire.ContinuousUpdate) {

@@ -16,10 +16,11 @@ import (
 
 // IngesterOptions tunes an ingest pipeline.
 type IngesterOptions struct {
-	// PipelineDepth bounds the batches in flight to each worker. Depth 1
-	// degenerates to one blocking RPC per worker at a time; higher depths
-	// overlap a worker's stage-2 evaluation with the next batch's delivery.
-	// Defaults to the coordinator's Options.IngestPipelineDepth.
+	// PipelineDepth is the length of each worker lane's queue: the batches
+	// that may wait behind the one Call the lane's sender keeps in flight.
+	// Producers block once it is full (backpressure); depth does not add
+	// concurrent Calls to a worker. Defaults to the coordinator's
+	// Options.IngestPipelineDepth.
 	PipelineDepth int
 	// Serial reverts to the pre-pipeline path: one blocking RPC per camera
 	// group, primary then replicas, in ascending camera order. It is the
@@ -41,7 +42,7 @@ var ingesterIDs atomic.Uint64
 //
 // The default mode is pipelined: each frame's detections are coalesced into
 // one multi-camera batch per destination worker, and a persistent per-worker
-// sender delivers batches through a bounded window (PipelineDepth), stamping
+// sender delivers batches from a bounded queue (PipelineDepth), stamping
 // each with a (Source, Seq) pair so at-least-once retries and transport
 // duplicates are applied at most once, in order. Safe for concurrent use.
 type Ingester struct {
@@ -190,7 +191,7 @@ func sortObservations(obs []wire.Observation) {
 }
 
 // enqueue hands a batch to addr's sender lane, starting the lane on first
-// use. Blocks while the lane's pipeline window is full (backpressure).
+// use. Blocks while the lane's queue is full (backpressure).
 func (ing *Ingester) enqueue(ctx context.Context, addr string, batch *wire.IngestBatch, done func(*wire.IngestAck, error)) {
 	ing.mu.Lock()
 	if ing.closed {

@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Polygon is a simple polygon given by its vertices in order (either
 // winding). The closing edge from the last vertex back to the first is
@@ -188,53 +185,6 @@ func SegmentsIntersect(a, b, c, d Point) bool {
 		return true
 	}
 	return false
-}
-
-// ConvexHull returns the convex hull of the given points in counter-clockwise
-// order (Andrew's monotone chain). Duplicates and collinear boundary points
-// are dropped. Inputs with fewer than three distinct points return what
-// exists.
-func ConvexHull(pts []Point) Polygon {
-	if len(pts) == 0 {
-		return nil
-	}
-	ps := make([]Point, len(pts))
-	copy(ps, pts)
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].X != ps[j].X {
-			return ps[i].X < ps[j].X
-		}
-		return ps[i].Y < ps[j].Y
-	})
-	// Deduplicate.
-	uniq := ps[:1]
-	for _, p := range ps[1:] {
-		if p != uniq[len(uniq)-1] {
-			uniq = append(uniq, p)
-		}
-	}
-	ps = uniq
-	if len(ps) < 3 {
-		return Polygon(ps)
-	}
-	hull := make([]Point, 0, 2*len(ps))
-	// Lower hull.
-	for _, p := range ps {
-		for len(hull) >= 2 && orient(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := len(ps) - 2; i >= 0; i-- {
-		p := ps[i]
-		for len(hull) >= lower && orient(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	return Polygon(hull[:len(hull)-1])
 }
 
 // Sector returns a polygon approximating the circular sector with the given

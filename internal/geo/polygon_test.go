@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -139,46 +138,6 @@ func TestPolygonIntersectsPolygon(t *testing.T) {
 	}
 }
 
-func TestConvexHull(t *testing.T) {
-	pts := []Point{
-		Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4), // square corners
-		Pt(2, 2), Pt(1, 1), Pt(3, 2), // interior points
-		Pt(2, 0), // collinear boundary point
-	}
-	hull := ConvexHull(pts)
-	if len(hull) != 4 {
-		t.Fatalf("hull has %d vertices, want 4: %v", len(hull), hull)
-	}
-	if !almostEq(hull.Area(), 16) {
-		t.Errorf("hull area = %v, want 16", hull.Area())
-	}
-	if hull.SignedArea() <= 0 {
-		t.Error("hull should be counter-clockwise")
-	}
-	// All inputs inside or on the hull bounds.
-	b := hull.Bounds()
-	for _, p := range pts {
-		if !b.Contains(p) {
-			t.Errorf("point %v outside hull bounds", p)
-		}
-	}
-}
-
-func TestConvexHullDegenerate(t *testing.T) {
-	if h := ConvexHull(nil); h != nil {
-		t.Errorf("hull of nothing = %v", h)
-	}
-	if h := ConvexHull([]Point{Pt(1, 1)}); len(h) != 1 {
-		t.Errorf("hull of one point has %d vertices", len(h))
-	}
-	if h := ConvexHull([]Point{Pt(1, 1), Pt(1, 1), Pt(1, 1)}); len(h) != 1 {
-		t.Errorf("hull of duplicates has %d vertices", len(h))
-	}
-	if h := ConvexHull([]Point{Pt(0, 0), Pt(2, 2)}); len(h) != 2 {
-		t.Errorf("hull of two points has %d vertices", len(h))
-	}
-}
-
 func TestSector(t *testing.T) {
 	apex := Pt(0, 0)
 	pg := Sector(apex, 0, math.Pi/4, 10, 16)
@@ -226,34 +185,5 @@ func TestCircle(t *testing.T) {
 	}
 	if pg.Contains(Pt(9, 3)) {
 		t.Error("circle contains point outside radius")
-	}
-}
-
-// Property: points sampled inside a convex hull are contained by it.
-func TestPropHullContainsInterior(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 50; iter++ {
-		pts := make([]Point, 20)
-		for i := range pts {
-			pts[i] = Pt(rng.Float64()*100, rng.Float64()*100)
-		}
-		hull := ConvexHull(pts)
-		if len(hull) < 3 {
-			continue
-		}
-		c := hull.Centroid()
-		if !hull.Contains(c) {
-			t.Fatalf("hull does not contain its centroid %v", c)
-		}
-		// Midpoints between centroid and each input point that is inside
-		// remain inside (convexity).
-		for _, p := range pts {
-			if hull.Contains(p) {
-				mid := c.Lerp(p, 0.5)
-				if !hull.Contains(mid) {
-					t.Fatalf("hull not convex: contains %v but not midpoint %v", p, mid)
-				}
-			}
-		}
 	}
 }

@@ -232,65 +232,3 @@ func pointSegDist(p, a, b Point) float64 {
 	t = math.Max(0, math.Min(1, t))
 	return p.Dist(a.Add(ab.Scale(t)))
 }
-
-// SyncDist returns the time-synchronized Euclidean distance between two
-// trajectories over their overlapping time window, sampled every step. It is
-// the mean distance between the interpolated positions; math.Inf(1) when the
-// windows do not overlap or either trajectory is empty.
-func SyncDist(a, b *Trajectory, step time.Duration) float64 {
-	if a.Len() == 0 || b.Len() == 0 || step <= 0 {
-		return math.Inf(1)
-	}
-	as, _ := a.Start()
-	bs, _ := b.Start()
-	ae, _ := a.End()
-	be, _ := b.End()
-	from, to := as, ae
-	if bs.After(from) {
-		from = bs
-	}
-	if be.Before(to) {
-		to = be
-	}
-	if to.Before(from) {
-		return math.Inf(1)
-	}
-	var sum float64
-	var n int
-	for t := from; !t.After(to); t = t.Add(step) {
-		pa, _ := a.At(t)
-		pb, _ := b.At(t)
-		sum += pa.Dist(pb)
-		n++
-	}
-	if n == 0 {
-		return math.Inf(1)
-	}
-	return sum / float64(n)
-}
-
-// DTWDist returns the dynamic-time-warping distance between the spatial paths
-// of two trajectories, normalized by the warping path length. It tolerates
-// different sampling rates and time shifts, and is the matcher used when
-// associating trajectory fragments across cameras.
-func DTWDist(a, b *Trajectory) float64 {
-	n, m := a.Len(), b.Len()
-	if n == 0 || m == 0 {
-		return math.Inf(1)
-	}
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
-	for j := range prev {
-		prev[j] = math.Inf(1)
-	}
-	prev[0] = 0
-	for i := 1; i <= n; i++ {
-		cur[0] = math.Inf(1)
-		for j := 1; j <= m; j++ {
-			d := a.Points[i-1].P.Dist(b.Points[j-1].P)
-			cur[j] = d + math.Min(prev[j], math.Min(cur[j-1], prev[j-1]))
-		}
-		prev, cur = cur, prev
-	}
-	return prev[m] / float64(n+m)
-}

@@ -164,53 +164,6 @@ func TestTrajectorySimplify(t *testing.T) {
 	}
 }
 
-func TestSyncDist(t *testing.T) {
-	a := lineTraj(11, time.Second, 1)
-	b := &Trajectory{}
-	for i := 0; i <= 10; i++ {
-		b.Append(t0.Add(time.Duration(i)*time.Second), Pt(float64(i), 4))
-	}
-	if d := SyncDist(a, b, time.Second); !almostEq(d, 4) {
-		t.Errorf("SyncDist parallel paths = %v, want 4", d)
-	}
-	if d := SyncDist(a, a, time.Second); !almostEq(d, 0) {
-		t.Errorf("SyncDist self = %v, want 0", d)
-	}
-	// Non-overlapping windows.
-	c := &Trajectory{}
-	c.Append(t0.Add(time.Hour), Pt(0, 0))
-	c.Append(t0.Add(2*time.Hour), Pt(1, 0))
-	if d := SyncDist(a, c, time.Second); !math.IsInf(d, 1) {
-		t.Errorf("SyncDist disjoint windows = %v, want +inf", d)
-	}
-}
-
-func TestDTWDist(t *testing.T) {
-	a := lineTraj(11, time.Second, 1)
-	// Same spatial path, different sampling rate and time offset.
-	b := &Trajectory{}
-	for i := 0; i <= 20; i++ {
-		b.Append(t0.Add(time.Hour+time.Duration(i)*500*time.Millisecond), Pt(float64(i)/2, 0))
-	}
-	// Intermediate samples of b pair with the nearest a sample at ~0.5 m, so
-	// the normalized distance is small but not zero.
-	if d := DTWDist(a, b); d > 0.5 {
-		t.Errorf("DTW of same path at different rates = %v, want < 0.5", d)
-	}
-	// Clearly different path.
-	c := &Trajectory{}
-	for i := 0; i <= 10; i++ {
-		c.Append(t0.Add(time.Duration(i)*time.Second), Pt(float64(i), 50))
-	}
-	if d := DTWDist(a, c); d < 10 {
-		t.Errorf("DTW of distant paths = %v, want >= 10", d)
-	}
-	var empty Trajectory
-	if d := DTWDist(a, &empty); !math.IsInf(d, 1) {
-		t.Errorf("DTW with empty = %v, want +inf", d)
-	}
-}
-
 func TestTrajectoryBounds(t *testing.T) {
 	tr := &Trajectory{}
 	tr.Append(t0, Pt(1, 2))

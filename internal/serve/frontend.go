@@ -3,10 +3,12 @@
 // coordinator itself stays ignorant of:
 //
 //   - Shared continuous-query fan-out: N subscribers to the same canonical
-//     query shape share ONE worker-side install (refcounted via
-//     Coordinator.AcquireContinuous), each with its own bounded buffer and
-//     slow-consumer eviction. 64 dashboards watching the same geofence cost
-//     one evaluation per observation instead of 64.
+//     query shape share ONE worker-side install, each with its own bounded
+//     buffer and slow-consumer eviction. The fan-out table is the only record
+//     of who shares an install; the coordinator sees one plain
+//     InstallContinuous per shape and one RemoveContinuous when its last
+//     subscriber leaves. 64 dashboards watching the same geofence cost one
+//     evaluation per observation instead of 64.
 //   - An epoch-keyed result cache for repeated Range/Count/Heatmap queries:
 //     entries are keyed on the canonicalized query, stamped with the
 //     coordinator epoch, bounded by an LRU byte budget and a TTL, and the
@@ -95,7 +97,7 @@ type Frontend struct {
 
 	nextSub atomic.Uint64
 	fmu     sync.Mutex
-	fans    map[uint64]*fanout     // shared install query id -> fan-out
+	fans    map[string]*fanout     // canonical shape -> fan-out
 	subs    map[uint64]*subscriber // subscriber id -> subscriber
 }
 
@@ -109,7 +111,7 @@ func New(coord *core.Coordinator, opts Options) *Frontend {
 		reg:    coord.Metrics(),
 		clk:    opts.Clock,
 		quotas: make(map[string]*bucket),
-		fans:   make(map[uint64]*fanout),
+		fans:   make(map[string]*fanout),
 		subs:   make(map[uint64]*subscriber),
 	}
 	f.cache = newResultCache(opts.CacheBytes, opts.CacheTTL, opts.Clock, f.reg)
@@ -145,7 +147,7 @@ func (f *Frontend) serveQuery(ctx context.Context, req any) (any, bool) {
 	}
 	defer f.inflight.Add(-1)
 	epoch := f.coord.Epoch()
-	key := core.CanonicalQueryKey(req)
+	key := canonicalQueryKey(req)
 	if key != "" {
 		if resp, ok := f.cache.get(key, epoch); ok {
 			f.reg.Counter("serve.cache.hits").Inc()

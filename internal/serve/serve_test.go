@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -125,7 +126,7 @@ func TestSharedSubscribeDedup(t *testing.T) {
 		}
 		ids = append(ids, ack.SubID)
 	}
-	if n := c.Coordinator.SharedContinuousCount(); n != 1 {
+	if n := gauge(c, "continuous.active"); n != 1 {
 		t.Fatalf("shared installs = %d, want 1", n)
 	}
 	if g := gauge(c, "continuous.active"); g != 1 {
@@ -160,7 +161,7 @@ func TestSharedSubscribeDedup(t *testing.T) {
 			t.Fatalf("unsubscribe %d: Remaining = %d, want %d", i, ack.Remaining, want)
 		}
 	}
-	if n := c.Coordinator.SharedContinuousCount(); n != 0 {
+	if n := gauge(c, "continuous.active"); n != 0 {
 		t.Fatalf("shared installs after teardown = %d, want 0", n)
 	}
 	if g := gauge(c, "continuous.active"); g != 0 {
@@ -189,7 +190,7 @@ func TestSlowConsumerEviction(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Coordinator.SharedContinuousCount() != 0 {
+	for gauge(c, "continuous.active") != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow consumer never evicted; shared install still live")
 		}
@@ -207,6 +208,86 @@ func TestSlowConsumerEviction(t *testing.T) {
 	re, ok := err.(*cluster.RemoteError)
 	if !ok || re.Code != wire.CodeBadRequest {
 		t.Fatalf("poll after eviction report: got %v, want unknown-subscriber error", err)
+	}
+}
+
+// TestConcurrentFirstSubscribe is the regression for the install race: many
+// first subscribers to one new shape at once end up on one install, and the
+// continuous.active gauge (written under the coordinator lock) reads exactly
+// one install while they are attached and zero after they leave.
+func TestConcurrentFirstSubscribe(t *testing.T) {
+	c, f := newServedCluster(t, 2, 2, Options{})
+	const subs, rounds = 16, 20
+	for round := 0; round < rounds; round++ {
+		rect := geo.RectOf(100, 100, float64(300+round), 400)
+		acks := make([]*wire.SubscribeAck, subs)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for i := range acks {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				start.Wait()
+				resp, err := c.Transport.Call(ctx, c.Coordinator.Addr(), &wire.Subscribe{Kind: wire.ContinuousRange, Rect: rect})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				acks[i] = resp.(*wire.SubscribeAck)
+			}(i)
+		}
+		start.Done()
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		for i, ack := range acks {
+			if ack.QueryID != acks[0].QueryID {
+				t.Fatalf("round %d: subscriber %d got install %d, subscriber 0 got %d", round, i, ack.QueryID, acks[0].QueryID)
+			}
+		}
+		if g := gauge(c, "continuous.active"); g != 1 {
+			t.Fatalf("round %d: continuous.active = %d with %d subscribers on one shape, want 1", round, g, subs)
+		}
+		for _, ack := range acks {
+			gw(t, c, &wire.Unsubscribe{SubID: ack.SubID})
+		}
+		if g := gauge(c, "continuous.active"); g != 0 {
+			t.Fatalf("round %d: continuous.active = %d after every unsubscribe, want 0", round, g)
+		}
+	}
+	if f.SubscriberCount() != 0 {
+		t.Fatalf("subscribers after teardown = %d, want 0", f.SubscriberCount())
+	}
+}
+
+// TestSubscribersGaugeAfterStop is the regression for the serve.subscribers
+// leak: subscribers cut loose by a stopping coordinator leave the gauge, each
+// learns of its eviction on its next poll, and continuous.active drops to 0.
+func TestSubscribersGaugeAfterStop(t *testing.T) {
+	c, f := newServedCluster(t, 1, 2, Options{})
+	var ids []uint64
+	for _, r := range []geo.Rect{geo.RectOf(0, 0, 300, 300), geo.RectOf(0, 0, 300, 300), geo.RectOf(500, 500, 900, 900)} {
+		ids = append(ids, gw(t, c, &wire.Subscribe{Kind: wire.ContinuousRange, Rect: r}).(*wire.SubscribeAck).SubID)
+	}
+	if g := gauge(c, "serve.subscribers"); g != 3 {
+		t.Fatalf("serve.subscribers = %d after 3 subscribes, want 3", g)
+	}
+	c.Coordinator.Stop()
+	if g := gauge(c, "continuous.active"); g != 0 {
+		t.Fatalf("continuous.active = %d after the coordinator stopped, want 0", g)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for gauge(c, "serve.subscribers") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("serve.subscribers = %d after the coordinator stopped, want 0", gauge(c, "serve.subscribers"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, id := range ids {
+		if pr, _ := f.poll(&wire.PollUpdates{SubID: id}); !pr.(*wire.PollResult).Evicted {
+			t.Fatalf("subscriber %d: poll after stop did not report eviction", id)
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // `make soak-serve`): a seeded storm of subscribe/unsubscribe churn, polls,
 // ingest, and mid-stream epoch bumps, asserting two invariants throughout:
 //
-//  1. No leaked installs: after every full drain the coordinator holds zero
-//     shared installs and the continuous.active gauge reads zero.
+//  1. No leaked installs: after every full drain the coordinator's
+//     continuous.active gauge reads zero.
 //  2. No stale cache hits across epochs: after every epoch bump, the
 //     gateway's cached answer to a Count query equals the coordinator's
 //     direct (uncached) answer.
@@ -59,7 +59,7 @@ func TestSoakServeChurn(t *testing.T) {
 			live = append(live, liveSub{id: ack.SubID})
 		}
 		// The shared table can never hold more installs than shapes.
-		if n := c.Coordinator.SharedContinuousCount(); n > len(shapes) {
+		if n := gauge(c, "continuous.active"); n > int64(len(shapes)) {
 			t.Fatalf("round %d: %d shared installs for %d shapes (dedup broken)", round, n, len(shapes))
 		}
 
@@ -130,9 +130,9 @@ func TestSoakServeChurn(t *testing.T) {
 		c.Transport.Call(ctx, c.Coordinator.Addr(), &wire.Unsubscribe{SubID: s.id}) //nolint:errcheck // evicted subs answer unknown-subscriber
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Coordinator.SharedContinuousCount() != 0 {
+	for gauge(c, "continuous.active") != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("leaked shared installs after drain: %d", c.Coordinator.SharedContinuousCount())
+			t.Fatalf("leaked shared installs after drain: %d", gauge(c, "continuous.active"))
 		}
 		time.Sleep(time.Millisecond)
 	}
