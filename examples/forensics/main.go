@@ -85,7 +85,7 @@ func main() {
 	fmt.Printf("indexed 10 minutes of traffic; probe sample captured at %s\n\n",
 		probeTime.Format("15:04:05"))
 
-	// 1. Re-identification sweep across all workers' feature logs.
+	// 1. Re-identification sweep across all workers' identity galleries.
 	window := stcam.TimeWindow{From: stcam.SimStart, To: w.Now()}
 	var hits []stcam.ResultRecord
 	for _, wk := range cl.Workers {

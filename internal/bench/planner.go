@@ -101,17 +101,8 @@ func R13Planner(s Scale) *Table {
 	// Resolve target IDs via re-id search.
 	resolve := func(f vision.Feature) uint64 {
 		for _, w := range c.Workers {
-			hits := w.ReidSearch(f, window, 0.85)
-			for _, h := range hits {
-				recs, err := c.Coordinator.Range(ctx, geo.RectAround(h.Pos, 0.5), window, 0)
-				if err != nil {
-					panic(err)
-				}
-				for _, r := range recs {
-					if r.ObsID == h.ObsID && r.TargetID != 0 {
-						return r.TargetID
-					}
-				}
+			if hits := w.ReidSearch(f, window, 0.85); len(hits) > 0 {
+				return hits[0].TargetID
 			}
 		}
 		return 0

@@ -888,10 +888,13 @@ func (c *Coordinator) RemoveContinuous(ctx context.Context, id uint64) error {
 	return nil
 }
 
+// onContinuousUpdate delivers a worker's update to the query's channel. The
+// send stays under c.mu and never blocks: every closer deletes the query under
+// c.mu before closing its channel, so a channel found here is still open.
 func (c *Coordinator) onContinuousUpdate(m *wire.ContinuousUpdate) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	cc, ok := c.continuous[m.QueryID]
-	c.mu.Unlock()
 	if !ok {
 		return
 	}
@@ -1033,16 +1036,14 @@ func (c *Coordinator) onTrackUpdate(m *wire.TrackUpdate) {
 				owner = tr.owner
 			}
 		}
+		// Sent under c.mu for the reason onContinuousUpdate gives.
+		select {
+		case tr.ch <- *m:
+		default:
+			c.reg.Counter("tracks.dropped_updates").Inc()
+		}
 	}
 	c.mu.Unlock()
-	if !ok {
-		return
-	}
-	select {
-	case tr.ch <- *m:
-	default:
-		c.reg.Counter("tracks.dropped_updates").Inc()
-	}
 	if len(stale) > 0 {
 		c.reg.Counter("handoff.aborted").Inc()
 		c.cancelPrimes(context.Background(), m.TrackID, stale, owner)

@@ -219,9 +219,9 @@ func (ing *Ingester) enqueue(ctx context.Context, addr string, batch *wire.Inges
 // per-frame wire allocations. The batch and its Observations, however, are
 // deliberately NOT recycled after the ack: on the zero-copy in-proc
 // transport the worker retains Observation.Feature backing arrays (staged
-// evaluation and the feature log hold references), so reusing them would
-// corrupt the worker's state. Only the wire bytes are pooled; payload
-// structs stay single-use on the producer side.
+// evaluation holds references), so reusing them would corrupt the worker's
+// state. Only the wire bytes are pooled; payload structs stay single-use on
+// the producer side.
 func (ing *Ingester) runSender(addr string, s *ingestSender) {
 	defer ing.lifecycle.Done()
 	var seq uint64

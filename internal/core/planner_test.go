@@ -53,17 +53,8 @@ func targetIDOf(t testing.TB, c *Cluster, probe vision.Feature) uint64 {
 	t.Helper()
 	window := wire.TimeWindow{From: simT0, To: simT0.Add(time.Hour)}
 	for _, w := range c.Workers {
-		hits := w.ReidSearch(probe, window, 0.8)
-		for _, h := range hits {
-			recs, err := c.Coordinator.Range(ctx, geo.RectAround(h.Pos, 0.5), window, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs {
-				if r.ObsID == h.ObsID && r.TargetID != 0 {
-					return r.TargetID
-				}
-			}
+		if hits := w.ReidSearch(probe, window, 0.8); len(hits) > 0 {
+			return hits[0].TargetID
 		}
 	}
 	t.Fatal("target not found")

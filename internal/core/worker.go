@@ -44,8 +44,8 @@ type Worker struct {
 	server cluster.Server
 
 	// mu guards the ingest stage-1 state: membership (epoch, cameras,
-	// primary), index-insert coherence (store, assoc, featureLog), delivery
-	// dedup (ingestSeqs), and heartbeat state.
+	// primary), index-insert coherence (store, assoc), delivery dedup
+	// (ingestSeqs), and heartbeat state.
 	mu         sync.Mutex
 	epoch      uint64
 	cameras    map[uint32]*camera.Camera
@@ -54,7 +54,6 @@ type Worker struct {
 	assoc      *vision.Associator
 	probes     []vision.Probe // onIngest scratch: the batch's featured primary observations
 	localIDs   []uint64       // onIngest scratch: their associated identities
-	featureLog *featureRing
 	ingestSeqs map[string]*ingestSeqState
 	hbSeq      uint64
 	loadMeter  *metrics.Meter
@@ -127,10 +126,6 @@ type stagedObs struct {
 	rec stindex.Record
 }
 
-// featureLogSize bounds the ring of recent observation features used for
-// re-identification search.
-const featureLogSize = 100000
-
 // NewWorker constructs a worker bound to the given transport addresses.
 // coordAddr may be a comma-separated list of coordinator addresses (an HA
 // group); the worker talks to one at a time and rotates — or follows a
@@ -164,7 +159,6 @@ func NewWorker(id wire.NodeID, addr, coordAddr string, transport cluster.Transpo
 			SealHorizon: opts.SealHorizon,
 		}),
 		assoc:      vision.NewAssociator(opts.AssocThreshold),
-		featureLog: newFeatureRing(featureLogSize),
 		ingestSeqs: make(map[string]*ingestSeqState),
 		continuous: make(map[uint64]*continuousState),
 		tracks:     make(map[uint64]*trackState),
@@ -621,7 +615,6 @@ func (w *Worker) onIngest(ctx context.Context, m *wire.IngestBatch) (any, error)
 			Time:     obs.Time,
 		}
 		w.store.Insert(rec)
-		w.featureLog.add(obs)
 		evals = append(evals, stagedObs{obs: *obs, rec: rec})
 	}
 	ack := wire.IngestAck{Accepted: accepted, Rejected: rejected, Replicated: replicated}
@@ -819,24 +812,27 @@ func (w *Worker) onStats() (any, error) {
 	}, nil
 }
 
-// ReidSearch scans the worker's recent feature log for observations whose
-// appearance matches the probe above the threshold. Used by the coordinator's
-// forensic search; exported for local (in-process) deployments.
+// ReidSearch answers re-identification from the worker's identity state:
+// every gallery identity whose prototype matches the probe at or above the
+// threshold contributes its indexed sightings in the window, ordered by
+// (Time, ObsID). The gallery and the store both forget by retention, so the
+// search covers retention like every other query. Exported for in-process
+// deployments; no RPC reaches it.
 func (w *Worker) ReidSearch(probe vision.Feature, window wire.TimeWindow, threshold float64) []wire.ResultRecord {
-	var out []wire.ResultRecord
-	w.featureLog.scan(func(obs *wire.Observation) {
-		if !window.Contains(obs.Time) {
-			return
+	g := w.assoc.Gallery()
+	matches, err := g.Match(probe, g.Len())
+	if err != nil {
+		return nil
+	}
+	var recs []stindex.Record
+	for _, m := range matches {
+		if m.Score < threshold {
+			break // best first: the rest score lower
 		}
-		if vision.Cosine(probe, vision.Feature(obs.Feature)) >= threshold {
-			out = append(out, wire.ResultRecord{
-				ObsID:  obs.ObsID,
-				Camera: obs.Camera,
-				Pos:    obs.Pos,
-				Time:   obs.Time,
-			})
-		}
-	})
+		recs = append(recs, w.store.TargetHistory(w.idNamespace|m.ID, window.From, window.To)...)
+	}
+	out := toWireRecords(recs)
+	sortWireRecords(out)
 	return out
 }
 
@@ -859,38 +855,4 @@ func toWireRecords(rs []stindex.Record) []wire.ResultRecord {
 		out[i] = toWireRecord(r)
 	}
 	return out
-}
-
-// featureRing is a bounded ring buffer of recent observations with features,
-// powering re-identification search without unbounded memory.
-type featureRing struct {
-	buf  []wire.Observation
-	next int
-	full bool
-}
-
-func newFeatureRing(size int) *featureRing {
-	return &featureRing{buf: make([]wire.Observation, size)}
-}
-
-func (r *featureRing) add(obs *wire.Observation) {
-	if len(obs.Feature) == 0 {
-		return
-	}
-	r.buf[r.next] = *obs
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-func (r *featureRing) scan(fn func(*wire.Observation)) {
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	for i := 0; i < n; i++ {
-		fn(&r.buf[i])
-	}
 }

@@ -17,7 +17,7 @@
 //   - Target-centric tracking: a tracker follows a target across cameras,
 //     migrating between workers via vision-graph-scoped handoff (only the
 //     topologically adjacent cameras are primed, not the whole network).
-//   - Re-identification: appearance-feature search over recent observations.
+//   - Re-identification: appearance search over each worker's identities.
 //
 // The quickest way in is NewLocalCluster, which assembles everything
 // in-process:
