@@ -3,7 +3,7 @@
 // machine-robust columns in bench.DefaultGate and exits nonzero when any
 // drifts past tolerance.
 //
-//	stcam-bench -exp R15,R16,R17,R20,R21,R23 -scale 0.15 -json current.json
+//	stcam-bench -exp R3,R8,R12,R15,R16,R17,R20,R21,R23 -scale 0.15 -json current.json
 //	benchdiff -baseline BENCH_CI.json -current current.json -md "$GITHUB_STEP_SUMMARY"
 package main
 

@@ -90,7 +90,6 @@ func run() error {
 		sweep       = flag.Duration("sweep", time.Second, "coordinator: liveness sweep interval")
 		callTimeout = flag.Duration("call-timeout", 2*time.Second, "per-attempt RPC deadline for outbound calls (negative = unbounded)")
 		attempts    = flag.Int("call-attempts", 3, "RPC attempts per outbound call, including the first (1 = no retries)")
-		ingestDepth = flag.Int("ingest-pipeline-depth", 0, "coordinator: max concurrent worker RPCs per proxied ingest batch (0 = default)")
 		httpAddr    = flag.String("http", "", "observability HTTP address serving /metrics, /healthz, /readyz, /debug/pprof (empty = disabled)")
 		slowRPC     = flag.Duration("slow-rpc", 0, "log outbound RPCs slower than this, with trace IDs (0 = disabled)")
 		serveFlag   = flag.Bool("serve", false, "coordinator: attach the serving plane (shared subscription fan-out, result cache, admission control)")
@@ -102,15 +101,14 @@ func run() error {
 	transport := stcam.NewTCP()
 	defer transport.Close()
 	opts := stcam.Options{
-		HeartbeatTimeout:    *hbTimeout,
-		Retention:           *retention,
-		SealHorizon:         *sealHorizon,
-		CallTimeout:         *callTimeout,
-		RetryPolicy:         stcam.Policy{MaxAttempts: *attempts},
-		IngestPipelineDepth: *ingestDepth,
-		SlowRPCThreshold:    *slowRPC,
-		Standby:             *standby,
-		LeaseInterval:       *lease,
+		HeartbeatTimeout: *hbTimeout,
+		Retention:        *retention,
+		SealHorizon:      *sealHorizon,
+		CallTimeout:      *callTimeout,
+		RetryPolicy:      stcam.Policy{MaxAttempts: *attempts},
+		SlowRPCThreshold: *slowRPC,
+		Standby:          *standby,
+		LeaseInterval:    *lease,
 	}
 	if *peers != "" {
 		peerMap, err := parsePeers(*peers)

@@ -153,15 +153,19 @@ func r8Scenario(s Scale, t *Table, replicas int) {
 	inproc.SetBlocked(dead.Addr(), true)
 	crashAt := time.Now()
 
-	// Survivors heartbeat until the sweep detects the death.
+	// Survivors heartbeat until the sweep detects the death. Each sweep
+	// judges liveness as of an instant read before the survivors' heartbeats,
+	// so a stalled host can delay the victim's detection but never declares
+	// a survivor dead: the completeness columns do not depend on timing.
 	var recovery time.Duration
 	for {
+		now := time.Now()
 		for _, w := range c.Workers {
 			if w.ID() != victim {
 				w.SendHeartbeat(ctx) //nolint:errcheck // best-effort during failover
 			}
 		}
-		if died := c.Coordinator.Sweep(ctx, time.Now()); len(died) > 0 {
+		if died := c.Coordinator.Sweep(ctx, now); len(died) > 0 {
 			recovery = time.Since(crashAt)
 			break
 		}
@@ -188,11 +192,12 @@ func r8Scenario(s Scale, t *Table, replicas int) {
 	t.AddRow(replicas, "post-recovery stream", len(post2), fmt.Sprintf("%.3f", comp2), "-")
 }
 
-// ingestReplicated streams a workload through the replica-aware Ingester
-// (serial; R8 measures recovery, not throughput), returning primary-accepted
-// count.
+// ingestReplicated streams a workload through the replica-aware Ingester one
+// frame at a time (R8 measures recovery, not throughput), returning
+// primary-accepted count.
 func ingestReplicated(ctx context.Context, c *core.Cluster, wl *workload) int {
 	ing := core.NewIngester(c.Coordinator, c.Transport)
+	defer ing.Close()
 	total := 0
 	for _, b := range wl.batches {
 		n, _ := ing.IngestDetections(ctx, b)

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"stcam/internal/baseline"
@@ -173,11 +175,11 @@ func chunkDetections(batches [][]vision.Detection, size int) [][]vision.Detectio
 // exists for (and that a TCP deployment pays on every Call).
 const rpcLatency = 200 * time.Microsecond
 
-// runFramedIngest feeds pre-framed detections through a fresh cluster in the
-// given ingest mode and returns accepted observations per second. Worker
-// links carry rpcLatency per call, injected after setup so only the measured
-// ingest pays it.
-func runFramedIngest(ctx context.Context, workers int, cams []wire.CameraInfo, frames [][]vision.Detection, opts core.IngesterOptions) float64 {
+// runFramedIngest feeds pre-framed detections through a fresh cluster at
+// the given pipeline depth (0 = the serial reference) and returns accepted
+// observations per second. Worker links carry rpcLatency per call, injected
+// after setup so only the measured ingest pays it.
+func runFramedIngest(ctx context.Context, workers int, cams []wire.CameraInfo, frames [][]vision.Detection, depth int) float64 {
 	faulty := cluster.NewFaulty(cluster.NewInProc(), 1)
 	c, err := core.NewLocalClusterOver(faulty, workers, nil, core.Options{CellSize: 50})
 	if err != nil {
@@ -190,17 +192,28 @@ func runFramedIngest(ctx context.Context, workers int, cams []wire.CameraInfo, f
 	for _, w := range c.Workers {
 		faulty.SetProgram(w.Addr(), cluster.FaultProgram{Latency: rpcLatency})
 	}
-	ing := core.NewIngesterWith(c.Coordinator, c.Transport, opts)
+	ing := core.NewIngesterWith(c.Coordinator, c.Transport, core.IngesterOptions{PipelineDepth: max(depth, 1)})
 	defer ing.Close()
 	start := time.Now()
 	accepted := 0
-	if opts.Serial {
+	if depth == 0 {
+		// The serial reference: one blocking call per camera group, in
+		// ascending camera order, the delivery model the pipeline replaced.
 		for _, f := range frames {
-			n, err := ing.IngestDetections(ctx, f)
-			if err != nil {
-				panic(err)
+			g := slices.Clone(f)
+			slices.SortStableFunc(g, func(a, b vision.Detection) int { return cmp.Compare(a.Camera, b.Camera) })
+			for len(g) > 0 {
+				n := 1
+				for n < len(g) && g[n].Camera == g[0].Camera {
+					n++
+				}
+				k, err := ing.IngestDetections(ctx, g[:n])
+				if err != nil {
+					panic(err)
+				}
+				accepted += k
+				g = g[n:]
 			}
-			accepted += n
 		}
 	} else {
 		for _, f := range frames {
@@ -230,9 +243,9 @@ func R15IngestPipeline(s Scale) *Table {
 	for _, workers := range []int{1, 4} {
 		for _, batch := range []int{16, 64, 256} {
 			frames := chunkDetections(wl.batches, batch)
-			serial := runFramedIngest(ctx, workers, wl.cams, frames, core.IngesterOptions{Serial: true})
+			serial := runFramedIngest(ctx, workers, wl.cams, frames, 0)
 			for _, depth := range []int{1, 4} {
-				rate := runFramedIngest(ctx, workers, wl.cams, frames, core.IngesterOptions{PipelineDepth: depth})
+				rate := runFramedIngest(ctx, workers, wl.cams, frames, depth)
 				t.AddRow(workers, batch, depth, serial, rate, fmt.Sprintf("%.2fx", rate/serial))
 			}
 		}

@@ -10,8 +10,9 @@ import (
 // This file is the CI perf-regression gate: it compares two stcam-bench
 // -json documents (a committed baseline and a fresh run) over a fixed set of
 // machine-robust columns. Raw throughput numbers vary with the host, so the
-// gate checks dimensionless ratios (R15 speedup) and deterministic work
-// counters (R16 asked/pruned worker counts, gathered bytes) — the quantities
+// gate checks dimensionless ratios (R15 speedup), deterministic work
+// counters (R16 asked/pruned worker counts, gathered bytes) and the paper's
+// own seeded results (R3, R8, R12) — the quantities
 // that actually regress when coalescing or pruning breaks, and that stay
 // put when the runner is merely slower.
 
@@ -87,8 +88,23 @@ type GateColumn struct {
 //     dense-vs-full-sort ratio at 3× (observed 5–8×): both loops run back to
 //     back on the same gallery, so host speed cancels, and reintroducing a
 //     per-probe sort or per-row norm recomputation collapses it toward 1×.
+//   - R3 "primes/begun", "final camera", R8 "completeness", R12
+//     "completeness": the paper's own results. Each column is a count or a
+//     ratio of counts over a seeded workload, identical run to run, so each
+//     is baseline-relative. "primes/begun" gets ±25% on both strategies
+//     (scoped priming collapsing into broadcast multiplies it 4–7×); "final
+//     camera" must match exactly (the track ends on the corridor's last
+//     camera); the completeness columns get ±5%, tight enough that losing the
+//     standby copy at promotion (R8 replicas=1 falls to ~0.77) or dropping
+//     a worker's share of the stream fails. R8 sweeps as of an instant read
+//     before the survivors' heartbeats, so a stalled runner delays the
+//     crash's detection but never kills a second worker.
 func DefaultGate() []GateColumn {
 	return []GateColumn{
+		{Table: "R3", Col: "primes/begun", Tol: 0.25},
+		{Table: "R3", Col: "final camera", Tol: 0},
+		{Table: "R8", Col: "completeness", Tol: 0.05},
+		{Table: "R12", Col: "completeness", Tol: 0.05},
 		{Table: "R15", Col: "speedup", Min: 2.0},
 		{Table: "R16", Col: "asked/knn", Tol: 0.25, MinBase: 0.5},
 		{Table: "R16", Col: "pruned/knn", Tol: 0.25, MinBase: 0.5},

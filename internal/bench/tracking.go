@@ -247,6 +247,7 @@ func R12Trajectory(s Scale) *Table {
 			meanErr = sumErr / float64(matched)
 		}
 		t.AddRow(fn, ticks, matched, fmt.Sprintf("%.3f", completeness), fmt.Sprintf("%.2f", meanErr))
+		ing.Close()
 		c.Stop()
 	}
 	return t

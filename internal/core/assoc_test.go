@@ -23,14 +23,18 @@ func TestWorkerGalleryBoundedByRetention(t *testing.T) {
 		ticks     = 400 // 13 retention windows
 		recycle   = 8   // generation g re-uses the appearance of g-8, long expired
 	)
-	run := func(opts IngesterOptions) (dump string, peak int, expired int64) {
+	run := func(serial bool) (dump string, peak int, expired int64) {
 		c := newTestCluster(t, 1, Options{Retention: retention, LostAfter: time.Hour})
 		cams := gridCams(world1, 2)
 		if err := c.Coordinator.AddCameras(ctx, cams, 50); err != nil {
 			t.Fatal(err)
 		}
-		ing := NewIngesterWith(c.Coordinator, c.Transport, opts)
+		ing := NewIngesterWith(c.Coordinator, c.Transport, IngesterOptions{PipelineDepth: 4})
 		defer ing.Close()
+		var drive detectionIngester = ing
+		if serial {
+			drive = serialIngester{c.Coordinator, c.Transport}
+		}
 		w := c.Workers[0]
 		rng := newRand(77)
 		looks := make([]vision.Feature, recycle*perGen)
@@ -52,7 +56,7 @@ func TestWorkerGalleryBoundedByRetention(t *testing.T) {
 					Feature: looks[(gen%recycle)*perGen+i].Perturb(rng, 0.02),
 				})
 			}
-			if n, err := ing.IngestDetections(ctx, dets); err != nil || n != perGen {
+			if n, err := drive.IngestDetections(ctx, dets); err != nil || n != perGen {
 				t.Fatalf("tick %d: accepted %d of %d: %v", tick, n, perGen, err)
 			}
 			peak = max(peak, w.assoc.Gallery().Len())
@@ -63,7 +67,7 @@ func TestWorkerGalleryBoundedByRetention(t *testing.T) {
 		}
 		return dumpStore(w), peak, snap.Counters["assoc.expired"]
 	}
-	serialDump, peak, expired := run(IngesterOptions{Serial: true})
+	serialDump, peak, expired := run(true)
 	founded := perGen * ticks / lifetime
 	bound := perGen * (int(retention/time.Second)/lifetime + 2)
 	if peak > bound {
@@ -72,7 +76,7 @@ func TestWorkerGalleryBoundedByRetention(t *testing.T) {
 	if expired < int64(founded-bound) {
 		t.Errorf("assoc.expired = %d, want >= %d of the %d identities founded", expired, founded-bound, founded)
 	}
-	pipedDump, _, pipedExpired := run(IngesterOptions{PipelineDepth: 4})
+	pipedDump, _, pipedExpired := run(false)
 	if pipedDump != serialDump || pipedExpired != expired {
 		t.Errorf("pipelined ingest diverged from serial under expiry: %d vs %d expired, stores equal: %v",
 			pipedExpired, expired, pipedDump == serialDump)

@@ -41,6 +41,9 @@ type Coordinator struct {
 
 	server cluster.Server
 
+	// ingest delivers proxied ingest batches (see proxyIngest).
+	ingest *Ingester
+
 	// ha is the replicated control-plane state; nil outside an HA group
 	// (see ha.go). ha.mu and mu never nest in either direction.
 	ha        *haState
@@ -137,6 +140,8 @@ func NewCoordinator(addr string, transport cluster.Transport, p cluster.Partitio
 			commitCh: make(chan struct{}),
 		}
 	}
+	c.ingest = NewIngester(c, c.rpc)
+	c.ingest.lanes = proxyLanes
 	return c
 }
 
@@ -167,13 +172,15 @@ func (c *Coordinator) Addr() string {
 	return c.addr
 }
 
-// Stop closes the server and all subscriber channels.
+// Stop closes the server, the ingest proxy's lanes and all subscriber
+// channels.
 func (c *Coordinator) Stop() {
 	c.stopOnce.Do(func() { close(c.stopCh) })
 	c.lifecycle.Wait()
 	if c.server != nil {
 		c.server.Close()
 	}
+	c.ingest.Close()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for id, cc := range c.continuous {
@@ -327,85 +334,45 @@ func (c *Coordinator) dispatch(ctx context.Context, _ string, req any) (any, err
 	}
 }
 
-// proxyIngest is the ingest proxy for remote drivers: observations are
-// regrouped per destination worker (each observation routes by its own
-// camera, so one multi-camera batch fans out as one coalesced sub-batch per
-// worker plus its replicas) and forwarded concurrently, bounded by the
-// configured pipeline depth. Production feeds stream to workers directly;
-// this path trades a hop for client simplicity.
-//
-// Forwards are unsequenced (Source "", Seq 0): the proxy multiplexes many
-// clients onto each worker link, so a client's per-link sequence cannot
-// survive the hop without reordering. Idempotent sequenced delivery applies
-// on the direct Ingester→worker path.
+// proxyLanes is the number of sequenced lanes the ingest proxy keeps per
+// worker. Proxied frames come from independent clients and need no mutual
+// order, so spreading them over lanes lets up to proxyLanes of them be in
+// flight to one worker at once, each still applied exactly once under its
+// lane's own Source.
+const proxyLanes = 4
+
+// proxyIngest is the ingest proxy for remote clients: it routes a
+// multi-camera batch through the coordinator's own Ingester, so proxied
+// observations reach their owners (primary and replicas) through the same
+// coalescing and sequenced lanes as direct ingest, and a retried or
+// duplicated forward is applied once. Production feeds stream to workers
+// directly; this path trades a hop for client simplicity.
 func (c *Coordinator) proxyIngest(ctx context.Context, m *wire.IngestBatch) (any, error) {
 	if len(m.Observations) == 0 {
 		return &wire.IngestAck{}, nil
 	}
-	byAddr := make(map[string][]wire.Observation)
-	unrouted := 0
-	for _, obs := range m.Observations {
+	byAddr, unrouted := coalesce(c.ingest, m.Observations, func(obs wire.Observation) wire.Observation {
 		if obs.Camera == 0 {
-			// Legacy single-camera batches may omit per-obs routing; the
-			// worker checks ownership per observation, so the forwarded
-			// copy carries the hint.
+			// Legacy single-camera batches may omit per-observation routing;
+			// the worker checks ownership per observation, so the forwarded
+			// copy carries the hint. The caller's batch stays untouched: in
+			// process it is the client's own.
 			obs.Camera = m.Camera
 		}
-		addrs := c.RoutesFor(obs.Camera)
-		if len(addrs) == 0 {
-			unrouted++
-			continue
-		}
-		for _, addr := range addrs {
-			byAddr[addr] = append(byAddr[addr], obs)
-		}
-	}
+		return obs
+	})
 	if len(byAddr) == 0 {
 		return &wire.Error{Code: wire.CodeNotFound, Message: fmt.Sprintf("no live owner for any of %d observations", len(m.Observations))}, nil
 	}
 	// Invalidate before forwarding: even a partially applied forward makes
 	// the receiving workers' sketches unable to prove absence of this data.
 	c.invalidateSummariesAt(byAddr)
-	depth := c.opts.IngestPipelineDepth
-	if depth < 1 {
-		depth = 1
+	ack, err := c.ingest.deliver(ctx, byAddr, m.FrameTime)
+	if err != nil {
+		return nil, err
 	}
-	sem := make(chan struct{}, depth)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		merged   wire.IngestAck
-		firstErr error
-	)
-	for addr, obs := range byAddr {
-		wg.Add(1)
-		go func(addr string, obs []wire.Observation) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sub := &wire.IngestBatch{FrameTime: m.FrameTime, Observations: obs}
-			resp, err := c.rpc.Call(ctx, addr, sub)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			if ack, ok := resp.(*wire.IngestAck); ok {
-				merged.Accepted += ack.Accepted
-				merged.Rejected += ack.Rejected
-				merged.Replicated += ack.Replicated
-			}
-		}(addr, obs)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	merged.Rejected += unrouted
-	return &merged, nil
+	ack.Rejected += unrouted
+	return &ack, nil
 }
 
 // --- camera management -----------------------------------------------------

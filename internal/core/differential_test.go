@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"stcam/internal/cluster"
 	"stcam/internal/geo"
 	"stcam/internal/sim"
 	"stcam/internal/vision"
@@ -17,6 +19,56 @@ import (
 // path: on identical seeded simulation workloads, the pipelined+coalesced
 // Ingester must leave every worker's stindex byte-identical to the serial
 // baseline's and answer Range/kNN/trajectory/Count queries identically.
+
+// detectionIngester is a synchronous ingest path under test: the Ingester or
+// the serialIngester reference.
+type detectionIngester interface {
+	IngestDetections(context.Context, []vision.Detection) (int, error)
+}
+
+// serialIngester is the pre-pipeline delivery path, kept as the differential
+// reference: one unsequenced blocking RPC per camera group, primary then
+// replicas, in ascending camera order (each group sorted so identity
+// association matches the Ingester's coalesced batches observation for
+// observation).
+type serialIngester struct {
+	coord     *Coordinator
+	transport cluster.Transport
+}
+
+func (s serialIngester) IngestDetections(ctx context.Context, dets []vision.Detection) (int, error) {
+	byCam := make(map[uint32][]wire.Observation)
+	for _, d := range dets {
+		obs := observationOf(d)
+		byCam[obs.Camera] = append(byCam[obs.Camera], obs)
+	}
+	cams := make([]uint32, 0, len(byCam))
+	for cam := range byCam {
+		cams = append(cams, cam)
+	}
+	sort.Slice(cams, func(i, j int) bool { return cams[i] < cams[j] })
+	accepted := 0
+	var firstErr error
+	for _, cam := range cams {
+		obs := byCam[cam]
+		sortObservations(obs)
+		for i, addr := range s.coord.RoutesFor(cam) {
+			resp, err := s.transport.Call(ctx, addr, &wire.IngestBatch{Camera: cam, Observations: obs})
+			if err != nil {
+				if firstErr == nil && i == 0 {
+					firstErr = err
+				}
+				continue
+			}
+			// Accepted counts primary-owner inserts only, so summing across
+			// the primary and replica acks never double-counts.
+			if ack, ok := resp.(*wire.IngestAck); ok {
+				accepted += ack.Accepted
+			}
+		}
+	}
+	return accepted, firstErr
+}
 
 // ingestOutcome captures everything the differential comparison looks at.
 type ingestOutcome struct {
@@ -52,9 +104,10 @@ func dumpStore(w *Worker) string {
 
 // ingestMode names one delivery strategy under test.
 type ingestMode struct {
-	name  string
-	opts  IngesterOptions
-	async bool // drive via IngestDetectionsAsync + Flush instead of sync calls
+	name   string
+	opts   IngesterOptions
+	async  bool // drive via IngestDetectionsAsync + Flush instead of sync calls
+	serial bool // drive the serialIngester reference instead of the Ingester
 }
 
 // runIngestWorkload assembles a fresh cluster, replays the same seeded
@@ -78,13 +131,17 @@ func runIngestWorkload(t *testing.T, workers, replicas int, mode ingestMode) ing
 	det := vision.NewDetector(vision.DetectorConfig{Seed: 8})
 	ing := NewIngesterWith(c.Coordinator, c.Transport, mode.opts)
 	defer ing.Close()
+	var drive detectionIngester = ing
+	if mode.serial {
+		drive = serialIngester{c.Coordinator, c.Transport}
+	}
 	accepted := 0
 	w.Run(30, c.Coordinator.Network(), det, func(_ int, dets []vision.Detection) {
 		if mode.async {
 			ing.IngestDetectionsAsync(ctx, dets)
 			return
 		}
-		n, err := ing.IngestDetections(ctx, dets)
+		n, err := drive.IngestDetections(ctx, dets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +256,7 @@ func TestDifferentialPipelinedVsSerialIngest(t *testing.T) {
 		for _, replicas := range []int{0, 1} {
 			t.Run(fmt.Sprintf("workers=%d/replicas=%d", workers, replicas), func(t *testing.T) {
 				serial := runIngestWorkload(t, workers, replicas,
-					ingestMode{name: "serial", opts: IngesterOptions{Serial: true}})
+					ingestMode{name: "serial", serial: true})
 				if serial.accepted == 0 || serial.storeBytes == 0 {
 					t.Fatal("serial baseline produced no data; workload is vacuous")
 				}

@@ -2,8 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,42 +20,69 @@ type IngesterOptions struct {
 	// PipelineDepth is the length of each worker lane's queue: the batches
 	// that may wait behind the one Call the lane's sender keeps in flight.
 	// Producers block once it is full (backpressure); depth does not add
-	// concurrent Calls to a worker. Defaults to the coordinator's
-	// Options.IngestPipelineDepth.
+	// concurrent Calls to a worker. Defaults to defaultPipelineDepth.
 	PipelineDepth int
-	// Serial reverts to the pre-pipeline path: one blocking RPC per camera
-	// group, primary then replicas, in ascending camera order. It is the
-	// differential-test baseline and the serial column of experiment R15.
-	Serial bool
 	// Source identifies this ingester for idempotent sequenced delivery;
 	// it scopes the per-worker sequence numbers stamped on every batch.
-	// Defaults to a process-unique name. Two ingesters must never share a
-	// Source: a worker keeps one delivery cursor per Source.
+	// Defaults to a name unique to this ingester and process incarnation.
+	// Two ingesters must never share a Source: a worker keeps one delivery
+	// cursor per Source.
 	Source string
 }
 
-// ingesterIDs makes default Source names unique within a process.
-var ingesterIDs atomic.Uint64
+// defaultPipelineDepth is the lane queue length when PipelineDepth is unset.
+const defaultPipelineDepth = 4
 
-// Ingester routes detection batches to the workers owning their cameras,
-// caching the routing table per epoch. It stands in for the per-camera feed
-// processes of a real deployment.
+var (
+	// ingesterIDs makes default Source names unique within a process.
+	ingesterIDs atomic.Uint64
+	// incarnation makes them unique across processes, restarts included: a
+	// restarted process (say, PID 1 in a container) must not resume at Seq 1
+	// under a Source whose cursor the workers kept, or every batch would be
+	// acknowledged as a replay and dropped.
+	incarnation = func() string {
+		var b [8]byte
+		if _, err := rand.Read(b[:]); err != nil {
+			panic(fmt.Sprintf("core: ingest source nonce: %v", err))
+		}
+		return hex.EncodeToString(b[:])
+	}()
+)
+
+// Ingester routes observations to the workers owning their cameras, caching
+// the routing table per epoch. It stands in for the per-camera feed
+// processes of a real deployment, and the coordinator's ingest proxy
+// delivers through one.
 //
-// The default mode is pipelined: each frame's detections are coalesced into
-// one multi-camera batch per destination worker, and a persistent per-worker
-// sender delivers batches from a bounded queue (PipelineDepth), stamping
-// each with a (Source, Seq) pair so at-least-once retries and transport
-// duplicates are applied at most once, in order. Safe for concurrent use.
+// Each frame's observations are coalesced into one multi-camera batch per
+// destination worker, and a persistent sender lane per worker delivers
+// batches from a bounded queue (PipelineDepth), stamping each with a
+// (Source, Seq) pair so at-least-once retries and transport duplicates are
+// applied at most once, in order. Safe for concurrent use, Close included.
 type Ingester struct {
 	coord     *Coordinator
 	transport cluster.Transport
 	opts      IngesterOptions
 
 	mu      sync.Mutex
-	epoch   uint64
-	routes  map[uint32][]string // primary first, then replicas
-	senders map[string]*ingestSender
-	closed  bool
+	epoch   uint64              // assignment epoch the route cache reflects
+	routes  map[uint32][]string // primary first, then replicas; nil = no route
+	missed  bool                // a lookup missed since the last rebuild
+	senders map[laneKey]*ingestSender
+
+	// lanes is the number of sequenced lanes kept per worker, each with its
+	// own Source; deliver spreads frames over them round-robin (nextLane).
+	// One lane, the default, keeps each worker's stream in frame order. The
+	// coordinator's proxy keeps proxyLanes, so frames from concurrent
+	// clients reach a worker concurrently and are each still applied once.
+	lanes    int
+	nextLane atomic.Uint64
+
+	// laneMu is held shared across every lane send and exclusively while
+	// Close closes the lanes, so a producer racing Close either gets its
+	// batch into a lane that the sender then drains or sees closed.
+	laneMu sync.RWMutex
+	closed bool
 
 	lifecycle sync.WaitGroup
 
@@ -67,12 +95,19 @@ type Ingester struct {
 	firstErr error
 }
 
-// ingestSender is one worker's delivery lane: a bounded channel (the
-// pipeline window) drained by a single goroutine that owns the sequence
-// counter, so delivery to each worker is ordered even with concurrent
+// laneKey names one delivery lane: a worker address and a lane index.
+type laneKey struct {
+	addr string
+	lane int
+}
+
+// ingestSender is one delivery lane: a bounded channel (the pipeline
+// window) drained by a single goroutine that owns the lane's sequence
+// counter, so the lane's deliveries are ordered even with concurrent
 // producers.
 type ingestSender struct {
-	ch chan ingestJob
+	ch     chan ingestJob
+	source string
 }
 
 type ingestJob struct {
@@ -82,7 +117,7 @@ type ingestJob struct {
 }
 
 // NewIngester returns an ingest router bound to a coordinator, with the
-// coordinator's configured pipeline depth.
+// default pipeline depth.
 func NewIngester(coord *Coordinator, transport cluster.Transport) *Ingester {
 	return NewIngesterWith(coord, transport, IngesterOptions{})
 }
@@ -90,95 +125,103 @@ func NewIngester(coord *Coordinator, transport cluster.Transport) *Ingester {
 // NewIngesterWith is NewIngester with explicit pipeline options.
 func NewIngesterWith(coord *Coordinator, transport cluster.Transport, o IngesterOptions) *Ingester {
 	if o.PipelineDepth <= 0 {
-		o.PipelineDepth = coord.opts.IngestPipelineDepth
+		o.PipelineDepth = defaultPipelineDepth
 	}
 	if o.Source == "" {
-		o.Source = fmt.Sprintf("ingest-%d-%d", os.Getpid(), ingesterIDs.Add(1))
+		o.Source = fmt.Sprintf("ingest-%s-%d", incarnation, ingesterIDs.Add(1))
 	}
 	ing := &Ingester{
 		coord:     coord,
 		transport: transport,
 		opts:      o,
-		routes:    make(map[uint32][]string),
-		senders:   make(map[string]*ingestSender),
+		senders:   make(map[laneKey]*ingestSender),
+		lanes:     1,
 	}
 	ing.statCond = sync.NewCond(&ing.statMu)
 	return ing
 }
 
-// refreshLocked rebuilds the route cache when the assignment epoch changed.
-// Caller holds ing.mu.
-func (ing *Ingester) refreshLocked() {
+// refreshLocked rebuilds the route cache when the assignment epoch changed,
+// and reports whether it did. Caller holds ing.mu.
+func (ing *Ingester) refreshLocked() bool {
 	epoch := ing.coord.Epoch()
-	if epoch == ing.epoch && len(ing.routes) > 0 {
-		return
+	if epoch == ing.epoch && ing.routes != nil {
+		return false
 	}
+	ing.rebuildLocked(epoch)
+	return true
+}
+
+// rebuildLocked reads the coordinator's routing table into the cache.
+// Caller holds ing.mu.
+func (ing *Ingester) rebuildLocked(epoch uint64) {
 	ing.epoch = epoch
+	ing.missed = false
 	ing.routes = make(map[uint32][]string)
 	for cam := range ing.coord.Assignment() {
 		if addrs := ing.coord.RoutesFor(cam); len(addrs) > 0 {
 			ing.routes[cam] = addrs
 		}
 	}
+	ing.coord.reg.Counter("ingest.route_refreshes").Inc()
 }
 
-// routesFor returns a camera's delivery addresses, refreshing the cache once
-// on a miss (assignment may have changed mid-stream).
+// routesFor returns a camera's delivery addresses. The first miss in an
+// epoch makes sure the cache is fresh (membership may have changed
+// mid-stream); every miss is then cached as unroutable until the epoch
+// changes, so a stream of observations naming unknown or removed cameras (a
+// proxied client's, say) costs one rebuild per epoch, not one per
+// observation.
 func (ing *Ingester) routesFor(cam uint32) []string {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	ing.refreshLocked()
+	rebuilt := ing.refreshLocked()
 	addrs, ok := ing.routes[cam]
 	if !ok {
-		ing.epoch = 0
-		ing.refreshLocked()
-		addrs = ing.routes[cam]
+		if !rebuilt && !ing.missed {
+			ing.rebuildLocked(ing.epoch)
+			addrs = ing.routes[cam]
+		}
+		ing.missed = true
+		ing.routes[cam] = addrs
 	}
 	return addrs
 }
 
-// liveAddrs returns every distinct delivery address, sorted.
-func (ing *Ingester) liveAddrs() []string {
-	ing.mu.Lock()
-	defer ing.mu.Unlock()
-	ing.refreshLocked()
-	seen := make(map[string]bool)
-	var out []string
-	for _, addrs := range ing.routes {
-		for _, addr := range addrs {
-			if !seen[addr] {
-				seen[addr] = true
-				out = append(out, addr)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// coalesce converts detections to observations and groups them per
-// destination address (primaries and replicas alike), each group sorted by
-// (camera, observation ID) so per-worker identity association is
-// deterministic regardless of input order.
-func (ing *Ingester) coalesce(dets []vision.Detection) map[string][]wire.Observation {
+// coalesce converts items to observations and groups them per destination
+// address (primaries and replicas alike), each group sorted by (camera,
+// observation ID) so per-worker identity association is deterministic
+// regardless of input order. It also returns how many observations had no
+// live owner.
+func coalesce[T any](ing *Ingester, items []T, toObs func(T) wire.Observation) (map[string][]wire.Observation, int) {
 	byAddr := make(map[string][]wire.Observation)
-	for _, d := range dets {
-		obs := wire.Observation{
-			ObsID:   d.ObsID,
-			Camera:  uint32(d.Camera),
-			Time:    d.Time,
-			Pos:     d.Pos,
-			Feature: d.Feature,
-			TrueID:  d.TrueID,
+	unrouted := 0
+	for _, item := range items {
+		obs := toObs(item)
+		addrs := ing.routesFor(obs.Camera)
+		if len(addrs) == 0 {
+			unrouted++
 		}
-		for _, addr := range ing.routesFor(obs.Camera) {
+		for _, addr := range addrs {
 			byAddr[addr] = append(byAddr[addr], obs)
 		}
 	}
-	for _, obs := range byAddr {
-		sortObservations(obs)
+	for _, group := range byAddr {
+		sortObservations(group)
 	}
-	return byAddr
+	return byAddr, unrouted
+}
+
+// observationOf converts a detection to its wire observation.
+func observationOf(d vision.Detection) wire.Observation {
+	return wire.Observation{
+		ObsID:   d.ObsID,
+		Camera:  uint32(d.Camera),
+		Time:    d.Time,
+		Pos:     d.Pos,
+		Feature: d.Feature,
+		TrueID:  d.TrueID,
+	}
 }
 
 func sortObservations(obs []wire.Observation) {
@@ -190,24 +233,28 @@ func sortObservations(obs []wire.Observation) {
 	})
 }
 
-// enqueue hands a batch to addr's sender lane, starting the lane on first
-// use. Blocks while the lane's queue is full (backpressure).
-func (ing *Ingester) enqueue(ctx context.Context, addr string, batch *wire.IngestBatch, done func(*wire.IngestAck, error)) {
-	ing.mu.Lock()
+// enqueue hands a batch to one of addr's sender lanes, starting the lane on
+// first use. Blocks while the lane's queue is full (backpressure).
+func (ing *Ingester) enqueue(ctx context.Context, key laneKey, batch *wire.IngestBatch, done func(*wire.IngestAck, error)) {
+	ing.laneMu.RLock()
+	defer ing.laneMu.RUnlock()
 	if ing.closed {
-		ing.mu.Unlock()
 		done(nil, fmt.Errorf("core: ingester closed"))
 		return
 	}
-	s, ok := ing.senders[addr]
+	ing.mu.Lock()
+	s, ok := ing.senders[key]
 	if !ok {
-		s = &ingestSender{ch: make(chan ingestJob, ing.opts.PipelineDepth)}
-		ing.senders[addr] = s
+		s = &ingestSender{ch: make(chan ingestJob, ing.opts.PipelineDepth), source: ing.opts.Source}
+		if key.lane > 0 {
+			s.source = fmt.Sprintf("%s.%d", ing.opts.Source, key.lane)
+		}
+		ing.senders[key] = s
 		ing.lifecycle.Add(1)
-		go ing.runSender(addr, s)
+		go ing.runSender(key.addr, s)
 	}
 	ing.mu.Unlock()
-	s.ch <- ingestJob{ctx: ctx, batch: batch, done: done}
+	s.ch <- ingestJob{ctx: ctx, batch: batch, done: done} //lint:allow rpcunderlock shared laneMu keeps Close from closing the lane mid-send; the sender that drains it never takes laneMu
 }
 
 // runSender drains one worker's lane. The sender owns the lane's sequence
@@ -227,7 +274,7 @@ func (ing *Ingester) runSender(addr string, s *ingestSender) {
 	var seq uint64
 	for job := range s.ch {
 		seq++
-		job.batch.Source = ing.opts.Source
+		job.batch.Source = s.source
 		job.batch.Seq = seq
 		resp, err := ing.transport.Call(job.ctx, addr, job.batch)
 		var ack *wire.IngestAck
@@ -244,43 +291,47 @@ func (ing *Ingester) runSender(addr string, s *ingestSender) {
 // this for free from per-camera frame cadence. Tick returns once every
 // worker acknowledged (or failed) the frame.
 func (ing *Ingester) Tick(ctx context.Context, now time.Time) {
-	addrs := ing.liveAddrs()
-	if ing.opts.Serial {
+	frames := make(map[string][]wire.Observation)
+	ing.mu.Lock()
+	ing.refreshLocked()
+	for _, addrs := range ing.routes {
 		for _, addr := range addrs {
-			ing.transport.Call(ctx, addr, &wire.IngestBatch{FrameTime: now}) //nolint:errcheck // clock ticks are best-effort
+			frames[addr] = nil
 		}
-		return
 	}
-	var wg sync.WaitGroup
-	for _, addr := range addrs {
-		wg.Add(1)
-		ing.enqueue(ctx, addr, &wire.IngestBatch{FrameTime: now}, func(*wire.IngestAck, error) {
-			wg.Done() // clock ticks are best-effort
-		})
-	}
-	wg.Wait()
+	ing.mu.Unlock()
+	ing.deliver(ctx, frames, now) //nolint:errcheck // clock ticks are best-effort
 }
 
 // IngestDetections delivers one frame's detections to the owning workers and
 // waits for every acknowledgment, returning the number of observations
-// accepted by primary owners. In the default pipelined mode the frame
-// becomes one coalesced multi-camera batch per destination worker, delivered
-// concurrently through the per-worker lanes.
+// accepted by primary owners. The frame becomes one coalesced multi-camera
+// batch per destination worker, delivered concurrently through the
+// workers' lanes.
 func (ing *Ingester) IngestDetections(ctx context.Context, dets []vision.Detection) (int, error) {
-	if ing.opts.Serial {
-		return ing.ingestSerial(ctx, dets)
-	}
-	byAddr := ing.coalesce(dets)
+	byAddr, _ := coalesce(ing, dets, observationOf)
+	ack, err := ing.deliver(ctx, byAddr, time.Time{})
+	return ack.Accepted, err
+}
+
+// deliver enqueues one batch per address, all on the same lane index, and
+// waits for every acknowledgment, returning their sum and the first delivery
+// error.
+func (ing *Ingester) deliver(ctx context.Context, byAddr map[string][]wire.Observation, frameTime time.Time) (wire.IngestAck, error) {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		accepted int
+		sum      wire.IngestAck
 		firstErr error
 	)
+	lane := 0
+	if ing.lanes > 1 {
+		lane = int(ing.nextLane.Add(1) % uint64(ing.lanes))
+	}
 	for addr, obs := range byAddr {
 		wg.Add(1)
-		batch := &wire.IngestBatch{Observations: obs}
-		ing.enqueue(ctx, addr, batch, func(ack *wire.IngestAck, err error) {
+		batch := &wire.IngestBatch{FrameTime: frameTime, Observations: obs}
+		ing.enqueue(ctx, laneKey{addr, lane}, batch, func(ack *wire.IngestAck, err error) {
 			defer wg.Done()
 			mu.Lock()
 			defer mu.Unlock()
@@ -291,12 +342,14 @@ func (ing *Ingester) IngestDetections(ctx context.Context, dets []vision.Detecti
 				return
 			}
 			if ack != nil {
-				accepted += ack.Accepted
+				sum.Accepted += ack.Accepted
+				sum.Rejected += ack.Rejected
+				sum.Replicated += ack.Replicated
 			}
 		})
 	}
 	wg.Wait()
-	return accepted, firstErr
+	return sum, firstErr
 }
 
 // IngestDetectionsAsync enqueues one frame without waiting for
@@ -304,22 +357,12 @@ func (ing *Ingester) IngestDetections(ctx context.Context, dets []vision.Detecti
 // Flush. Backpressure still applies: the call blocks only when a
 // destination's pipeline window is full.
 func (ing *Ingester) IngestDetectionsAsync(ctx context.Context, dets []vision.Detection) {
-	if ing.opts.Serial {
-		accepted, err := ing.ingestSerial(ctx, dets)
-		ing.statMu.Lock()
-		ing.accepted += accepted
-		if err != nil && ing.firstErr == nil {
-			ing.firstErr = err
-		}
-		ing.statMu.Unlock()
-		return
-	}
-	byAddr := ing.coalesce(dets)
+	byAddr, _ := coalesce(ing, dets, observationOf)
 	ing.statMu.Lock()
 	ing.inflight += len(byAddr)
 	ing.statMu.Unlock()
 	for addr, obs := range byAddr {
-		ing.enqueue(ctx, addr, &wire.IngestBatch{Observations: obs}, ing.asyncDone)
+		ing.enqueue(ctx, laneKey{addr: addr}, &wire.IngestBatch{Observations: obs}, ing.asyncDone)
 	}
 }
 
@@ -353,68 +396,21 @@ func (ing *Ingester) Flush() (int, error) {
 	return accepted, err
 }
 
-// Close drains and stops the per-worker sender lanes. Callers must not
-// ingest concurrently with (or after) Close.
+// Close drains and stops the per-worker sender lanes. It is safe against
+// concurrent ingest: a producer that loses the race gets an "ingester
+// closed" error for its batch.
 func (ing *Ingester) Close() {
-	ing.mu.Lock()
+	ing.laneMu.Lock()
 	if ing.closed {
-		ing.mu.Unlock()
+		ing.laneMu.Unlock()
 		return
 	}
 	ing.closed = true
-	senders := make([]*ingestSender, 0, len(ing.senders))
+	ing.mu.Lock()
 	for _, s := range ing.senders {
-		senders = append(senders, s)
-	}
-	ing.mu.Unlock()
-	for _, s := range senders {
 		close(s.ch)
 	}
+	ing.mu.Unlock()
+	ing.laneMu.Unlock()
 	ing.lifecycle.Wait()
-}
-
-// ingestSerial is the pre-pipeline delivery path: one unsequenced blocking
-// RPC per camera group, primary then replicas, in ascending camera order
-// (sorted so identity association matches the pipelined path's coalesced
-// batches observation for observation).
-func (ing *Ingester) ingestSerial(ctx context.Context, dets []vision.Detection) (int, error) {
-	byCam := make(map[uint32][]wire.Observation)
-	for _, d := range dets {
-		obs := wire.Observation{
-			ObsID:   d.ObsID,
-			Camera:  uint32(d.Camera),
-			Time:    d.Time,
-			Pos:     d.Pos,
-			Feature: d.Feature,
-			TrueID:  d.TrueID,
-		}
-		byCam[obs.Camera] = append(byCam[obs.Camera], obs)
-	}
-	cams := make([]uint32, 0, len(byCam))
-	for cam := range byCam {
-		cams = append(cams, cam)
-	}
-	sort.Slice(cams, func(i, j int) bool { return cams[i] < cams[j] })
-	accepted := 0
-	var firstErr error
-	for _, cam := range cams {
-		addrs := ing.routesFor(cam)
-		obs := byCam[cam]
-		sortObservations(obs)
-		for i, addr := range addrs {
-			resp, err := ing.transport.Call(ctx, addr, &wire.IngestBatch{Camera: cam, Observations: obs})
-			if err != nil {
-				if firstErr == nil && i == 0 {
-					firstErr = err
-				}
-				continue
-			}
-			// Accepted counts primary-owner inserts only, so summing across
-			// the primary and replica acks never double-counts.
-			if ack, ok := resp.(*wire.IngestAck); ok {
-				accepted += ack.Accepted
-			}
-		}
-	}
-	return accepted, firstErr
 }

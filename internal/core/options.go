@@ -62,11 +62,6 @@ type Options struct {
 	// never stall heartbeats, rebalance pushes, or query fan-out (default
 	// 2s; negative leaves attempts unbounded).
 	CallTimeout time.Duration
-	// IngestPipelineDepth bounds the ingest batches in flight per worker
-	// link: the Ingester's default pipeline window and the coordinator
-	// ingest proxy's fan-out bound (default 4; 1 degenerates to one
-	// blocking RPC at a time).
-	IngestPipelineDepth int
 	// RetryPolicy tunes the resilience layer every node wraps around its
 	// transport for outbound calls: retry attempts, backoff shape, and the
 	// per-peer circuit breaker (see cluster.Policy for fields and
@@ -135,9 +130,6 @@ func (o *Options) fill() {
 	}
 	if o.CallTimeout == 0 {
 		o.CallTimeout = 2 * time.Second
-	}
-	if o.IngestPipelineDepth <= 0 {
-		o.IngestPipelineDepth = 4
 	}
 	if o.CoordinatorID == "" {
 		o.CoordinatorID = "c0"

@@ -190,10 +190,9 @@ func runPrunedWorkload(t *testing.T, workers int, opts Options, tr cluster.Trans
 		t.Fatal(err)
 	}
 	det := vision.NewDetector(vision.DetectorConfig{Seed: 8})
-	// The Ingester dials workers itself, so on a lossy fabric it needs its
+	// The serial reference dials workers itself, so on a lossy fabric it needs its
 	// own retry layer (cluster nodes get theirs from opts.RetryPolicy).
-	ing := NewIngesterWith(c.Coordinator, cluster.NewResilient(c.Transport, opts.rpcPolicy()), IngesterOptions{Serial: true})
-	defer ing.Close()
+	ing := serialIngester{c.Coordinator, cluster.NewResilient(c.Transport, opts.rpcPolicy())}
 	w.Run(30, c.Coordinator.Network(), det, func(_ int, dets []vision.Detection) {
 		if _, err := ing.IngestDetections(ctx, dets); err != nil {
 			t.Fatal(err)

@@ -78,7 +78,7 @@ type (
 	// Ingester routes detection batches to the owning workers, coalescing
 	// each frame into one sequenced RPC per worker and pipelining frames.
 	Ingester = core.Ingester
-	// IngesterOptions tunes an Ingester's pipeline depth and delivery mode.
+	// IngesterOptions tunes an Ingester's pipeline depth and sender identity.
 	IngesterOptions = core.IngesterOptions
 )
 
@@ -257,7 +257,7 @@ func WithTenant(ctx context.Context, tenant string) context.Context {
 func NewIngester(c *Coordinator, t Transport) *Ingester { return core.NewIngester(c, t) }
 
 // NewIngesterWith is NewIngester with explicit pipeline options (depth,
-// serial mode, sender identity).
+// sender identity).
 func NewIngesterWith(c *Coordinator, t Transport, o IngesterOptions) *Ingester {
 	return core.NewIngesterWith(c, t, o)
 }
