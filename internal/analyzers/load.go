@@ -90,9 +90,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // LoadAll walks the module tree and loads every package, skipping testdata,
 // hidden directories, and directories with no buildable Go files. The result
 // is sorted by import path.

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"stcam/internal/geo"
-	"stcam/internal/metrics"
 	"stcam/internal/stindex"
 	"stcam/internal/vision"
 	"stcam/internal/wire"
@@ -22,7 +21,6 @@ import (
 // associator, no partitioning, no fan-out. Its API mirrors the coordinator's
 // query surface so harnesses can drive either interchangeably.
 type Central struct {
-	reg   *metrics.Registry
 	assoc *vision.Associator
 	store *stindex.Store
 
@@ -54,7 +52,6 @@ func NewCentral(cfg CentralConfig) *Central {
 		cfg.AssocThreshold = 0.75
 	}
 	return &Central{
-		reg:        metrics.NewRegistry(),
 		assoc:      vision.NewAssociator(cfg.AssocThreshold),
 		continuous: make(map[uint64]*centralContinuous),
 		store: stindex.NewStore(stindex.Config{
@@ -64,9 +61,6 @@ func NewCentral(cfg CentralConfig) *Central {
 		}),
 	}
 }
-
-// Metrics exposes the server's instrumentation.
-func (c *Central) Metrics() *metrics.Registry { return c.reg }
 
 // Stored returns the number of indexed records.
 func (c *Central) Stored() int { return c.store.Len() }
@@ -93,13 +87,11 @@ func (c *Central) Ingest(dets []vision.Detection) int {
 			cc.observe(rec)
 		}
 	}
-	c.reg.Counter("ingest.accepted").Add(int64(len(dets)))
 	return len(dets)
 }
 
 // Range answers a spatio-temporal range query.
 func (c *Central) Range(rect geo.Rect, window wire.TimeWindow, limit int) []wire.ResultRecord {
-	start := time.Now()
 	recs := c.store.RangeQuery(rect, window.From, window.To)
 	if limit > 0 && len(recs) > limit {
 		recs = recs[:limit]
@@ -108,13 +100,11 @@ func (c *Central) Range(rect geo.Rect, window wire.TimeWindow, limit int) []wire
 	for i, r := range recs {
 		out[i] = wire.ResultRecord{ObsID: r.ObsID, TargetID: r.TargetID, Camera: r.Camera, Pos: r.Pos, Time: r.Time}
 	}
-	c.reg.Histogram("query.range").Observe(time.Since(start))
 	return out
 }
 
 // KNN answers a k-nearest query.
 func (c *Central) KNN(center geo.Point, window wire.TimeWindow, k int) []wire.KNNRecord {
-	start := time.Now()
 	ns := c.store.KNN(center, window.From, window.To, k)
 	out := make([]wire.KNNRecord, len(ns))
 	for i, n := range ns {
@@ -123,7 +113,6 @@ func (c *Central) KNN(center geo.Point, window wire.TimeWindow, k int) []wire.KN
 			Dist2:        n.Dist2,
 		}
 	}
-	c.reg.Histogram("query.knn").Observe(time.Since(start))
 	return out
 }
 

@@ -146,7 +146,7 @@ func R13Planner(s Scale) *Table {
 		for _, qq := range queries {
 			fq := qq.fq
 			fq.ForcePlan = force
-			recs, _, err := c.Coordinator.Filter(ctx, fq)
+			recs, _, _, err := c.Coordinator.Filter(ctx, fq)
 			if err != nil {
 				panic(err)
 			}

@@ -62,9 +62,6 @@ func (l *Lease) Holder() (wire.NodeID, string, uint64) {
 	return l.leader, l.addr, l.epoch
 }
 
-// TTL returns the configured lease lifetime.
-func (l *Lease) TTL() time.Duration { return l.ttl }
-
 // ElectLeader picks the failover leader deterministically: the lowest node
 // ID among the candidates with the maximum applied journal index. Every
 // reachable standby computes the same answer from the same inputs, so no

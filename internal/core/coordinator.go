@@ -313,11 +313,11 @@ func (c *Coordinator) dispatch(ctx context.Context, _ string, req any) (any, err
 		}
 		return &wire.HeatmapResult{QueryID: m.QueryID, CellSize: m.CellSize, Cells: cells}, nil
 	case *wire.FilterQuery:
-		recs, _, err := c.Filter(ctx, *m)
+		recs, _, meta, err := c.Filter(ctx, *m)
 		if err != nil {
 			return &wire.Error{Code: wire.CodeBadRequest, Message: err.Error()}, nil
 		}
-		return &wire.FilterResult{QueryID: m.QueryID, Records: recs, Plan: "merged"}, nil
+		return &wire.FilterResult{QueryID: m.QueryID, Records: recs, Plan: "merged", Truncated: meta.Truncated}, nil
 	case *wire.AssignCameras:
 		// Remote camera registration (cmd/stcam-sim): epoch is ignored on the
 		// inbound path; AddCameras recomputes and pushes the real epoch.
@@ -676,24 +676,29 @@ func (c *Coordinator) CountMeta(ctx context.Context, rect geo.Rect, window wire.
 
 // Filter runs a distributed multi-predicate query (range × cameras ×
 // target); each worker plans its own evaluation order adaptively. The merged
-// records come back in time order with the per-worker plans attached.
-func (c *Coordinator) Filter(ctx context.Context, q wire.FilterQuery) ([]wire.ResultRecord, map[string]int, error) {
+// records come back in time order with the per-worker plans attached, and
+// meta reports completeness and, as for RangeMeta, whether q.Limit cut the
+// answer at a worker or at the merge.
+func (c *Coordinator) Filter(ctx context.Context, q wire.FilterQuery) ([]wire.ResultRecord, map[string]int, QueryMeta, error) {
 	q.QueryID = c.nextQueryID.Add(1)
 	var merged []wire.ResultRecord
 	plans := make(map[string]int)
-	targets, _ := c.pruneTargets(c.targetsFor(q.Rect), q.Rect, q.Window)
-	resps, _ := c.scatter(ctx, addrsOfTargets(targets), &q)
+	targets, pruned := c.pruneTargets(c.targetsFor(q.Rect), q.Rect, q.Window)
+	resps, meta := c.scatter(ctx, addrsOfTargets(targets), &q)
+	meta.Pruned = pruned
 	for _, resp := range resps {
 		if fr, ok := resp.(*wire.FilterResult); ok {
 			merged = append(merged, fr.Records...)
 			plans[fr.Plan]++
+			meta.Truncated = meta.Truncated || fr.Truncated
 		}
 	}
 	sortWireRecords(merged)
 	if q.Limit > 0 && len(merged) > q.Limit {
 		merged = merged[:q.Limit]
+		meta.Truncated = true
 	}
-	return merged, plans, nil
+	return merged, plans, meta, nil
 }
 
 // Heatmap runs a distributed density aggregation: each relevant worker bins

@@ -151,10 +151,6 @@ func (h *haState) compactLocked(durable uint64) uint64 {
 	return n
 }
 
-// haEnabled reports whether this coordinator runs the replicated control
-// plane. All journal/lease paths are no-ops when it does not.
-func (c *Coordinator) haEnabled() bool { return c.ha != nil }
-
 // IsStandby reports whether this coordinator currently follows a leader.
 func (c *Coordinator) IsStandby() bool {
 	if c.ha == nil {

@@ -262,10 +262,10 @@ func tcpTestCluster(t *testing.T, n int) *Cluster {
 	return c
 }
 
-// TestRangeLimitReportsTruncated is the regression for limited range answers
-// that never reported truncation: a client sending Limit must see Truncated
-// exactly when the answer was cut — by a worker's own limit or by the
-// coordinator's merge — both in process and over TCP.
+// TestRangeLimitReportsTruncated is the regression for limited range and
+// filter answers that never reported truncation: a client sending Limit must
+// see Truncated exactly when the answer was cut — by a worker's own limit or
+// by the coordinator's merge — both in process and over TCP.
 func TestRangeLimitReportsTruncated(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -326,6 +326,21 @@ func TestRangeLimitReportsTruncated(t *testing.T) {
 				}
 				if _, meta, err := c.Coordinator.RangeMeta(ctx, q.rect, window, q.limit); err != nil || meta.Truncated != (want < q.total) {
 					t.Errorf("%v limit %d: RangeMeta Truncated = %v (%v), want %v", q.rect, q.limit, meta.Truncated, err, want < q.total)
+				}
+				fq := wire.FilterQuery{QueryID: 1, Rect: q.rect, Window: window, Limit: q.limit}
+				resp, err = c.Transport.Call(ctx, c.Coordinator.Addr(), &fq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fr := resp.(*wire.FilterResult)
+				if len(fr.Records) != want {
+					t.Fatalf("%v limit %d: filter %d records, want %d", q.rect, q.limit, len(fr.Records), want)
+				}
+				if wantCut := want < q.total; fr.Truncated != wantCut {
+					t.Errorf("%v limit %d: filter Truncated = %v, want %v", q.rect, q.limit, fr.Truncated, wantCut)
+				}
+				if _, _, meta, err := c.Coordinator.Filter(ctx, fq); err != nil || meta.Truncated != (want < q.total) {
+					t.Errorf("%v limit %d: Filter Truncated = %v (%v), want %v", q.rect, q.limit, meta.Truncated, err, want < q.total)
 				}
 			}
 		})

@@ -44,7 +44,11 @@ func (w *Worker) onFilter(m *wire.FilterQuery) (any, error) {
 	for _, c := range m.Cameras {
 		camSet[c] = true
 	}
+	primary := w.primaryCameras()
 	match := func(r stindex.Record) bool {
+		if primary != nil && !primary[r.Camera] {
+			return false
+		}
 		if m.TargetID != 0 && r.TargetID != m.TargetID {
 			return false
 		}
@@ -69,7 +73,6 @@ func (w *Worker) onFilter(m *wire.FilterQuery) (any, error) {
 			}
 		}
 	}
-	recs = w.filterPrimary(recs)
 	truncated := false
 	if m.Limit > 0 && len(recs) > m.Limit {
 		recs = recs[:m.Limit]

@@ -69,7 +69,7 @@ func TestFilterQueryCorrectness(t *testing.T) {
 	target := targetIDOf(t, c, frequent)
 
 	rect := geo.RectOf(0, 0, 500, 500)
-	recs, plans, err := c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: rect, Window: window, TargetID: target})
+	recs, plans, _, err := c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: rect, Window: window, TargetID: target})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFilterQueryCorrectness(t *testing.T) {
 	}
 	// Camera predicate composes.
 	camSet := []uint32{all[0].Camera}
-	recs, _, err = c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: rect, Window: window, Cameras: camSet})
+	recs, _, _, err = c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: rect, Window: window, Cameras: camSet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFilterQueryCorrectness(t *testing.T) {
 		}
 	}
 	// Limit applies.
-	recs, _, err = c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: world1, Window: window, Limit: 5})
+	recs, _, _, err = c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: world1, Window: window, Limit: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestPlannerAdaptsToSelectivity(t *testing.T) {
 		// 200 history records beat the hotspot's ~500.
 		{"frequent target, dense hotspot", geo.RectOf(0, 0, 200, 200), freqID, "target"},
 	} {
-		_, plans, err := c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: tc.rect, Window: window, TargetID: tc.target})
+		_, plans, _, err := c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: tc.rect, Window: window, TargetID: tc.target})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestFilterNoPredicates(t *testing.T) {
 	c, _, _ := plannerFixture(t, 2)
 	window := wire.TimeWindow{From: simT0, To: simT0.Add(time.Hour)}
 	rect := geo.RectOf(0, 0, 300, 300)
-	filtered, _, err := c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: rect, Window: window})
+	filtered, _, _, err := c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: rect, Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func runQueryBattery(t *testing.T, c *Cluster, until time.Time) queryBattery {
 	if out.heat, err = c.Coordinator.Heatmap(ctx, world1, window, 100); err != nil {
 		t.Fatal(err)
 	}
-	if out.filter, _, err = c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: sub, Window: window}); err != nil {
+	if out.filter, _, _, err = c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: sub, Window: window}); err != nil {
 		t.Fatal(err)
 	}
 	return out

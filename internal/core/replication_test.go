@@ -83,6 +83,7 @@ func TestReplicationNoDuplicatesAndNoLoss(t *testing.T) {
 			t.Fatal("duplicate neighbor from replica")
 		}
 	}
+	checkReplicaFiltered(t, c, window, "before promotion")
 
 	// Kill a worker: with replication, history completeness stays 1.0.
 	dead := c.Workers[0]
@@ -110,6 +111,39 @@ func TestReplicationNoDuplicatesAndNoLoss(t *testing.T) {
 			t.Fatalf("duplicate ObsID %d after promotion", r.ObsID)
 		}
 		seen[r.ObsID] = true
+	}
+	checkReplicaFiltered(t, c, window, "after promotion")
+}
+
+// checkReplicaFiltered asserts that the heatmap and filter answers over the
+// whole world count each of the 9 ingested observations exactly once, with
+// every camera held by a primary and a standby.
+func checkReplicaFiltered(t *testing.T, c *Cluster, window wire.TimeWindow, when string) {
+	t.Helper()
+	cells, err := c.Coordinator.Heatmap(ctx, world1, window, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, cell := range cells {
+		sum += cell.Count
+	}
+	if sum != 9 {
+		t.Errorf("%s: heatmap counts sum to %d, want 9", when, sum)
+	}
+	recs, _, _, err := c.Coordinator.Filter(ctx, wire.FilterQuery{Rect: world1, Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]bool{}
+	for _, r := range recs {
+		if seen[r.ObsID] {
+			t.Errorf("%s: filter returned ObsID %d twice", when, r.ObsID)
+		}
+		seen[r.ObsID] = true
+	}
+	if len(recs) != 9 {
+		t.Errorf("%s: filter = %d records, want 9", when, len(recs))
 	}
 }
 

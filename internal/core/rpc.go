@@ -25,7 +25,7 @@ type QueryMeta struct {
 	Asked     int  // workers the query fanned out to
 	Answered  int  // workers that answered before their deadline
 	Pruned    int  // workers skipped because their sketch proved them empty
-	Truncated bool // Range only: the answer stopped at its limit with matches left over
+	Truncated bool // Range and Filter only: the answer stopped at its limit with matches left over
 }
 
 // Completeness returns Answered/Asked in [0, 1]; an empty fan-out is

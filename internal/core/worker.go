@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -523,11 +524,12 @@ func (w *Worker) onAssign(m *wire.AssignCameras) (any, error) {
 	}
 	w.epoch = m.Epoch
 	w.cameras = make(map[uint32]*camera.Camera, len(m.Cameras)+len(m.Replicas))
-	w.primary = make(map[uint32]bool, len(m.Cameras))
+	primary := make(map[uint32]bool, len(m.Cameras))
 	for _, ci := range m.Cameras {
 		w.cameras[ci.ID] = camera.New(camera.ID(ci.ID), ci.Pos, ci.Orient, ci.HalfFOV, ci.Range)
-		w.primary[ci.ID] = true
+		primary[ci.ID] = true
 	}
+	w.primary = primary // published whole; see primaryCameras
 	for _, ci := range m.Replicas {
 		w.cameras[ci.ID] = camera.New(camera.ID(ci.ID), ci.Pos, ci.Orient, ci.HalfFOV, ci.Range)
 	}
@@ -682,7 +684,10 @@ func (w *Worker) curEpoch() uint64 {
 
 func (w *Worker) onRange(m *wire.RangeQuery) (any, error) {
 	start := w.now()
-	recs := w.filterPrimary(w.store.RangeQuery(m.Rect, m.Window.From, m.Window.To))
+	recs := w.store.RangeQuery(m.Rect, m.Window.From, m.Window.To)
+	if primary := w.primaryCameras(); primary != nil {
+		recs = slices.DeleteFunc(recs, func(r stindex.Record) bool { return !primary[r.Camera] })
+	}
 	out := &wire.RangePart{QueryID: m.QueryID}
 	if m.Limit > 0 && len(recs) > m.Limit {
 		recs = recs[:m.Limit]
@@ -699,45 +704,20 @@ func (w *Worker) onRange(m *wire.RangeQuery) (any, error) {
 	return out, nil
 }
 
-// filterPrimary drops records whose camera this worker holds only as a
-// standby copy, so replicated data never duplicates a query answer. A camera
-// promoted after a failure passes the filter, which is how standby history
-// becomes visible.
-func (w *Worker) filterPrimary(recs []stindex.Record) []stindex.Record {
-	w.mu.Lock()
-	replicated := len(w.primary) != len(w.cameras)
-	var primary map[uint32]bool
-	if replicated {
-		primary = make(map[uint32]bool, len(w.primary))
-		for id := range w.primary {
-			primary[id] = true
-		}
-	}
-	w.mu.Unlock()
-	if !replicated {
-		return recs
-	}
-	kept := recs[:0]
-	for _, r := range recs {
-		if primary[r.Camera] {
-			kept = append(kept, r)
-		}
-	}
-	return kept
-}
-
-// isPrimarySnapshot returns a point-in-time primary-camera predicate.
-func (w *Worker) isPrimarySnapshot() func(stindex.Record) bool {
+// primaryCameras returns the cameras this worker owns as primary, or nil
+// when it holds no replicas and every stored record is primary. Queries drop
+// records whose camera is missing from the set (a standby copy), so
+// replicated data never duplicates an answer; a camera promoted after a
+// failure is in the set, which is how standby history becomes visible.
+// onAssign builds each set before publishing it under w.mu and never writes
+// a published set again, so callers read the returned map without the lock.
+func (w *Worker) primaryCameras() map[uint32]bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if len(w.primary) == len(w.cameras) {
-		return nil // no replicas held; everything is primary
+		return nil
 	}
-	primary := make(map[uint32]bool, len(w.primary))
-	for id := range w.primary {
-		primary[id] = true
-	}
-	return func(r stindex.Record) bool { return primary[r.Camera] }
+	return w.primary
 }
 
 func (w *Worker) onKNN(m *wire.KNNQuery) (any, error) {
@@ -745,7 +725,11 @@ func (w *Worker) onKNN(m *wire.KNNQuery) (any, error) {
 	if m.K <= 0 {
 		return &wire.Error{Code: wire.CodeBadRequest, Message: "knn: k must be positive"}, nil
 	}
-	ns := w.store.KNNBounded(m.Center, m.Window.From, m.Window.To, m.K, m.MaxDist2, w.isPrimarySnapshot())
+	var keep func(stindex.Record) bool
+	if primary := w.primaryCameras(); primary != nil {
+		keep = func(r stindex.Record) bool { return primary[r.Camera] }
+	}
+	ns := w.store.KNNBounded(m.Center, m.Window.From, m.Window.To, m.K, m.MaxDist2, keep)
 	out := &wire.KNNResult{QueryID: m.QueryID, Records: make([]wire.KNNRecord, len(ns))}
 	for i, n := range ns {
 		out.Records[i] = wire.KNNRecord{ResultRecord: toWireRecord(n.Record), Dist2: n.Dist2}
@@ -755,8 +739,13 @@ func (w *Worker) onKNN(m *wire.KNNQuery) (any, error) {
 }
 
 func (w *Worker) onCount(m *wire.CountQuery) (any, error) {
-	if keep := w.isPrimarySnapshot(); keep != nil {
-		n := len(w.filterPrimary(w.store.RangeQuery(m.Rect, m.Window.From, m.Window.To)))
+	if primary := w.primaryCameras(); primary != nil {
+		n := 0
+		for _, r := range w.store.RangeQuery(m.Rect, m.Window.From, m.Window.To) {
+			if primary[r.Camera] {
+				n++
+			}
+		}
 		return &wire.CountResult{QueryID: m.QueryID, Count: n}, nil
 	}
 	return &wire.CountResult{QueryID: m.QueryID, Count: w.store.Count(m.Rect, m.Window.From, m.Window.To)}, nil
@@ -771,7 +760,11 @@ func (w *Worker) onHeatmap(m *wire.HeatmapQuery) (any, error) {
 	if !stindex.ValidCellSize(m.CellSize) {
 		return &wire.Error{Code: wire.CodeBadRequest, Message: errHeatmapCellSize.Error()}, nil
 	}
-	cells := w.store.Heatmap(m.Rect, m.Window.From, m.Window.To, m.CellSize, w.isPrimarySnapshot())
+	var keep func(stindex.Record) bool // nil keeps the store's rollup path
+	if primary := w.primaryCameras(); primary != nil {
+		keep = func(r stindex.Record) bool { return primary[r.Camera] }
+	}
+	cells := w.store.Heatmap(m.Rect, m.Window.From, m.Window.To, m.CellSize, keep)
 	out := &wire.HeatmapResult{QueryID: m.QueryID, CellSize: m.CellSize, Cells: make([]wire.HeatCell, len(cells))}
 	for i, c := range cells {
 		out.Cells[i] = wire.HeatCell{CX: c.CX, CY: c.CY, Count: c.Count}

@@ -170,17 +170,6 @@ func (r Rect) Corners() [4]Point {
 	}
 }
 
-// Quadrants splits r into its four quadrants in the order SW, SE, NW, NE.
-func (r Rect) Quadrants() [4]Rect {
-	c := r.Center()
-	return [4]Rect{
-		{Min: r.Min, Max: c},
-		{Min: Point{c.X, r.Min.Y}, Max: Point{r.Max.X, c.Y}},
-		{Min: Point{r.Min.X, c.Y}, Max: Point{c.X, r.Max.Y}},
-		{Min: c, Max: r.Max},
-	}
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%s - %s]", r.Min, r.Max)

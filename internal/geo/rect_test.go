@@ -147,24 +147,6 @@ func TestRectDistTo(t *testing.T) {
 	}
 }
 
-func TestRectQuadrants(t *testing.T) {
-	r := RectOf(0, 0, 4, 4)
-	qs := r.Quadrants()
-	var total float64
-	for _, q := range qs {
-		total += q.Area()
-		if !r.ContainsRect(q) {
-			t.Errorf("quadrant %v not inside parent", q)
-		}
-	}
-	if !almostEq(total, r.Area()) {
-		t.Errorf("quadrant areas sum to %v, want %v", total, r.Area())
-	}
-	if qs[0].Max != r.Center() || qs[3].Min != r.Center() {
-		t.Error("SW/NE quadrants not anchored at center")
-	}
-}
-
 func randRect(rng *rand.Rand) Rect {
 	return RectOf(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
 }

@@ -43,12 +43,6 @@ func (tr *Trajectory) Append(t time.Time, p Point) {
 	tr.Points[i] = tp
 }
 
-// Sort orders samples by time. It is only needed after direct manipulation of
-// Points.
-func (tr *Trajectory) Sort() {
-	sort.SliceStable(tr.Points, func(i, j int) bool { return tr.Points[i].T.Before(tr.Points[j].T) })
-}
-
 // Start returns the first sample time.
 func (tr *Trajectory) Start() (time.Time, error) {
 	if len(tr.Points) == 0 {

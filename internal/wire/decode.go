@@ -496,10 +496,6 @@ func (d *decoder) window() TimeWindow {
 	return TimeWindow{From: d.timestamp(), To: d.timestamp()}
 }
 
-func (d *decoder) feature() []float32 {
-	return d.featureInto(nil)
-}
-
 // featureInto decodes a feature vector reusing f's backing array when it is
 // large enough. Zero length decodes to nil.
 func (d *decoder) featureInto(f []float32) []float32 {

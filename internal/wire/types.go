@@ -470,10 +470,10 @@ type HeatmapResult struct {
 }
 
 // FilterQuery is a multi-predicate query: a spatial range plus optional
-// camera-set and target predicates. Workers plan the evaluation order
-// adaptively — spatial-index-first or target-history-first — using their
-// feedback-driven selectivity histogram (the adaptive-optimization design
-// the spatio-temporal streaming literature calls for).
+// camera-set and target predicates. Each worker picks the evaluation order —
+// spatial-index-first or target-history-first — by comparing the store's
+// exact record count in the range and window with the target's history
+// length.
 type FilterQuery struct {
 	QueryID   uint64
 	Rect      geo.Rect
@@ -485,7 +485,9 @@ type FilterQuery struct {
 }
 
 // FilterResult returns the matching records plus the plan each worker chose
-// ("spatial" or "target"), for observability and the planner ablation.
+// ("spatial" or "target"; "merged" in the coordinator's answer), for
+// observability and the planner ablation. Truncated reports that Limit cut
+// the answer with matches left over.
 type FilterResult struct {
 	QueryID   uint64
 	Records   []ResultRecord
@@ -714,12 +716,11 @@ type Error struct {
 
 // Error codes.
 const (
-	CodeUnknown      = 1
-	CodeBadRequest   = 2
-	CodeNotFound     = 3
-	CodeUnavailable  = 4
-	CodeWrongEpoch   = 5
-	CodeCapacityFull = 6
+	CodeUnknown     = 1
+	CodeBadRequest  = 2
+	CodeNotFound    = 3
+	CodeUnavailable = 4
+	CodeWrongEpoch  = 5
 	// CodeMustRegister is the coordinator's answer to a heartbeat from a
 	// node it does not know (typically after a coordinator restart wiped
 	// membership): the worker must re-send Register before its heartbeats
