@@ -127,6 +127,7 @@ func All() []Experiment {
 		{"R3", "Handoff cost: vision-graph vs broadcast", R3Handoff},
 		{"R4", "Re-identification accuracy", R4Reid},
 		{"R5", "Load balance under hotspot skew", R5Balance},
+		{"R6", "Spatial index ablation", R6Index},
 		{"R7", "Continuous query scalability", R7Continuous},
 		{"R8", "Worker failure recovery", R8Failover},
 		{"R9", "Memory vs retention window", R9Retention},

@@ -8,6 +8,7 @@ import (
 	"stcam/internal/baseline"
 	"stcam/internal/core"
 	"stcam/internal/geo"
+	"stcam/internal/spatial"
 	"stcam/internal/stindex"
 	"stcam/internal/wire"
 )
@@ -88,6 +89,57 @@ func fullWindow(wl *workload) wire.TimeWindow {
 		}
 	}
 	return wire.TimeWindow{From: lo, To: hi}
+}
+
+// R6Index ablates the point index choice: build time plus range and kNN query
+// time for the uniform grid and the no-index linear scan. Expected shape: the
+// linear scan degrades linearly with n; the grid stays near-constant.
+func R6Index(s Scale) *Table {
+	t := &Table{
+		ID:     "R6",
+		Title:  "Spatial index ablation",
+		Notes:  "uniform random points; 500 range + 500 kNN queries",
+		Header: []string{"index", "points", "build", "range q", "knn q"},
+	}
+	for _, n := range []int{s.n(20000), s.n(100000)} {
+		rng := rand.New(rand.NewSource(4))
+		items := make([]spatial.Item, n)
+		for i := range items {
+			items[i] = spatial.Item{ID: uint64(i + 1), P: geo.Pt(rng.Float64()*2000, rng.Float64()*2000)}
+		}
+		builders := []struct {
+			name string
+			mk   func() spatial.Index
+		}{
+			{"linear-scan", func() spatial.Index { return spatial.NewBruteForce() }},
+			{"grid", func() spatial.Index { return spatial.NewGrid(50) }},
+		}
+		queries := s.n(500)
+		for _, b := range builders {
+			start := time.Now()
+			ix := b.mk()
+			for _, it := range items {
+				ix.Insert(it.ID, it.P)
+			}
+			build := time.Since(start)
+
+			qrng := rand.New(rand.NewSource(5))
+			var rangeDur, knnDur time.Duration
+			for q := 0; q < queries; q++ {
+				center := geo.Pt(qrng.Float64()*2000, qrng.Float64()*2000)
+				rect := geo.RectAround(center, 50)
+				st := time.Now()
+				count := 0
+				ix.Range(rect, func(spatial.Item) bool { count++; return true })
+				rangeDur += time.Since(st)
+				st = time.Now()
+				ix.KNN(center, 10)
+				knnDur += time.Since(st)
+			}
+			t.AddRow(b.name, n, build, rangeDur/time.Duration(queries), knnDur/time.Duration(queries))
+		}
+	}
+	return t
 }
 
 // R7Continuous measures per-batch ingest cost as the number of installed

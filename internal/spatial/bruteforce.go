@@ -3,8 +3,8 @@ package spatial
 import "stcam/internal/geo"
 
 // BruteForce is the reference Index implementation: a flat slice with linear
-// scans. It is the oracle the tree indexes are property-tested against, and
-// the "no index" baseline in experiment R6.
+// scans. It is the oracle the grid is property-tested against, and the
+// "no index" baseline in experiment R6.
 type BruteForce struct {
 	items []Item
 }

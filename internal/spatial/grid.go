@@ -33,9 +33,6 @@ func NewGrid(cellSize float64) *Grid {
 	return &Grid{cellSize: cellSize, cells: make(map[cellKey][]Item)}
 }
 
-// CellSize returns the configured cell size.
-func (g *Grid) CellSize() float64 { return g.cellSize }
-
 func (g *Grid) key(p geo.Point) cellKey {
 	return cellKey{
 		cx: int32(math.Floor(p.X / g.cellSize)),

@@ -1,8 +1,8 @@
-// Package spatial provides in-memory spatial indexes over identified points:
-// a uniform grid, a PR quadtree, and an R-tree (quadratic split with STR bulk
-// loading). All three implement the Index interface and return identical
-// results for range and kNN queries; they differ only in performance
-// characteristics, which experiment R6 measures.
+// Package spatial provides in-memory point indexes over identified points: a
+// uniform grid and a brute-force linear scan. Both implement the Index
+// interface and return identical results for range and kNN queries; they
+// differ only in performance, which experiment R6 measures. No worker uses
+// them: the store's own grid lives in stindex.
 package spatial
 
 import (

@@ -1,7 +1,6 @@
 package spatial
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,16 +15,11 @@ type indexFactory struct {
 }
 
 func factories() []indexFactory {
-	world := geo.RectOf(0, 0, 1000, 1000)
 	return []indexFactory{
 		{"brute", func() Index { return NewBruteForce() }},
 		{"grid", func() Index { return NewGrid(25) }},
 		{"grid-coarse", func() Index { return NewGrid(400) }},
 		{"grid-fine", func() Index { return NewGrid(3) }},
-		{"quadtree", func() Index { return NewQuadtree(world, 8, 0) }},
-		{"quadtree-b1", func() Index { return NewQuadtree(world, 1, 12) }},
-		{"rtree", func() Index { return NewRTree(0) }},
-		{"rtree-m4", func() Index { return NewRTree(4) }},
 	}
 }
 
@@ -229,8 +223,8 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestIndexOutOfWorld verifies the quadtree (and others) accept points far
-// outside the nominal world rectangle.
+// TestIndexOutOfWorld verifies every index accepts points far outside the
+// nominal world rectangle.
 func TestIndexOutOfWorld(t *testing.T) {
 	for _, f := range factories() {
 		t.Run(f.name, func(t *testing.T) {
@@ -304,75 +298,6 @@ func TestIndexKNNMoreThanStored(t *testing.T) {
 	}
 }
 
-func TestBulkLoadRTreeMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for _, n := range []int{0, 1, 31, 32, 33, 1000, 5000} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			items := randomItems(rng, n, 1000)
-			rt := BulkLoadRTree(items, 16)
-			if rt.Len() != n {
-				t.Fatalf("Len = %d, want %d", rt.Len(), n)
-			}
-			oracle := NewBruteForce()
-			for _, it := range items {
-				oracle.Insert(it.ID, it.P)
-			}
-			for q := 0; q < 30; q++ {
-				r := geo.RectAround(geo.Pt(rng.Float64()*1000, rng.Float64()*1000), rng.Float64()*200)
-				if got, want := Collect(rt, r), Collect(oracle, r); !itemsEqual(got, want) {
-					t.Fatalf("bulk-loaded range mismatch: got %d want %d items", len(got), len(want))
-				}
-				qp := geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
-				if got, want := rt.KNN(qp, 7), oracle.KNN(qp, 7); !neighborsEqual(got, want) {
-					t.Fatalf("bulk-loaded kNN mismatch at %v", qp)
-				}
-			}
-			// Bulk-loaded trees accept further inserts and deletes.
-			if n > 0 {
-				rt.Insert(1<<40, geo.Pt(-50, -50))
-				nn := rt.KNN(geo.Pt(-50, -50), 1)
-				if len(nn) != 1 || nn[0].ID != 1<<40 {
-					t.Fatalf("insert after bulk load: kNN = %v", nn)
-				}
-				if !rt.Delete(items[0].ID, items[0].P) {
-					t.Fatal("delete after bulk load failed")
-				}
-			}
-		})
-	}
-}
-
-func TestRTreeHeightGrowth(t *testing.T) {
-	rt := NewRTree(4)
-	if rt.Height() != 1 {
-		t.Fatalf("initial height = %d", rt.Height())
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := uint64(1); i <= 500; i++ {
-		rt.Insert(i, geo.Pt(rng.Float64()*100, rng.Float64()*100))
-	}
-	if rt.Height() < 3 {
-		t.Errorf("height after 500 inserts with max=4 is %d, want >= 3", rt.Height())
-	}
-	// Delete everything; the tree must shrink back and stay consistent.
-	oracle := map[uint64]geo.Point{}
-	rng = rand.New(rand.NewSource(5))
-	for i := uint64(1); i <= 500; i++ {
-		oracle[i] = geo.Pt(rng.Float64()*100, rng.Float64()*100)
-	}
-	for id, p := range oracle {
-		if !rt.Delete(id, p) {
-			t.Fatalf("delete(%d, %v) failed", id, p)
-		}
-	}
-	if rt.Len() != 0 {
-		t.Fatalf("Len after deleting all = %d", rt.Len())
-	}
-	if rt.Height() != 1 {
-		t.Errorf("height after deleting all = %d, want 1", rt.Height())
-	}
-}
-
 func TestGridCellAccounting(t *testing.T) {
 	g := NewGrid(10)
 	g.Insert(1, geo.Pt(5, 5))
@@ -398,26 +323,6 @@ func TestNewGridPanicsOnBadSize(t *testing.T) {
 			}()
 			NewGrid(size)
 		}()
-	}
-}
-
-func TestQuadtreeDepthBound(t *testing.T) {
-	world := geo.RectOf(0, 0, 100, 100)
-	qt := NewQuadtree(world, 1, 6)
-	// Pathological: many points at the same location force splits that can
-	// never separate them; depth must stop at maxD.
-	for i := uint64(1); i <= 100; i++ {
-		qt.Insert(i, geo.Pt(50.1, 50.1))
-	}
-	if d := qt.Depth(); d > 6 {
-		t.Errorf("depth %d exceeds bound 6", d)
-	}
-	if qt.Len() != 100 {
-		t.Errorf("Len = %d", qt.Len())
-	}
-	nn := qt.KNN(geo.Pt(50, 50), 100)
-	if len(nn) != 100 {
-		t.Errorf("kNN returned %d", len(nn))
 	}
 }
 
