@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-e2e bench-assoc bench-query bench-insert check reach fuzz soak-short soak soak-core soak-serve lint stcamlint loc
+.PHONY: all build vet fmt test race bench bench-e2e bench-assoc bench-query bench-insert check reach fuzz soak-short soak soak-core soak-serve lint stcamlint loc testids
 
 all: check
 
@@ -46,6 +46,12 @@ loc:
 		-name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
 	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# testids prints how many test IDs the full suite runs: one `=== RUN` line
+# per test and subtest. A change that retires tests quotes it before and
+# after. Not part of check: it runs the whole suite once more, verbosely.
+testids:
+	@$(GO) test -count=1 -v ./... | grep -c '^=== RUN'
 
 # stcamlint runs the project's own static analyzer suite (rpcunderlock,
 # bufrelease, failclosed, clockinject, metricname — see internal/analyzers)

@@ -70,10 +70,6 @@ func BenchmarkR5Balance(b *testing.B) {
 	b.ReportMetric(cell(tbl, 1, 5), "hash-imbalance")
 }
 
-func BenchmarkR6Index(b *testing.B) {
-	runExperiment(b, bench.R6Index)
-}
-
 func BenchmarkR7Continuous(b *testing.B) {
 	tbl := runExperiment(b, bench.R7Continuous)
 	b.ReportMetric(cell(tbl, len(tbl.Rows)-1, 3), "ns/event-max-queries")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"stcam/internal/baseline"
 	"stcam/internal/cluster"
 	"stcam/internal/core"
 	"stcam/internal/geo"
@@ -224,7 +223,7 @@ func R10Crossover(s Scale) *Table {
 		window := fullWindow(wl)
 
 		// Central: direct calls, no network.
-		central := baseline.NewCentral(baseline.CentralConfig{CellSize: 50})
+		central := newCentral(50)
 		startC := time.Now()
 		for _, b := range wl.batches {
 			central.Ingest(b)

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"time"
 
-	"stcam/internal/baseline"
 	"stcam/internal/camera"
 	"stcam/internal/cluster"
 	"stcam/internal/core"
@@ -126,7 +125,7 @@ func R1Ingest(s Scale) *Table {
 	wl := makeWorkload(16, s.n(400), s.n(60), 1)
 
 	// Centralized reference.
-	central := baseline.NewCentral(baseline.CentralConfig{CellSize: 50})
+	central := newCentral(50)
 	startC := time.Now()
 	for _, b := range wl.batches {
 		central.Ingest(b)

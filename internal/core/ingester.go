@@ -66,7 +66,7 @@ type Ingester struct {
 
 	mu      sync.Mutex
 	epoch   uint64              // assignment epoch the route cache reflects
-	routes  map[uint32][]string // primary first, then replicas; nil = no route
+	routes  map[uint32][]string // routed cameras only: primary first, then replicas
 	missed  bool                // a lookup missed since the last rebuild
 	senders map[laneKey]*ingestSender
 
@@ -168,10 +168,10 @@ func (ing *Ingester) rebuildLocked(epoch uint64) {
 
 // routesFor returns a camera's delivery addresses. The first miss in an
 // epoch makes sure the cache is fresh (membership may have changed
-// mid-stream); every miss is then cached as unroutable until the epoch
-// changes, so a stream of observations naming unknown or removed cameras (a
-// proxied client's, say) costs one rebuild per epoch, not one per
-// observation.
+// mid-stream); later misses in the epoch answer nil without a rebuild, so a
+// stream of observations naming unknown or removed cameras (a proxied
+// client's, say) costs one rebuild per epoch, not one per observation, and
+// adds nothing to the cache: it holds only assigned cameras.
 func (ing *Ingester) routesFor(cam uint32) []string {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
@@ -183,7 +183,6 @@ func (ing *Ingester) routesFor(cam uint32) []string {
 			addrs = ing.routes[cam]
 		}
 		ing.missed = true
-		ing.routes[cam] = addrs
 	}
 	return addrs
 }

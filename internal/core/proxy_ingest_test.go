@@ -175,6 +175,45 @@ func TestProxyIngestUnroutedRefreshesOncePerEpoch(t *testing.T) {
 	unrouted(700, 1)
 }
 
+// TestProxyIngestUnknownCamerasLeaveCacheBounded: a client naming many
+// distinct unknown cameras in one epoch adds none of them to the proxy's
+// route cache, which keeps holding only assigned cameras, and costs at most
+// one route-table rebuild.
+func TestProxyIngestUnknownCamerasLeaveCacheBounded(t *testing.T) {
+	c := newTestCluster(t, 2, Options{})
+	cams := gridCams(world1, 2)
+	if err := c.Coordinator.AddCameras(ctx, cams, 50); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Transport.Call(ctx, c.Coordinator.Addr(), proxyBatch(1, 8, cams, simT0)); err != nil {
+		t.Fatal(err)
+	}
+	refreshes := c.Coordinator.Metrics().Counter("ingest.route_refreshes")
+	before := refreshes.Value()
+	const batches, perBatch = 20, 250
+	for b := 0; b < batches; b++ {
+		unknown := make([]wire.CameraInfo, perBatch)
+		for i := range unknown {
+			unknown[i] = wire.CameraInfo{ID: uint32(1000 + b*perBatch + i), Pos: cams[0].Pos}
+		}
+		_, err := c.Transport.Call(ctx, c.Coordinator.Addr(), proxyBatch(uint64(100+b*perBatch), perBatch, unknown, simT0))
+		var re *cluster.RemoteError
+		if !errors.As(err, &re) || re.Code != wire.CodeNotFound {
+			t.Fatalf("unroutable batch %d: err %v, want not-found", b, err)
+		}
+	}
+	if got := refreshes.Value() - before; got > 1 {
+		t.Fatalf("%d route-table rebuilds for %d unknown cameras in one epoch, want at most 1", got, batches*perBatch)
+	}
+	ing := c.Coordinator.ingest
+	ing.mu.Lock()
+	cached := len(ing.routes)
+	ing.mu.Unlock()
+	if assigned := len(c.Coordinator.Assignment()); cached > assigned {
+		t.Fatalf("route cache holds %d cameras after %d unknown ones, want at most the %d assigned", cached, batches*perBatch, assigned)
+	}
+}
+
 // TestProxyIngestAcrossStop: proxy handlers still enqueueing while
 // Coordinator.Stop closes the ingest lanes (the in-process server does not
 // wait for in-flight handlers) each get an ack or an error — never a send on
