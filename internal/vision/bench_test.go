@@ -38,15 +38,16 @@ func BenchmarkGalleryMatch1000(b *testing.B) {
 }
 
 // benchProbes enrols g fresh identities of dimension d through associate and
-// returns re-sightings of them that all match (the ingest steady state).
-func benchProbes(g, d int, associate func(Feature) (uint64, bool)) []Feature {
+// returns four re-sightings of each, perturbed by sigma: probes that match (the
+// ingest steady state).
+func benchProbes(g, d int, sigma float64, associate func(Feature) (uint64, bool)) []Feature {
 	rng := rand.New(rand.NewSource(3))
 	probes := make([]Feature, 0, 4*g)
 	for i := 0; i < g; i++ {
 		f := NewRandomFeature(rng, d)
 		associate(f)
 		for j := 0; j < 4; j++ {
-			probes = append(probes, f.Perturb(rng, 0.02))
+			probes = append(probes, f.Perturb(rng, sigma))
 		}
 	}
 	rng.Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
@@ -56,12 +57,16 @@ func benchProbes(g, d int, associate func(Feature) (uint64, bool)) []Feature {
 var assocSink uint64
 
 // BenchmarkAssociate prices one association on the match path at the
-// benchmark cluster's per-worker gallery (323 × 32-d) and two larger shapes;
-// the reference row is the map-and-sort model on the same probes.
+// benchmark cluster's per-worker gallery (323 × 32-d) and two larger shapes,
+// at the benchmark's own feature noise (0.05), and on the miss path, where a
+// probe of an unseen identity scans the gallery without ever raising the cut
+// above the threshold (the minted identity is removed again, so the gallery
+// keeps its size). The reference row is the map-and-sort model on the same
+// probes.
 func BenchmarkAssociate(b *testing.B) {
-	run := func(name string, g, d int, associate func(Feature) (uint64, bool)) {
+	run := func(name string, g, d int, sigma float64, associate func(Feature) (uint64, bool)) {
 		b.Run(fmt.Sprintf("%s/G=%d,d=%d", name, g, d), func(b *testing.B) {
-			probes := benchProbes(g, d, associate)
+			probes := benchProbes(g, d, sigma, associate)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -70,7 +75,29 @@ func BenchmarkAssociate(b *testing.B) {
 		})
 	}
 	for _, c := range []struct{ g, d int }{{323, 32}, {1000, 64}, {5000, 128}} {
-		run("dense", c.g, c.d, NewAssociator(0.75).Associate)
+		run("dense", c.g, c.d, 0.02, NewAssociator(0.75).Associate)
 	}
-	run("reference", 323, 32, newRefAssociator(0.75).Associate)
+	run("noise0.05", 323, 32, 0.05, NewAssociator(0.75).Associate)
+	b.Run("miss/G=323,d=32", func(b *testing.B) {
+		a := NewAssociator(0.75)
+		benchProbes(323, 32, 0, a.Associate)
+		rng := rand.New(rand.NewSource(4))
+		var unseen []Feature
+		for len(unseen) < 1024 {
+			f := NewRandomFeature(rng, 32)
+			if m, _ := a.Gallery().Match(f, 1); m[0].Score < 0.75 {
+				unseen = append(unseen, f)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			id, matched := a.Associate(unseen[i%len(unseen)])
+			if matched {
+				b.Fatal("unseen probe matched")
+			}
+			a.Gallery().Remove(id)
+		}
+	})
+	run("reference", 323, 32, 0.02, newRefAssociator(0.75).Associate)
 }

@@ -35,7 +35,7 @@ func NewRandomFeature(rng *rand.Rand, dim int) Feature {
 	for i := range f {
 		f[i] = float32(rng.NormFloat64())
 	}
-	f.normalize()
+	normalize(f)
 	return f
 }
 
@@ -47,7 +47,7 @@ func (f Feature) Perturb(rng *rand.Rand, sigma float64) Feature {
 	for i, v := range f {
 		out[i] = v + float32(rng.NormFloat64()*sigma)
 	}
-	out.normalize()
+	normalize(out)
 	return out
 }
 
@@ -61,7 +61,7 @@ func (f Feature) Clone() Feature {
 // norm returns the Euclidean norm, accumulated in float64 in index order —
 // the order Cosine uses, so a norm computed once and cached reproduces the
 // one Cosine would recompute.
-func (f Feature) norm() float64 {
+func norm[T float32 | float64](f []T) float64 {
 	var sum float64
 	for _, v := range f {
 		sum += float64(v) * float64(v)
@@ -69,13 +69,13 @@ func (f Feature) norm() float64 {
 	return math.Sqrt(sum)
 }
 
-func (f Feature) normalize() {
-	n := f.norm()
+func normalize[T float32 | float64](f []T) {
+	n := norm(f)
 	if n == 0 {
 		return
 	}
 	for i := range f {
-		f[i] = float32(float64(f[i]) / n)
+		f[i] = T(float32(float64(f[i]) / n))
 	}
 }
 
@@ -105,30 +105,30 @@ func similarity(dot, na, nb float64) float64 {
 	return dot / (na * nb)
 }
 
-// dot is the float64 dot product of two equal-length features, accumulated
-// in index order.
-func dot(a, b Feature) float64 {
+// dot continues the float64 dot-product chain d over two equal-length
+// features, in index order.
+func dot(d float64, a Feature, b []float64) float64 {
 	b = b[:len(a)]
-	var d float64
 	for i, v := range a {
-		d += float64(v) * float64(b[i])
+		d += float64(v) * b[i]
 	}
 	return d
 }
 
-// dot4 is dot of a against four consecutive rows of a row-major matrix:
-// four independent chains, each in index order.
-func dot4(a Feature, rows []float32) (d0, d1, d2, d3 float64) {
+// dot4 is dot of a against four rows of a row-major matrix with row stride
+// stride, whose first row starts at rows[0]: it continues four independent
+// chains, each in index order.
+func dot4(a Feature, rows []float64, stride int, d0, d1, d2, d3 float64) (float64, float64, float64, float64) {
 	n := len(a)
-	r0, r1, r2, r3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:4*n]
+	r0, r1, r2, r3 := rows[:n], rows[stride:stride+n], rows[2*stride:2*stride+n], rows[3*stride:3*stride+n]
 	for i, v := range a {
 		x := float64(v)
-		d0 += x * float64(r0[i])
-		d1 += x * float64(r1[i])
-		d2 += x * float64(r2[i])
-		d3 += x * float64(r3[i])
+		d0 += x * r0[i]
+		d1 += x * r1[i]
+		d2 += x * r2[i]
+		d3 += x * r3[i]
 	}
-	return
+	return d0, d1, d2, d3
 }
 
 // String implements fmt.Stringer with a compact fingerprint.

@@ -42,14 +42,17 @@ type Gallery struct {
 }
 
 // block holds every identity of one feature dimension. Row r is ids[r],
-// counts[r], seen[r], norms[r] and protos[r*dim : (r+1)*dim].
+// counts[r], seen[r], norms[r], tails[r] and protos[r*dim : (r+1)*dim].
 type block struct {
 	dim    int
 	ids    []uint64
 	counts []int     // features averaged into the prototype
 	seen   []int64   // last observation time (Unix ns), or pinned
 	norms  []float64 // prototype's Euclidean norm, refreshed by enrollment only
-	protos []float32
+	tails  []float64 // norm of the prototype's components dim/2 onwards, refreshed with norms
+	// protos holds float32 prototypes widened to float64 (every float32 is
+	// exactly a float64), so the kernel converts only the probe.
+	protos []float64
 }
 
 type rowRef struct {
@@ -69,8 +72,8 @@ func NewGallery() *Gallery {
 	return &Gallery{index: make(map[uint64]rowRef), oldest: pinned}
 }
 
-func (b *block) proto(row int) Feature {
-	return Feature(b.protos[row*b.dim : (row+1)*b.dim : (row+1)*b.dim])
+func (b *block) proto(row int) []float64 {
+	return b.protos[row*b.dim : (row+1)*b.dim : (row+1)*b.dim]
 }
 
 // blockOf returns the block holding dim-dimensional identities, nil if none
@@ -107,23 +110,29 @@ func (g *Gallery) enroll(id uint64, f Feature, at int64) {
 	b.ids = append(b.ids, id)
 	b.counts = append(b.counts, 1)
 	b.seen = append(b.seen, at)
-	b.norms = append(b.norms, f.norm())
-	b.protos = append(b.protos, f...)
+	b.norms = append(b.norms, norm(f))
+	b.tails = append(b.tails, norm(f[len(f)/2:]))
+	for _, v := range f {
+		b.protos = append(b.protos, float64(v))
+	}
 	g.oldest = min(g.oldest, at)
 }
 
 // update folds f into row's running-mean prototype in place and refreshes the
-// cached norm. A feature of another dimension updates the components it has.
+// cached norms. The mean is taken in float32 and stored rounded to float32,
+// as a float32 prototype would hold it. A feature of another dimension
+// updates the components it has.
 func (b *block) update(row int, f Feature, at int64) {
 	proto := b.proto(row)
 	n := float32(b.counts[row])
 	for i := range proto {
 		if i < len(f) {
-			proto[i] = (proto[i]*n + f[i]) / (n + 1)
+			proto[i] = float64((float32(proto[i])*n + f[i]) / (n + 1))
 		}
 	}
-	proto.normalize()
-	b.norms[row] = proto.norm()
+	normalize(proto)
+	b.norms[row] = norm(proto)
+	b.tails[row] = norm(proto[b.dim/2:])
 	b.counts[row]++
 	b.seen[row] = max(b.seen[row], at)
 }
@@ -144,11 +153,13 @@ func (g *Gallery) removeRow(b *block, row int) {
 	last := len(b.ids) - 1
 	delete(g.index, b.ids[row])
 	if row != last {
-		b.ids[row], b.counts[row], b.seen[row], b.norms[row] = b.ids[last], b.counts[last], b.seen[last], b.norms[last]
+		b.ids[row], b.counts[row], b.seen[row] = b.ids[last], b.counts[last], b.seen[last]
+		b.norms[row], b.tails[row] = b.norms[last], b.tails[last]
 		copy(b.proto(row), b.proto(last))
 		g.index[b.ids[row]] = rowRef{b, row}
 	}
-	b.ids, b.counts, b.seen, b.norms = b.ids[:last], b.counts[:last], b.seen[:last], b.norms[:last]
+	b.ids, b.counts, b.seen = b.ids[:last], b.counts[:last], b.seen[:last]
+	b.norms, b.tails = b.norms[:last], b.tails[:last]
 	b.protos = b.protos[:last*b.dim]
 }
 
@@ -195,13 +206,13 @@ func (g *Gallery) Match(probe Feature, k int) ([]Match, error) {
 	}
 	// top is a heap of the k best so far with the worst of them at the root.
 	top := make([]Match, 0, min(k, len(g.index)))
-	pnorm := probe.norm()
+	pnorm := norm(probe)
 	for _, b := range g.blocks {
 		sameDim := b.dim == len(probe) && b.dim > 0
 		for row, id := range b.ids {
 			m := Match{ID: id, Score: -1}
 			if sameDim {
-				m.Score = similarity(dot(probe, b.proto(row)), pnorm, b.norms[row])
+				m.Score = similarity(dot(0, probe, b.proto(row)), pnorm, b.norms[row])
 			}
 			if len(top) < k {
 				top = append(top, m)
@@ -247,30 +258,55 @@ func siftDown(h []Match, i int) {
 	}
 }
 
-// top1 returns the row most similar to the probe (ties to the lower ID) and
-// its score, or row -1 when no row compares. It is the association kernel:
-// one pass, four rows at a time so four independent float64 chains keep the
-// adder busy. Each row's chain still runs in index order, which is what keeps
-// its score bit-identical to Cosine(probe, prototype).
-func (b *block) top1(probe Feature, pnorm float64) (int, float64) {
-	best, bestScore := -1, math.Inf(-1)
+// top1 returns the row most similar to the probe among those scoring at
+// least cut (ties to the lower ID) and its score, or row -1 when none does.
+// It is the association kernel: one pass, four rows at a time so four
+// independent float64 chains keep the adder busy. Each row's chain still runs
+// in index order, which is what keeps its score bit-identical to
+// Cosine(probe, prototype).
+//
+// The chains pause after the first half of the components. By Cauchy–Schwarz
+// the second half adds at most |probe tail|·|row tail| to a row's dot
+// product, so when even that cannot lift any of the four rows to the cut
+// they are skipped; otherwise their chains run on to the end. The cut rises
+// to each new best score. The margin in reaches is orders of magnitude above
+// float64's rounding error, so a skipped row scores strictly below the cut:
+// it can neither win nor tie.
+func (b *block) top1(probe Feature, pnorm, cut float64) (int, float64) {
+	dim, half := b.dim, b.dim/2
+	ptail := norm(probe[half:])
+	best, bestScore := -1, cut
+	// reaches is the bound test negated, so a NaN bound (a zero norm against
+	// an infinite cut) never skips a row.
+	reaches := func(row int, d float64) bool {
+		scale := pnorm * b.norms[row]
+		return !(d+ptail*b.tails[row] < bestScore*scale-1e-9*(scale+1))
+	}
 	consider := func(row int, d float64) {
 		s := similarity(d, pnorm, b.norms[row])
-		if s > bestScore || (s == bestScore && best >= 0 && b.ids[row] < b.ids[best]) {
+		if s > bestScore || (s == bestScore && (best < 0 || b.ids[row] < b.ids[best])) {
 			best, bestScore = row, s
 		}
 	}
 	n := len(b.ids)
 	row := 0
 	for ; row+4 <= n; row += 4 {
-		d0, d1, d2, d3 := dot4(probe, b.protos[row*b.dim:(row+4)*b.dim])
+		rows := b.protos[row*dim : (row+4)*dim]
+		d0, d1, d2, d3 := dot4(probe[:half], rows, dim, 0, 0, 0, 0)
+		if !reaches(row, d0) && !reaches(row+1, d1) && !reaches(row+2, d2) && !reaches(row+3, d3) {
+			continue
+		}
+		d0, d1, d2, d3 = dot4(probe[half:], rows[half:], dim, d0, d1, d2, d3)
 		consider(row, d0)
 		consider(row+1, d1)
 		consider(row+2, d2)
 		consider(row+3, d3)
 	}
 	for ; row < n; row++ {
-		consider(row, dot(probe, b.proto(row)))
+		proto := b.proto(row)
+		if d := dot(0, probe[:half], proto); reaches(row, d) {
+			consider(row, dot(d, probe[half:], proto[half:]))
+		}
 	}
 	return best, bestScore
 }
@@ -342,7 +378,7 @@ func (a *Associator) AssociateBatch(probes []Probe, retention time.Duration, ids
 // gallery mutex.
 func (a *Associator) associate(probe Feature, at int64) (uint64, bool) {
 	if b := a.gallery.blockOf(len(probe)); b != nil {
-		if row, score := b.top1(probe, probe.norm()); row >= 0 && score >= a.threshold {
+		if row, _ := b.top1(probe, norm(probe), a.threshold); row >= 0 {
 			b.update(row, probe, at)
 			return b.ids[row], true
 		}

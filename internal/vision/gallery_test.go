@@ -155,34 +155,183 @@ func TestAssociatorMatchesReference(t *testing.T) {
 	}
 }
 
+// feature returns a copy of row's prototype as a Feature.
+func (b *block) feature(row int) Feature {
+	f := make(Feature, b.dim)
+	for i, v := range b.proto(row) {
+		f[i] = float32(v)
+	}
+	return f
+}
+
+// scanTop1 is top1 without pruning and without the cached norms: every row
+// scored by refCosine, the same winner rule (at least cut, ties to the lower
+// ID).
+func scanTop1(b *block, probe Feature, cut float64) (int, float64) {
+	best, bestScore := -1, cut
+	for row, id := range b.ids {
+		s := refCosine(probe, b.feature(row))
+		if s > bestScore || (s == bestScore && (best < 0 || id < b.ids[best])) {
+			best, bestScore = row, s
+		}
+	}
+	return best, bestScore
+}
+
 // TestKernelBitIdenticalToCosine pins the rule the differential suite rests
 // on: the cached-norm kernels reproduce Cosine exactly, at every dimension
-// including those the four-row unrolling does not divide.
+// including those the four-row unrolling does not divide, whatever the cut:
+// none, the association threshold, or one raised by a planted best in the
+// first row so that pruning skips most of the rest.
 func TestKernelBitIdenticalToCosine(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for dim := 1; dim <= 130; dim += 3 {
-		g := NewGallery()
-		var protos []Feature
-		for id := uint64(1); id <= 11; id++ {
-			f := NewRandomFeature(rng, dim)
-			g.Enroll(id, f)
-			g.Enroll(id, f.Perturb(rng, 0.2)) // prototype is now a normalized mean
-			protos = append(protos, g.blocks[0].proto(int(id-1)).Clone())
-		}
-		probe := NewRandomFeature(rng, dim).Perturb(rng, 0.5)
-		wantRow, wantScore := -1, math.Inf(-1)
-		for i, p := range protos {
-			s := refCosine(probe, p)
-			if got := Cosine(probe, p); math.Float64bits(got) != math.Float64bits(s) {
-				t.Fatalf("dim %d: Cosine %v, reference %v", dim, got, s)
+		for _, plant := range []bool{false, true} {
+			g := NewGallery()
+			probe := NewRandomFeature(rng, dim).Perturb(rng, 0.5)
+			id := uint64(1)
+			if plant {
+				g.Enroll(id, probe.Perturb(rng, 0.05))
+				id++
 			}
-			if s > wantScore {
-				wantRow, wantScore = i, s
+			for ; id <= 11; id++ {
+				f := NewRandomFeature(rng, dim)
+				g.Enroll(id, f)
+				g.Enroll(id, f.Perturb(rng, 0.2)) // prototype is now a normalized mean
+			}
+			b := g.blocks[0]
+			for row := range b.ids {
+				p := b.feature(row)
+				if got, want := Cosine(probe, p), refCosine(probe, p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("dim %d: Cosine %v, reference %v", dim, got, want)
+				}
+			}
+			cuts := []float64{math.Inf(-1), 0.75}
+			if plant {
+				cuts = append(cuts, refCosine(probe, b.feature(0)))
+			}
+			for _, cut := range cuts {
+				wantRow, wantScore := scanTop1(b, probe, cut)
+				row, score := b.top1(probe, norm(probe), cut)
+				if row != wantRow || math.Float64bits(score) != math.Float64bits(wantScore) {
+					t.Fatalf("dim %d plant %v cut %v: top1 = (row %d, %v), best reference cosine (row %d, %v)", dim, plant, cut, row, score, wantRow, wantScore)
+				}
 			}
 		}
-		row, score := g.blocks[0].top1(probe, probe.norm())
-		if row != wantRow || math.Float64bits(score) != math.Float64bits(wantScore) {
-			t.Fatalf("dim %d: top1 = (row %d, %v), best reference cosine (row %d, %v)", dim, row, score, wantRow, wantScore)
+	}
+}
+
+// TestPrunedTop1MatchesFullScan drives the pruned kernel where its bound is
+// tightest or its cached columns could be stale, and compares (row, score
+// bits) with the unpruned scan at cuts placed on, one ulp beside and 1e-12
+// beside each top score:
+//   - tight: every row's tail is the probe's tail scaled by a power of two, so
+//     Cauchy–Schwarz holds with equality and the bound lands on the score;
+//   - twins: one prototype under two IDs, the higher ID in the earlier row;
+//   - zero: zero-norm rows and probes;
+//   - expired: head-only rows swap-deleted by expiry, so tail-heavy rows move
+//     into their slots;
+//   - updated: head-only prototypes turned tail-heavy by running-mean updates.
+func TestPrunedTop1MatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	const rows = 13 // three four-row groups and a remainder
+	// split returns a random feature whose head (components below dim/2) is
+	// scaled by h and tail by tl.
+	split := func(dim int, h, tl float32) Feature {
+		f := NewRandomFeature(rng, dim)
+		for i := range f {
+			if i < dim/2 {
+				f[i] *= h
+			} else {
+				f[i] *= tl
+			}
+		}
+		return f
+	}
+	recipes := []struct {
+		name  string
+		build func(dim int, probe Feature) *block
+	}{
+		{"tight", func(dim int, probe Feature) *block {
+			g := NewGallery()
+			for id := uint64(1); id <= rows; id++ {
+				f := NewRandomFeature(rng, dim)
+				scale := float32(math.Ldexp(1, rng.Intn(5)-2))
+				for i := dim / 2; i < dim; i++ {
+					f[i] = probe[i] * scale
+				}
+				g.Enroll(id, f)
+			}
+			return g.blocks[0]
+		}},
+		{"twins", func(dim int, probe Feature) *block {
+			g := NewGallery()
+			for id := uint64(2 * rows); id > 0; id -= 2 {
+				f := probe.Perturb(rng, rng.Float64()*0.3)
+				g.Enroll(id, f)
+				g.Enroll(id-1, f)
+			}
+			return g.blocks[0]
+		}},
+		{"zero", func(dim int, probe Feature) *block {
+			g := NewGallery()
+			for id := uint64(1); id <= rows; id++ {
+				f := make(Feature, dim)
+				if id%3 == 0 {
+					f = probe.Perturb(rng, 0.2)
+				}
+				g.Enroll(id, f)
+			}
+			return g.blocks[0]
+		}},
+		{"expired", func(dim int, probe Feature) *block {
+			g := NewGallery()
+			for id := uint64(1); id <= 3*rows; id++ {
+				if id%3 == 0 {
+					g.enroll(id, split(dim, 0.1, 1), 2)
+				} else {
+					g.enroll(id, split(dim, 1, 0), 1)
+				}
+			}
+			g.expire(2)
+			return g.blocks[0]
+		}},
+		{"updated", func(dim int, probe Feature) *block {
+			g := NewGallery()
+			for id := uint64(1); id <= rows; id++ {
+				g.Enroll(id, split(dim, 1, 0))
+				tail := split(dim, 0, 1)
+				for j := 0; j < 5; j++ {
+					g.Enroll(id, tail)
+				}
+			}
+			return g.blocks[0]
+		}},
+	}
+	for _, r := range recipes {
+		for _, dim := range []int{1, 2, 3, 7, 32, 33} {
+			for trial := 0; trial < 10; trial++ {
+				probe := NewRandomFeature(rng, dim)
+				b := r.build(dim, probe)
+				probes := []Feature{probe, make(Feature, dim)}
+				for row := range b.ids {
+					probes = append(probes, b.feature(row), b.feature(row).Perturb(rng, 0.01))
+				}
+				for _, probe := range probes {
+					cuts := []float64{math.Inf(-1), 0.75}
+					for row := range b.ids {
+						s := refCosine(probe, b.feature(row))
+						cuts = append(cuts, s, math.Nextafter(s, 2), math.Nextafter(s, -2), s+1e-12, s-1e-12)
+					}
+					for _, cut := range cuts {
+						row, score := b.top1(probe, norm(probe), cut)
+						wantRow, wantScore := scanTop1(b, probe, cut)
+						if row != wantRow || math.Float64bits(score) != math.Float64bits(wantScore) {
+							t.Fatalf("%s dim %d trial %d cut %v: top1 = (row %d, %v), full scan (row %d, %v)", r.name, dim, trial, cut, row, score, wantRow, wantScore)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -308,7 +457,7 @@ func TestAssociatorExpiry(t *testing.T) {
 // re-sighting scans, picks and re-enrols in place.
 func TestAssociateMatchPathAllocs(t *testing.T) {
 	a := NewAssociator(0.75)
-	probes := benchProbes(323, 32, a.Associate)
+	probes := benchProbes(323, 32, 0.02, a.Associate)
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, matched := a.Associate(probes[i%len(probes)]); !matched {
