@@ -86,7 +86,6 @@ func run() error {
 		heartbeat   = flag.Duration("heartbeat", time.Second, "worker heartbeat interval")
 		hbTimeout   = flag.Duration("failure-timeout", 5*time.Second, "coordinator: declare workers dead after this silence")
 		retention   = flag.Duration("retention", 0, "worker observation retention (0 = unlimited)")
-		sealHorizon = flag.Duration("seal-horizon", 0, "worker: compact observations older than this into compressed sealed chunks (0 = flat store)")
 		sweep       = flag.Duration("sweep", time.Second, "coordinator: liveness sweep interval")
 		callTimeout = flag.Duration("call-timeout", 2*time.Second, "per-attempt RPC deadline for outbound calls (negative = unbounded)")
 		attempts    = flag.Int("call-attempts", 3, "RPC attempts per outbound call, including the first (1 = no retries)")
@@ -103,10 +102,7 @@ func run() error {
 	opts := stcam.Options{
 		HeartbeatTimeout: *hbTimeout,
 		Retention:        *retention,
-		SealHorizon:      *sealHorizon,
-		CallTimeout:      *callTimeout,
-		RetryPolicy:      stcam.Policy{MaxAttempts: *attempts},
-		SlowRPCThreshold: *slowRPC,
+		RetryPolicy:      stcam.Policy{MaxAttempts: *attempts, PerAttemptTimeout: *callTimeout, SlowCallThreshold: *slowRPC},
 		Standby:          *standby,
 		LeaseInterval:    *lease,
 	}

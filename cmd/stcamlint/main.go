@@ -3,31 +3,20 @@
 // clockinject, and metricname — the bug classes this codebase has shipped and
 // re-fixed, encoded as compiler-enforced rules.
 //
-// Standalone use (the make lint path):
+// Usage (make stcamlint and CI run the first form):
 //
 //	go run ./cmd/stcamlint ./...          # whole module
 //	go run ./cmd/stcamlint ./internal/core
 //	go run ./cmd/stcamlint -analyzers clockinject,metricname ./...
 //
 // Exit status is 1 when any diagnostic survives //lint:allow suppression.
-//
-// The binary also answers the two entry points `go vet -vettool` uses, so
-//
-//	go build -o stcamlint ./cmd/stcamlint && go vet -vettool=$PWD/stcamlint ./...
-//
-// works: -V=full prints an identity line, and a single *.cfg argument is
-// parsed as vet's unit-check config (the package's files are re-analyzed via
-// the module loader; diagnostics print to stderr and fail the build). The
-// standalone mode is canonical — it is what make lint and CI run.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"stcam/internal/analyzers"
@@ -38,23 +27,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// go vet protocol, part 1: handshakes. -flags asks for the tool's flag
-	// schema (we expose none to vet); -V=full asks for a version identity.
-	for _, a := range args {
-		switch a {
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return 0
-		case "-V=full", "--V=full":
-			fmt.Println("stcamlint version 1 buildID=stcamlint-static-suite")
-			return 0
-		}
-	}
-	// go vet protocol, part 2: a single JSON config file argument.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVetCfg(args[0])
-	}
-
 	fs := flag.NewFlagSet("stcamlint", flag.ExitOnError)
 	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
@@ -178,72 +150,6 @@ func resolvePackages(loader *analyzers.Loader, wd string, patterns []string) ([]
 		}
 	}
 	return out, nil
-}
-
-// vetCfg is the subset of go vet's unit-check config stcamlint needs: the
-// package's import path (everything else — files, import maps, export data —
-// is re-derived through the module loader, which type-checks from source).
-type vetCfg struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-}
-
-func runVetCfg(path string) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stcamlint:", err)
-		return 2
-	}
-	var cfg vetCfg
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "stcamlint: parse vet config:", err)
-		return 2
-	}
-	dir := cfg.Dir
-	if dir == "" && len(cfg.GoFiles) > 0 {
-		dir = filepath.Dir(cfg.GoFiles[0])
-	}
-	if dir == "" {
-		fmt.Fprintln(os.Stderr, "stcamlint: vet config has no package directory")
-		return 2
-	}
-	// go vet runs the tool over every package in the build, the standard
-	// library included (its source tree carries the `std` go.mod). Our
-	// invariants are project rules; anything outside this module is not ours
-	// to check.
-	if goroot := runtime.GOROOT(); goroot != "" {
-		if r, err := filepath.Rel(goroot, dir); err == nil && !strings.HasPrefix(r, "..") {
-			return 0
-		}
-	}
-	loader, err := analyzers.NewLoader(dir)
-	if err != nil {
-		// Outside our module (a dependency): nothing to check.
-		return 0
-	}
-	rel, err := filepath.Rel(loader.ModuleRoot, dir)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return 0
-	}
-	ip := loader.ModulePath
-	if rel != "." {
-		ip = loader.ModulePath + "/" + filepath.ToSlash(rel)
-	}
-	p, err := loader.Load(ip)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stcamlint:", err)
-		return 2
-	}
-	bad := 0
-	for _, d := range analyzers.RunPackage(p, analyzers.All()) {
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
-		bad++
-	}
-	if bad > 0 {
-		return 1
-	}
-	return 0
 }
 
 func relPath(root, p string) string {

@@ -176,7 +176,7 @@ func TestR16ShapePrunedStaysFlat(t *testing.T) {
 // TestR17ShapeSealedTierCompresses verifies the tiered-store headline claims
 // at reduced scale: most of the stream seals, the sealed tier costs at most
 // a fifth of the flat store per observation (the ≥5× retention claim), and
-// every RollupWidth-aligned long-range aggregate is answered without decoding
+// every seal-granule-aligned long-range aggregate is answered without decoding
 // a chunk.
 func TestR17ShapeSealedTierCompresses(t *testing.T) {
 	if testing.Short() {

@@ -124,35 +124,46 @@ func R1Ingest(s Scale) *Table {
 	}
 	wl := makeWorkload(16, s.n(400), s.n(60), 1)
 
-	// Centralized reference: the median of five passes, each into a fresh
-	// server, so one scheduler stall does not move every speedup.
-	passes := make([]time.Duration, 5)
-	for i := range passes {
-		central := newCentral(50)
-		startC := time.Now()
+	// Every column is the median of five passes, each into a fresh server or
+	// cluster, so one scheduler stall does not move a row's speedup.
+	central, _ := medianPass(func() (int, time.Duration) {
+		c := newCentral(50)
+		start := time.Now()
 		for _, b := range wl.batches {
-			central.Ingest(b)
+			c.Ingest(b)
 		}
-		passes[i] = time.Since(startC)
-	}
-	slices.Sort(passes)
-	centralRate := float64(wl.totalObs()) / passes[len(passes)/2].Seconds()
+		return wl.totalObs(), time.Since(start)
+	})
 
 	ctx := context.Background()
 	for _, workers := range []int{1, 2, 4, 8, 16} {
-		c, err := core.NewLocalCluster(workers, nil, core.Options{CellSize: 50})
-		if err != nil {
-			panic(err)
-		}
-		if err := c.Coordinator.AddCameras(ctx, wl.cams, 100); err != nil {
-			panic(err)
-		}
-		accepted, dur := ingestAll(ctx, c, wl)
-		rate := float64(accepted) / dur.Seconds()
-		t.AddRow(workers, accepted, rate, centralRate, fmt.Sprintf("%.2fx", rate/centralRate))
-		c.Stop()
+		rate, accepted := medianPass(func() (int, time.Duration) {
+			c, err := core.NewLocalCluster(workers, nil, core.Options{CellSize: 50})
+			if err != nil {
+				panic(err)
+			}
+			defer c.Stop()
+			if err := c.Coordinator.AddCameras(ctx, wl.cams, 100); err != nil {
+				panic(err)
+			}
+			return ingestAll(ctx, c, wl)
+		})
+		t.AddRow(workers, accepted, rate, central, fmt.Sprintf("%.2fx", rate/central))
 	}
 	return t
+}
+
+// medianPass runs pass five times and returns the events per second of the
+// median pass, and the events the last pass ingested; pass reports the
+// events it ingested and its duration.
+func medianPass(pass func() (int, time.Duration)) (float64, int) {
+	durs := make([]time.Duration, 5)
+	events := 0
+	for i := range durs {
+		events, durs[i] = pass()
+	}
+	slices.Sort(durs)
+	return float64(events) / durs[len(durs)/2].Seconds(), events
 }
 
 // chunkDetections re-frames the workload's detections into fixed-size ingest

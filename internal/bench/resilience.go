@@ -49,18 +49,18 @@ func R14FaultSweep(s Scale) *Table {
 func r14Cell(wl *workload, queries int, drop float64, resilient bool) (avail float64, p50, p99 time.Duration) {
 	ctx := context.Background()
 	opts := core.Options{
-		CellSize:    50,
-		CallTimeout: 50 * time.Millisecond,
+		CellSize: 50,
 		// The sweep isolates retry behaviour; circuit breaking is disabled so
 		// a run of unlucky drops cannot blackhole the lossy link entirely.
-		RetryPolicy: cluster.Policy{MaxAttempts: 1, FailureThreshold: -1},
+		RetryPolicy: cluster.Policy{MaxAttempts: 1, PerAttemptTimeout: 50 * time.Millisecond, FailureThreshold: -1},
 	}
 	if resilient {
 		opts.RetryPolicy = cluster.Policy{
-			MaxAttempts:      4,
-			BaseBackoff:      time.Millisecond,
-			MaxBackoff:       10 * time.Millisecond,
-			FailureThreshold: -1,
+			MaxAttempts:       4,
+			PerAttemptTimeout: 50 * time.Millisecond,
+			BaseBackoff:       time.Millisecond,
+			MaxBackoff:        10 * time.Millisecond,
+			FailureThreshold:  -1,
 		}
 	}
 	faulty := cluster.NewFaulty(cluster.NewInProc(), 14)

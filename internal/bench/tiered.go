@@ -23,19 +23,23 @@ import (
 //   - "retention×": flat live-heap B/obs ÷ sealed B/obs — how many times more
 //     history fits in the same memory once it seals. The paper-level claim is
 //     ≥5×; the gate floors it there.
-//   - "rollup-only": fraction of RollupWidth-aligned long-range
+//   - "rollup-only": fraction of seal-granule-aligned long-range
 //     Count+Heatmap queries that complete with zero chunk decodes (measured
 //     via the store's decode counter). Must stay at 1.0 — any regression
 //     that makes aggregates fall back to decoding chunks collapses it.
 //
-// Flat B/obs is a post-GC HeapAlloc delta around building the flat store:
+// Flat B/obs is a post-GC HeapAlloc delta around building the flat store, a
+// store whose seal horizon outlasts the stream so every record stays hot:
 // live bytes, not allocation churn, since retention is about what stays
 // resident. The latency columns are informative only (host-dependent).
 
 const (
 	r17BucketWidth = time.Second
-	r17RollupWidth = 8 * time.Second
+	r17RollupWidth = 16 * r17BucketWidth // the store's seal granule
 	r17SealHorizon = 30 * time.Second
+	// r17FlatHorizon outlasts every R17 stream, so the reference store keeps
+	// all its records in the hot tier.
+	r17FlatHorizon = 24 * time.Hour
 )
 
 // r17Stream generates a deterministic multi-target walker stream: fixed
@@ -69,10 +73,9 @@ func r17Stream(n int) []stindex.Record {
 }
 
 func r17Config(sealed bool) stindex.Config {
-	c := stindex.Config{CellSize: 50, BucketWidth: r17BucketWidth}
+	c := stindex.Config{CellSize: 50, BucketWidth: r17BucketWidth, SealHorizon: r17FlatHorizon}
 	if sealed {
 		c.SealHorizon = r17SealHorizon
-		c.RollupWidth = r17RollupWidth
 	}
 	return c
 }
@@ -132,7 +135,7 @@ func R17TieredStorage(s Scale) *Table {
 			retentionX = flatBytes / sealedBytes
 		}
 
-		// Long-range Count+Heatmap over RollupWidth-aligned windows cover
+		// Long-range Count+Heatmap over seal-granule-aligned windows cover
 		// every chunk they touch whole, so must not decode a single one.
 		start := recs[0].Time.Truncate(r17RollupWidth)
 		sealedSpan := recs[ts.SealedRecords-1].Time.Sub(start)

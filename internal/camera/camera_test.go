@@ -54,8 +54,8 @@ func TestOmnidirectionalCamera(t *testing.T) {
 	if c.Sees(geo.Pt(51, 0)) {
 		t.Error("omni camera sees beyond range")
 	}
-	if got := c.FOV().Area(); math.Abs(got-math.Pi*2500)/(math.Pi*2500) > 0.02 {
-		t.Errorf("omni FOV area = %v", got)
+	if b := c.FOV().Bounds(); math.Abs(b.Width()-100) > 2 || math.Abs(b.Height()-100) > 2 {
+		t.Errorf("omni FOV bounds = %v, want the range circle's 100 m box", b)
 	}
 }
 

@@ -120,21 +120,23 @@ func (*HashPartitioner) Partition(cams []wire.CameraInfo, nodes []wire.NodeID) A
 		var best wire.NodeID
 		var bestScore uint64
 		for _, n := range sortedNodes {
-			h := fnv.New64a()
-			var idb [4]byte
-			idb[0] = byte(c.ID >> 24)
-			idb[1] = byte(c.ID >> 16)
-			idb[2] = byte(c.ID >> 8)
-			idb[3] = byte(c.ID)
-			h.Write(idb[:])
-			h.Write([]byte(n))
-			if score := h.Sum64(); best == "" || score > bestScore {
+			if score := RendezvousScore(c.ID, n); best == "" || score > bestScore {
 				best, bestScore = n, score
 			}
 		}
 		out[c.ID] = best
 	}
 	return out
+}
+
+// RendezvousScore is camera's highest-random-weight score on node: FNV-64a
+// over the camera ID (4 bytes, big-endian) followed by the node ID. Both the
+// hash partitioner and replica placement rank nodes by it.
+func RendezvousScore(camera uint32, node wire.NodeID) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte{byte(camera >> 24), byte(camera >> 16), byte(camera >> 8), byte(camera)})
+	h.Write([]byte(node))
+	return h.Sum64()
 }
 
 // RoundRobinPartitioner deals cameras to nodes in ID order. The naive static

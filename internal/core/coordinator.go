@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -522,12 +521,7 @@ func replicaPlacement(cams []wire.CameraInfo, nodes []wire.NodeID, primary clust
 			if n == primary[ci.ID] {
 				continue
 			}
-			h := fnv.New64a()
-			var idb [4]byte
-			idb[0], idb[1], idb[2], idb[3] = byte(ci.ID>>24), byte(ci.ID>>16), byte(ci.ID>>8), byte(ci.ID)
-			h.Write(idb[:])
-			h.Write([]byte(n))
-			cands = append(cands, scored{n, h.Sum64()})
+			cands = append(cands, scored{n, cluster.RendezvousScore(ci.ID, n)})
 		}
 		sort.Slice(cands, func(i, j int) bool {
 			if cands[i].score != cands[j].score {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"stcam/internal/cluster"
 	"stcam/internal/geo"
 	"stcam/internal/sim"
 	"stcam/internal/vision"
@@ -48,6 +49,15 @@ func newTestCluster(t testing.TB, workers int, opts Options) *Cluster {
 	}
 	t.Cleanup(c.Stop)
 	return c
+}
+
+// TestZeroOptionsWorkerStoreIsTiered: the zero Options run a worker on the
+// tiered store the benchmark measures, sealing at a 2 min horizon.
+func TestZeroOptionsWorkerStoreIsTiered(t *testing.T) {
+	w := NewWorker("w01", "worker-01", "coord", cluster.NewInProc(), Options{})
+	if got := w.store.Config().SealHorizon; got != 2*time.Minute {
+		t.Fatalf("zero-Options worker store seals at %v, want 2m0s", got)
+	}
 }
 
 func TestClusterAssignment(t *testing.T) {

@@ -805,7 +805,12 @@ func (c *Coordinator) becomeLeader() {
 	// after a real failover.
 	c.reg.Counter("leaderless.seconds").Add(int64(down/time.Second) + 1)
 	c.membership.Refresh(now)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*c.opts.CallTimeout)
+	// Two attempts' worth of time for the assignment pushes, or no deadline
+	// when the policy leaves attempts unbounded.
+	ctx, cancel := context.Background(), context.CancelFunc(func() {})
+	if d := c.rpc.Policy().PerAttemptTimeout; d > 0 {
+		ctx, cancel = context.WithTimeout(ctx, 2*d)
+	}
 	defer cancel()
 	if err := c.Reassign(ctx); err != nil {
 		if errors.Is(err, errNoLiveWorkers) {

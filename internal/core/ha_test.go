@@ -20,7 +20,6 @@ func haOpts(lease time.Duration) Options {
 	return Options{
 		LeaseInterval:    lease,
 		HeartbeatTimeout: 3 * time.Second,
-		CallTimeout:      500 * time.Millisecond,
 		RetryPolicy: cluster.Policy{
 			MaxAttempts:       3,
 			PerAttemptTimeout: 500 * time.Millisecond,
@@ -211,6 +210,44 @@ func TestHAFailoverElectsStandby(t *testing.T) {
 	}
 	if err := newLeader.StopTrack(ctx, trackID); err != nil {
 		t.Fatalf("stop track on new leader: %v", err)
+	}
+}
+
+// TestHATakeoverWithUnboundedAttempts: a negative PerAttemptTimeout leaves
+// attempts unbounded, and so must it leave the new leader's takeover
+// reassignment: that push runs without a deadline and succeeds, instead of
+// failing on a context that expired before it began. The survivors' links to
+// the workers carry 1 ms of latency, so a push waits on its context as it
+// would over TCP.
+func TestHATakeoverWithUnboundedAttempts(t *testing.T) {
+	lease := 150 * time.Millisecond
+	opts := haOpts(lease)
+	opts.RetryPolicy.PerAttemptTimeout = -1
+	hc := newHATestCluster(t, 3, 2, 3, opts)
+	leader := hc.Coordinators[0]
+	for _, c := range hc.Coordinators[1:] {
+		for _, w := range hc.Workers {
+			hc.Net.View(c.Addr()).SetProgram(w.Addr(), cluster.FaultProgram{Latency: time.Millisecond})
+		}
+	}
+	if err := leader.AddCameras(ctx, gridCams(world1, 2), 50); err != nil {
+		t.Fatal(err)
+	}
+	wantApplied := leader.JournalApplied()
+	waitFor(t, 2*time.Second, "standbys caught up", func() bool {
+		return hc.Coordinators[1].JournalApplied() == wantApplied &&
+			hc.Coordinators[2].JournalApplied() == wantApplied
+	})
+
+	leader.Stop()
+	survivors := hc.Coordinators[1:]
+	var newLeader *Coordinator
+	waitFor(t, 20*lease, "a survivor to finish its takeover", func() bool {
+		newLeader = leaderAmong(survivors)
+		return newLeader != nil && newLeader.Metrics().Counter("ha.promotions").Value() > 0
+	})
+	if n := newLeader.Metrics().Counter("ha.promote_reassign_errors").Value(); n != 0 {
+		t.Fatalf("ha.promote_reassign_errors = %d, want 0: the takeover reassignment failed", n)
 	}
 }
 

@@ -36,15 +36,13 @@ type Options struct {
 	Retention time.Duration
 	// CellSize is the spatial index cell in meters (default 50).
 	CellSize float64
-	// BucketWidth is the temporal index bucket (default 10s).
-	BucketWidth time.Duration
-	// SealHorizon enables the worker store's sealed tier: observations older
-	// than latest − SealHorizon are compacted into immutable delta-compressed
-	// chunks, cutting resident bytes per observation so a fixed memory budget
-	// holds a much longer history (see R17). Each chunk keeps its record
-	// count, time span and bounding rect, so Count/Heatmap windows covering a
-	// chunk are answered without decoding it. Zero (the default) keeps the
-	// store flat.
+	// SealHorizon is the span of the worker store's hot tier: observations
+	// older than latest − SealHorizon are compacted into immutable
+	// delta-compressed chunks, cutting resident bytes per observation so a
+	// fixed memory budget holds a much longer history (see R17). Each chunk
+	// keeps its record count, time span and bounding rect, so Count/Heatmap
+	// windows covering a chunk are answered without decoding it (default
+	// 2 min).
 	SealHorizon time.Duration
 	// BroadcastHandoff switches tracking from vision-graph-scoped priming to
 	// priming every camera on every worker — the baseline experiment R3
@@ -58,22 +56,14 @@ type Options struct {
 	// loses no history: the coordinator promotes a replica and its standby
 	// copy becomes authoritative.
 	Replicas int
-	// CallTimeout bounds each outbound RPC attempt, so one hung peer can
-	// never stall heartbeats, rebalance pushes, or query fan-out (default
-	// 2s; negative leaves attempts unbounded).
-	CallTimeout time.Duration
 	// RetryPolicy tunes the resilience layer every node wraps around its
-	// transport for outbound calls: retry attempts, backoff shape, and the
-	// per-peer circuit breaker (see cluster.Policy for fields and
-	// defaults). A zero PerAttemptTimeout inherits CallTimeout. Transport
-	// failures are retried with capped jittered backoff; remote handler
-	// errors are never retried.
+	// transport for outbound calls: the per-attempt deadline that keeps one
+	// hung peer from stalling heartbeats, rebalance pushes or query fan-out,
+	// retry attempts, backoff shape, the per-peer circuit breaker and
+	// slow-call logging (see cluster.Policy for fields and defaults).
+	// Transport failures are retried with capped jittered backoff; remote
+	// handler errors are never retried.
 	RetryPolicy cluster.Policy
-	// SlowRPCThreshold, when positive, makes every outbound RPC whose total
-	// duration (including retries and backoff) reaches it emit one
-	// structured log line carrying its trace ID, and enables per-attempt
-	// failure logging. Zero disables slow-call logging (the default).
-	SlowRPCThreshold time.Duration
 	// DisablePrune turns off summary-based scatter pruning and the two-phase
 	// kNN, reverting every read to broadcast fan-out over the routed workers.
 	// This is the baseline experiment R16 compares against and the reference
@@ -122,14 +112,8 @@ func (o *Options) fill() {
 	if o.CellSize <= 0 {
 		o.CellSize = 50
 	}
-	if o.BucketWidth <= 0 {
-		o.BucketWidth = 10 * time.Second
-	}
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = 5 * time.Second
-	}
-	if o.CallTimeout == 0 {
-		o.CallTimeout = 2 * time.Second
 	}
 	if o.CoordinatorID == "" {
 		o.CoordinatorID = "c0"
@@ -140,17 +124,4 @@ func (o *Options) fill() {
 	if o.Clock == nil {
 		o.Clock = clock.Wall
 	}
-}
-
-// rpcPolicy resolves the outbound-call policy: a zero per-attempt timeout
-// inherits CallTimeout; everything else defaults inside the cluster layer.
-func (o *Options) rpcPolicy() cluster.Policy {
-	p := o.RetryPolicy
-	if p.PerAttemptTimeout == 0 {
-		p.PerAttemptTimeout = o.CallTimeout
-	}
-	if p.SlowCallThreshold == 0 {
-		p.SlowCallThreshold = o.SlowRPCThreshold
-	}
-	return p
 }

@@ -192,7 +192,7 @@ func runPrunedWorkload(t *testing.T, workers int, opts Options, tr cluster.Trans
 	det := vision.NewDetector(vision.DetectorConfig{Seed: 8})
 	// The serial reference dials workers itself, so on a lossy fabric it needs its
 	// own retry layer (cluster nodes get theirs from opts.RetryPolicy).
-	ing := serialIngester{c.Coordinator, cluster.NewResilient(c.Transport, opts.rpcPolicy())}
+	ing := serialIngester{c.Coordinator, cluster.NewResilient(c.Transport, opts.RetryPolicy)}
 	w.Run(30, c.Coordinator.Network(), det, func(_ int, dets []vision.Detection) {
 		if _, err := ing.IngestDetections(ctx, dets); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -183,4 +184,39 @@ func detectionsAtCameras(cams []wire.CameraInfo) []vision.Detection {
 		}
 	}
 	return out
+}
+
+// TestRendezvousPlacementPinned pins hash-partitioned primaries and their
+// rendezvous replica placement for a fixed camera and node set, so a change
+// to the shared rendezvous score cannot silently move a deployment's
+// cameras or standby copies.
+func TestRendezvousPlacementPinned(t *testing.T) {
+	want := []struct {
+		cam      uint32
+		primary  wire.NodeID
+		replicas []wire.NodeID
+	}{
+		{0x1, "w02", []wire.NodeID{"w03", "w01"}},
+		{0x2, "w05", []wire.NodeID{"w04", "w03"}},
+		{0x3, "w04", []wire.NodeID{"w05", "w01"}},
+		{0x4, "w01", []wire.NodeID{"w03", "w02"}},
+		{0x5, "w04", []wire.NodeID{"w05", "w02"}},
+		{0x6, "w03", []wire.NodeID{"w02", "w01"}},
+		{0x7, "w01", []wire.NodeID{"w02", "w03"}},
+		{0x8, "w05", []wire.NodeID{"w04", "w01"}},
+		{0x1020304, "w05", []wire.NodeID{"w04", "w01"}},
+		{0xfffffffe, "w04", []wire.NodeID{"w05", "w02"}},
+	}
+	cams := make([]wire.CameraInfo, len(want))
+	for i, w := range want {
+		cams[i] = wire.CameraInfo{ID: w.cam}
+	}
+	nodes := []wire.NodeID{"w01", "w02", "w03", "w04", "w05"}
+	primary := (&cluster.HashPartitioner{}).Partition(cams, nodes)
+	replicas := replicaPlacement(cams, nodes, primary, 2)
+	for _, w := range want {
+		if primary[w.cam] != w.primary || !slices.Equal(replicas[w.cam], w.replicas) {
+			t.Errorf("camera %#x: primary %s replicas %v, want %s %v", w.cam, primary[w.cam], replicas[w.cam], w.primary, w.replicas)
+		}
+	}
 }

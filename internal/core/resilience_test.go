@@ -40,12 +40,12 @@ func seedFaultCluster(t *testing.T, opts Options) (*Cluster, *cluster.Faulty) {
 // query answer complete.
 func TestResilienceMasksDroppedCalls(t *testing.T) {
 	c, faulty := seedFaultCluster(t, Options{
-		CallTimeout: 50 * time.Millisecond,
 		RetryPolicy: cluster.Policy{
-			MaxAttempts:      5,
-			BaseBackoff:      time.Millisecond,
-			MaxBackoff:       5 * time.Millisecond,
-			FailureThreshold: -1, // isolate the retry mechanism
+			MaxAttempts:       5,
+			PerAttemptTimeout: 50 * time.Millisecond,
+			BaseBackoff:       time.Millisecond,
+			MaxBackoff:        5 * time.Millisecond,
+			FailureThreshold:  -1, // isolate the retry mechanism
 		},
 	})
 	faulty.SetProgram(c.Workers[0].Addr(), cluster.FaultProgram{Drop: 0.3})
@@ -81,13 +81,13 @@ func TestResilienceMasksDroppedCalls(t *testing.T) {
 func TestBreakerFastFailsPartitionedWorker(t *testing.T) {
 	perAttempt := 40 * time.Millisecond
 	c, faulty := seedFaultCluster(t, Options{
-		CallTimeout: perAttempt,
 		RetryPolicy: cluster.Policy{
-			MaxAttempts:      2,
-			BaseBackoff:      time.Millisecond,
-			MaxBackoff:       time.Millisecond,
-			FailureThreshold: 2,
-			Cooldown:         10 * time.Second, // stays open for the whole test
+			MaxAttempts:       2,
+			PerAttemptTimeout: perAttempt,
+			BaseBackoff:       time.Millisecond,
+			MaxBackoff:        time.Millisecond,
+			FailureThreshold:  2,
+			Cooldown:          10 * time.Second, // stays open for the whole test
 		},
 	})
 	hungAddr := c.Workers[0].Addr()

@@ -14,7 +14,7 @@ func resilientFor(tr cluster.Transport, opts Options, reg *metrics.Registry) *cl
 	if r, ok := tr.(*cluster.Resilient); ok {
 		return r
 	}
-	return cluster.NewResilient(tr, opts.rpcPolicy(), cluster.WithRPCMetrics(reg), cluster.WithClock(opts.Clock))
+	return cluster.NewResilient(tr, opts.RetryPolicy, cluster.WithRPCMetrics(reg), cluster.WithClock(opts.Clock))
 }
 
 // QueryMeta reports how complete one scatter-gather answer is. Pruned

@@ -68,7 +68,6 @@ func TestSoakFailoverLeaderKill(t *testing.T) {
 		RetryPolicy:      policy,
 		LeaseInterval:    lease,
 		HeartbeatTimeout: 3 * time.Second,
-		CallTimeout:      500 * time.Millisecond,
 	}
 	hc, err := NewHACluster(3, 4, nil, soakSeed(), opts)
 	if err != nil {

@@ -155,7 +155,6 @@ func NewWorker(id wire.NodeID, addr, coordAddr string, transport cluster.Transpo
 		primary:     make(map[uint32]bool),
 		store: stindex.NewStore(stindex.Config{
 			CellSize:    opts.CellSize,
-			BucketWidth: opts.BucketWidth,
 			Retention:   opts.Retention,
 			SealHorizon: opts.SealHorizon,
 		}),

@@ -30,9 +30,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
-// Dot returns the dot product p · q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Cross returns the z-component of the cross product p × q.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
 
@@ -55,30 +52,8 @@ func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
 }
 
-// Rotate returns p rotated by theta radians counter-clockwise about the
-// origin.
-func (p Point) Rotate(theta float64) Point {
-	sin, cos := math.Sincos(theta)
-	return Point{p.X*cos - p.Y*sin, p.X*sin + p.Y*cos}
-}
-
 // Angle returns the angle of the vector p in radians in (-pi, pi].
 func (p Point) Angle() float64 { return math.Atan2(p.Y, p.X) }
-
-// Unit returns the unit vector in the direction of p. The zero vector is
-// returned unchanged.
-func (p Point) Unit() Point {
-	n := p.Norm()
-	if n == 0 {
-		return p
-	}
-	return p.Scale(1 / n)
-}
-
-// IsFinite reports whether both coordinates are finite numbers.
-func (p Point) IsFinite() bool {
-	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
-}
 
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }

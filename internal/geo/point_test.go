@@ -19,7 +19,6 @@ func TestPointArithmetic(t *testing.T) {
 		{"scale", Pt(1.5, -2).Scale(2), Pt(3, -4)},
 		{"lerp-mid", Pt(0, 0).Lerp(Pt(10, 20), 0.5), Pt(5, 10)},
 		{"lerp-ends", Pt(2, 3).Lerp(Pt(7, 9), 0), Pt(2, 3)},
-		{"unit-zero", Pt(0, 0).Unit(), Pt(0, 0)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -36,17 +35,6 @@ func TestPointDist(t *testing.T) {
 	}
 	if d := Pt(1, 1).Dist2(Pt(4, 5)); !almostEq(d, 25) {
 		t.Errorf("Dist2 = %v, want 25", d)
-	}
-}
-
-func TestPointRotate(t *testing.T) {
-	p := Pt(1, 0).Rotate(math.Pi / 2)
-	if !almostEq(p.X, 0) || !almostEq(p.Y, 1) {
-		t.Errorf("Rotate(pi/2) = %v, want (0,1)", p)
-	}
-	p = Pt(2, 3).Rotate(2 * math.Pi)
-	if !almostEq(p.X, 2) || !almostEq(p.Y, 3) {
-		t.Errorf("Rotate(2pi) = %v, want (2,3)", p)
 	}
 }
 
@@ -77,37 +65,6 @@ func TestAngleDiff(t *testing.T) {
 	a, b := math.Pi-0.01, -math.Pi+0.01
 	if d := math.Abs(AngleDiff(a, b)); !almostEq(d, 0.02) {
 		t.Errorf("AngleDiff across wrap = %v, want 0.02", d)
-	}
-}
-
-func TestIsFinite(t *testing.T) {
-	if !Pt(1, 2).IsFinite() {
-		t.Error("finite point reported non-finite")
-	}
-	for _, p := range []Point{
-		{math.NaN(), 0}, {0, math.NaN()}, {math.Inf(1), 0}, {0, math.Inf(-1)},
-	} {
-		if p.IsFinite() {
-			t.Errorf("%v reported finite", p)
-		}
-	}
-}
-
-// Property: rotating by theta then -theta is the identity (within epsilon).
-func TestPropRotateRoundTrip(t *testing.T) {
-	f := func(x, y, theta float64) bool {
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) ||
-			math.IsNaN(theta) || math.IsInf(theta, 0) {
-			return true
-		}
-		x = math.Mod(x, 1e6)
-		y = math.Mod(y, 1e6)
-		p := Pt(x, y)
-		q := p.Rotate(theta).Rotate(-theta)
-		return p.Dist(q) < 1e-6*(1+p.Norm())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -8,47 +8,6 @@ import "math"
 // zero area and contains no points.
 type Polygon []Point
 
-// Area returns the unsigned area of the polygon (shoelace formula).
-func (pg Polygon) Area() float64 { return math.Abs(pg.SignedArea()) }
-
-// SignedArea returns the signed area: positive when the vertices wind
-// counter-clockwise.
-func (pg Polygon) SignedArea() float64 {
-	if len(pg) < 3 {
-		return 0
-	}
-	var sum float64
-	for i, p := range pg {
-		q := pg[(i+1)%len(pg)]
-		sum += p.Cross(q)
-	}
-	return sum / 2
-}
-
-// Centroid returns the area centroid of the polygon. For degenerate polygons
-// it falls back to the vertex mean.
-func (pg Polygon) Centroid() Point {
-	a := pg.SignedArea()
-	if len(pg) == 0 {
-		return Point{}
-	}
-	if math.Abs(a) < 1e-12 {
-		var c Point
-		for _, p := range pg {
-			c = c.Add(p)
-		}
-		return c.Scale(1 / float64(len(pg)))
-	}
-	var cx, cy float64
-	for i, p := range pg {
-		q := pg[(i+1)%len(pg)]
-		w := p.Cross(q)
-		cx += (p.X + q.X) * w
-		cy += (p.Y + q.Y) * w
-	}
-	return Point{cx / (6 * a), cy / (6 * a)}
-}
-
 // Bounds returns the axis-aligned bounding rectangle of the polygon.
 func (pg Polygon) Bounds() Rect {
 	out := EmptyRect()
@@ -133,15 +92,6 @@ func (pg Polygon) IntersectsPolygon(other Polygon) bool {
 		}
 	}
 	return false
-}
-
-// Translate returns a copy of the polygon shifted by d.
-func (pg Polygon) Translate(d Point) Polygon {
-	out := make(Polygon, len(pg))
-	for i, p := range pg {
-		out[i] = p.Add(d)
-	}
-	return out
 }
 
 // orient classifies the turn a→b→c: >0 counter-clockwise, <0 clockwise,

@@ -5,49 +5,11 @@ import (
 	"testing"
 )
 
-func square(size float64) Polygon {
-	return Polygon{Pt(0, 0), Pt(size, 0), Pt(size, size), Pt(0, size)}
-}
+func square(size float64) Polygon { return squareAt(0, 0, size) }
 
-func TestPolygonArea(t *testing.T) {
-	tests := []struct {
-		name string
-		pg   Polygon
-		want float64
-	}{
-		{"unit-square", square(1), 1},
-		{"square-10", square(10), 100},
-		{"triangle", Polygon{Pt(0, 0), Pt(4, 0), Pt(0, 3)}, 6},
-		{"degenerate", Polygon{Pt(0, 0), Pt(1, 1)}, 0},
-		{"empty", nil, 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.pg.Area(); !almostEq(got, tt.want) {
-				t.Errorf("Area = %v, want %v", got, tt.want)
-			}
-		})
-	}
-	// Winding does not change unsigned area.
-	cw := Polygon{Pt(0, 1), Pt(1, 1), Pt(1, 0), Pt(0, 0)}
-	if got := cw.Area(); !almostEq(got, 1) {
-		t.Errorf("clockwise area = %v, want 1", got)
-	}
-	if cw.SignedArea() >= 0 {
-		t.Error("clockwise polygon should have negative signed area")
-	}
-}
-
-func TestPolygonCentroid(t *testing.T) {
-	c := square(2).Centroid()
-	if !almostEq(c.X, 1) || !almostEq(c.Y, 1) {
-		t.Errorf("square centroid = %v, want (1,1)", c)
-	}
-	tri := Polygon{Pt(0, 0), Pt(3, 0), Pt(0, 3)}
-	c = tri.Centroid()
-	if !almostEq(c.X, 1) || !almostEq(c.Y, 1) {
-		t.Errorf("triangle centroid = %v, want (1,1)", c)
-	}
+// squareAt returns the axis-aligned square with lower-left corner (x, y).
+func squareAt(x, y, size float64) Polygon {
+	return Polygon{Pt(x, y), Pt(x+size, y), Pt(x+size, y+size), Pt(x, y+size)}
 }
 
 func TestPolygonContains(t *testing.T) {
@@ -124,15 +86,15 @@ func TestPolygonIntersectsRect(t *testing.T) {
 
 func TestPolygonIntersectsPolygon(t *testing.T) {
 	a := square(10)
-	b := square(4).Translate(Pt(8, 8))
+	b := squareAt(8, 8, 4)
 	if !a.IntersectsPolygon(b) {
 		t.Error("overlapping polygons should intersect")
 	}
-	c := square(4).Translate(Pt(20, 0))
+	c := squareAt(20, 0, 4)
 	if a.IntersectsPolygon(c) {
 		t.Error("disjoint polygons should not intersect")
 	}
-	inner := square(2).Translate(Pt(4, 4))
+	inner := squareAt(4, 4, 2)
 	if !a.IntersectsPolygon(inner) || !inner.IntersectsPolygon(a) {
 		t.Error("nested polygons should intersect both ways")
 	}
@@ -161,10 +123,14 @@ func TestSector(t *testing.T) {
 	if pg.Contains(Pt(1, 5)) {
 		t.Error("sector contains point outside half-angle")
 	}
-	// Area approximates (half) r^2 * angle: full sector area = r^2 * halfAngle.
-	want := 10 * 10 * (math.Pi / 4)
-	if got := pg.Area(); math.Abs(got-want)/want > 0.02 {
-		t.Errorf("sector area = %v, want ≈ %v", got, want)
+	// The apex, then the arc's 17 vertices at the radius.
+	if len(pg) != 18 || pg[0] != apex {
+		t.Fatalf("sector has %d vertices starting at %v, want 18 from the apex", len(pg), pg[0])
+	}
+	for _, p := range pg[1:] {
+		if !almostEq(p.Dist(apex), 10) {
+			t.Errorf("arc vertex %v lies %v from the apex, want 10", p, p.Dist(apex))
+		}
 	}
 	if Sector(apex, 0, 0, 10, 8) != nil {
 		t.Error("zero half-angle should yield nil polygon")
@@ -176,9 +142,13 @@ func TestSector(t *testing.T) {
 
 func TestCircle(t *testing.T) {
 	pg := Circle(Pt(3, 3), 5, 64)
-	want := math.Pi * 25
-	if got := pg.Area(); math.Abs(got-want)/want > 0.01 {
-		t.Errorf("circle area = %v, want ≈ %v", got, want)
+	if len(pg) != 64 {
+		t.Fatalf("circle has %d vertices, want 64", len(pg))
+	}
+	for _, p := range pg {
+		if !almostEq(p.Dist(Pt(3, 3)), 5) {
+			t.Errorf("vertex %v lies %v from the center, want 5", p, p.Dist(Pt(3, 3)))
+		}
 	}
 	if !pg.Contains(Pt(3, 3)) {
 		t.Error("circle should contain its center")

@@ -59,9 +59,6 @@ func (r Rect) Height() float64 {
 // Area returns the area of the rectangle.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Perimeter returns half the perimeter (the R-tree "margin" measure).
-func (r Rect) Perimeter() float64 { return r.Width() + r.Height() }
-
 // Center returns the center point of the rectangle.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
@@ -87,18 +84,6 @@ func (r Rect) Intersects(s Rect) bool {
 		return false
 	}
 	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X && r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
-}
-
-// Intersect returns the overlap of r and s, which may be empty.
-func (r Rect) Intersect(s Rect) Rect {
-	out := Rect{
-		Min: Point{math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)},
-	}
-	if out.IsEmpty() {
-		return EmptyRect()
-	}
-	return out
 }
 
 // Union returns the smallest rectangle covering both r and s.
@@ -132,10 +117,6 @@ func (r Rect) Expand(d float64) Rect {
 	}
 	return out
 }
-
-// DistTo returns the minimum distance from p to the rectangle; 0 when p is
-// inside.
-func (r Rect) DistTo(p Point) float64 { return math.Sqrt(r.Dist2To(p)) }
 
 // Dist2To returns the squared minimum distance from p to the rectangle. This
 // is the standard MINDIST bound used for best-first kNN search.

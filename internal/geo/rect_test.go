@@ -26,9 +26,6 @@ func TestRectBasics(t *testing.T) {
 	if got := r.Area(); got != 8 {
 		t.Errorf("Area = %v", got)
 	}
-	if got := r.Perimeter(); got != 6 {
-		t.Errorf("Perimeter = %v", got)
-	}
 	if got := r.Center(); got != Pt(2, 1) {
 		t.Errorf("Center = %v", got)
 	}
@@ -77,12 +74,8 @@ func TestRectContains(t *testing.T) {
 func TestRectIntersect(t *testing.T) {
 	a := RectOf(0, 0, 4, 4)
 	b := RectOf(2, 2, 6, 6)
-	if !a.Intersects(b) {
+	if !a.Intersects(b) || !b.Intersects(a) {
 		t.Fatal("overlapping rects do not intersect")
-	}
-	got := a.Intersect(b)
-	if want := RectOf(2, 2, 4, 4); got != want {
-		t.Errorf("Intersect = %v, want %v", got, want)
 	}
 	// Edge-touching rectangles intersect (closed boundaries).
 	c := RectOf(4, 0, 8, 4)
@@ -91,11 +84,8 @@ func TestRectIntersect(t *testing.T) {
 	}
 	// Disjoint.
 	d := RectOf(5, 5, 6, 6)
-	if a.Intersects(d) {
+	if a.Intersects(d) || d.Intersects(a) {
 		t.Error("disjoint rects intersect")
-	}
-	if !a.Intersect(d).IsEmpty() {
-		t.Error("intersection of disjoint rects not empty")
 	}
 }
 
@@ -133,13 +123,13 @@ func TestRectDistTo(t *testing.T) {
 	}{
 		{Pt(1, 1), 0},
 		{Pt(2, 2), 0},
-		{Pt(5, 2), 3},
-		{Pt(1, -4), 4},
-		{Pt(5, 6), 5}, // 3-4-5 from corner (2,2)
+		{Pt(5, 2), 9},
+		{Pt(1, -4), 16},
+		{Pt(5, 6), 25}, // 3-4-5 from corner (2,2)
 	}
 	for _, tt := range tests {
-		if got := r.DistTo(tt.p); !almostEq(got, tt.want) {
-			t.Errorf("DistTo(%v) = %v, want %v", tt.p, got, tt.want)
+		if got := r.Dist2To(tt.p); !almostEq(got, tt.want) {
+			t.Errorf("Dist2To(%v) = %v, want %v", tt.p, got, tt.want)
 		}
 	}
 	if !math.IsInf(EmptyRect().Dist2To(Pt(0, 0)), 1) {
@@ -151,7 +141,8 @@ func randRect(rng *rand.Rand) Rect {
 	return RectOf(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
 }
 
-// Property: Union contains both operands; Intersect is contained in both.
+// Property: Union contains both operands; Intersects is symmetric and holds
+// whenever one operand contains the other.
 func TestPropRectUnionIntersect(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
@@ -160,12 +151,11 @@ func TestPropRectUnionIntersect(t *testing.T) {
 		if !u.ContainsRect(a) || !u.ContainsRect(b) {
 			t.Fatalf("union %v does not contain %v and %v", u, a, b)
 		}
-		x := a.Intersect(b)
-		if !a.ContainsRect(x) || !b.ContainsRect(x) {
-			t.Fatalf("intersection %v not inside %v and %v", x, a, b)
+		if a.Intersects(b) != b.Intersects(a) {
+			t.Fatalf("Intersects(%v,%v) is not symmetric", a, b)
 		}
-		if a.Intersects(b) != !x.IsEmpty() {
-			t.Fatalf("Intersects(%v,%v) inconsistent with Intersect", a, b)
+		if !u.Intersects(a) || !u.Intersects(b) {
+			t.Fatalf("union %v does not intersect its operands %v and %v", u, a, b)
 		}
 	}
 }

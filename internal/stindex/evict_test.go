@@ -103,10 +103,9 @@ func TestEvictionOnLateStream(t *testing.T) {
 func TestEvictionOnLateStreamTiered(t *testing.T) {
 	s := NewStore(Config{
 		CellSize:    50,
-		BucketWidth: time.Second,
+		BucketWidth: 250 * time.Millisecond, // a 4 s seal granule
 		Retention:   10 * time.Second,
 		SealHorizon: 5 * time.Second,
-		RollupWidth: 4 * time.Second,
 	})
 	s.Insert(Record{ObsID: 1, TargetID: 1, Camera: 1, Pos: geo.Pt(0, 0), Time: at(100 * time.Second)})
 	for i := 0; i < 5000; i++ {
@@ -127,7 +126,7 @@ func TestEvictionOnLateStreamTiered(t *testing.T) {
 // Latest − Retention is never visible, not even until the next eviction.
 func TestExpiredOnArrivalNeverVisible(t *testing.T) {
 	for _, cfg := range []Config{
-		{CellSize: 50, BucketWidth: time.Second, Retention: 10 * time.Second},
+		{CellSize: 50, BucketWidth: time.Second, Retention: 10 * time.Second, SealHorizon: neverSeal},
 		{CellSize: 50, BucketWidth: time.Second, Retention: 10 * time.Second, SealHorizon: 5 * time.Second},
 	} {
 		s := NewStore(cfg)

@@ -270,12 +270,12 @@ func TestStoreMatchesLinearScan(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"flat", Config{CellSize: 50, BucketWidth: time.Second}},
-		{"tiered", Config{CellSize: 50, BucketWidth: time.Second, SealHorizon: 10 * time.Second, RollupWidth: 8 * time.Second, ChunkTarget: 32}},
+		{"flat", Config{CellSize: 50, BucketWidth: time.Second, SealHorizon: neverSeal}},
+		{"tiered", Config{CellSize: 50, BucketWidth: 500 * time.Millisecond, SealHorizon: 10 * time.Second}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
-			s := NewStore(tc.cfg)
+			s := withChunkTarget(NewStore(tc.cfg), 32)
 			var ref linearScan
 			recs := edgeWorkload(rng, 3000, tc.cfg.CellSize, tc.cfg.BucketWidth, 1)
 			for i, rec := range recs {

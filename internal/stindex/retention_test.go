@@ -24,11 +24,11 @@ import (
 // counts agree, and Range, Count and Heatmap match the linear scan.
 func TestAnswersIndependentOfReclamationTiming(t *testing.T) {
 	const retention = 20 * time.Second
-	lazyCfg := Config{CellSize: 50, BucketWidth: time.Second, SealHorizon: 10 * time.Second, RollupWidth: 8 * time.Second, ChunkTarget: 32}
+	lazyCfg := Config{CellSize: 50, BucketWidth: 500 * time.Millisecond, SealHorizon: 10 * time.Second}
 	eagerCfg := lazyCfg
 	eagerCfg.Retention = retention
-	eager, lazy := NewStore(eagerCfg), NewStore(lazyCfg)
-	flat := NewStore(Config{CellSize: 50, BucketWidth: time.Second, Retention: retention})
+	eager, lazy := withChunkTarget(NewStore(eagerCfg), 32), withChunkTarget(NewStore(lazyCfg), 32)
+	flat := NewStore(Config{CellSize: 50, BucketWidth: time.Second, Retention: retention, SealHorizon: neverSeal})
 	var ref linearScan
 
 	const lazyEvery, checkEvery = 37, 37 * 19

@@ -4,16 +4,16 @@
 // spatio-temporal range, k-nearest within a time window, target history and
 // trajectory reconstruction — and supports retention eviction.
 //
-// With SealHorizon configured the store is tiered: recent records stay in
-// mutable bucket cells (the hot tier, hot.go), and records aging past the
-// horizon are compacted into immutable delta-compressed chunks that carry
-// their record count, time span and bounding rect (chunk.go). Hot buckets
-// and sealed chunks settle against a query by one proof (query.settle), so
-// aggregates count whole chunks without decoding them. Queries consult both
-// tiers and return
-// exactly what the flat store would; the differential suite in
+// The store is tiered: recent records stay in mutable bucket cells (the hot
+// tier, hot.go), and records aging past the seal horizon are compacted into
+// immutable delta-compressed chunks that carry their record count, time span
+// and bounding rect (chunk.go). Hot buckets and sealed chunks settle against
+// a query by one proof (query.settle), so aggregates count whole chunks
+// without decoding them. Queries consult both tiers and return exactly what a
+// store holding every record hot would; the differential suite in
 // tier_differential_test.go holds that equivalence across seal boundaries,
-// eviction and out-of-order ingest.
+// eviction and out-of-order ingest, against a store whose horizon is longer
+// than its data.
 package stindex
 
 import (
@@ -49,19 +49,13 @@ type Neighbor struct {
 // Config sets the store geometry.
 type Config struct {
 	CellSize    float64       // spatial grid cell, meters (default 50)
-	BucketWidth time.Duration // temporal bucket width (default 10s)
+	BucketWidth time.Duration // hot-tier temporal bucket width (default 10s)
 	Retention   time.Duration // 0 → keep everything until EvictBefore is called
 
-	// SealHorizon enables the sealed tier: records older than latest −
-	// SealHorizon are compacted into immutable compressed chunks. 0 keeps
-	// the store flat (everything hot), the pre-tiering behavior.
+	// SealHorizon is the hot tier's span: records older than latest −
+	// SealHorizon are compacted into immutable compressed chunks (default
+	// 2 min). A horizon longer than the data keeps every record hot.
 	SealHorizon time.Duration
-	// RollupWidth is the seal granule: the frontier advances in steps of it,
-	// and cell chunks never span one (default 16 × BucketWidth, rounded up
-	// to a BucketWidth multiple).
-	RollupWidth time.Duration
-	// ChunkTarget caps records per sealed chunk (default 512).
-	ChunkTarget int
 }
 
 func (c *Config) fill() {
@@ -71,18 +65,18 @@ func (c *Config) fill() {
 	if c.BucketWidth <= 0 {
 		c.BucketWidth = 10 * time.Second
 	}
-	if c.SealHorizon > 0 {
-		if c.RollupWidth <= 0 {
-			c.RollupWidth = 16 * c.BucketWidth
-		}
-		if rem := c.RollupWidth % c.BucketWidth; rem != 0 {
-			c.RollupWidth += c.BucketWidth - rem
-		}
-		if c.ChunkTarget <= 0 {
-			c.ChunkTarget = 512
-		}
+	if c.SealHorizon <= 0 {
+		c.SealHorizon = 2 * time.Minute
 	}
 }
+
+// rollupBuckets is the seal granule in hot buckets: the seal frontier
+// advances in steps of rollupBuckets × BucketWidth, and cell chunks never
+// span one such step.
+const rollupBuckets = 16
+
+// chunkTarget caps records per sealed chunk.
+const chunkTarget = 512
 
 // sealCheckEvery is the straggler cadence: a late stream (timestamps behind
 // the seal frontier) is compacted every sealCheckEvery such inserts, or it
@@ -104,7 +98,7 @@ type Store struct {
 	// the hot tier only when a hot record can have expired.
 	hotFloor int64
 
-	// Sealed tier (cfg.SealHorizon > 0). sealed holds each cell's chunks in
+	// Sealed tier. sealed holds each cell's chunks in
 	// seal order, the one encoded copy of every sealed record; targetSealed
 	// lists, per target, the same chunks that hold one of its records, in
 	// seal order; expiry holds every chunk, ordered for retention.
@@ -118,6 +112,12 @@ type Store struct {
 	lateSinceSeal int
 
 	gen uint64 // bumped on every mutation (insert/seal/evict)
+
+	// rollupWidth is the seal granule (rollupBuckets × BucketWidth) and
+	// chunkTarget the per-chunk record cap; tests shrink the cap so small
+	// workloads span many chunks.
+	rollupWidth time.Duration
+	chunkTarget int
 
 	sweepVisits int // chunks, hot cells and hot histories retention has touched
 
@@ -136,6 +136,8 @@ func NewStore(cfg Config) *Store {
 	cfg.fill()
 	return &Store{
 		cfg:          cfg,
+		rollupWidth:  rollupBuckets * cfg.BucketWidth,
+		chunkTarget:  chunkTarget,
 		cells:        make(map[cellKey]*hotCell),
 		byTarget:     make(map[uint64][]Record),
 		hotFloor:     math.MaxInt64,
@@ -171,8 +173,7 @@ func (s *Store) Gen() uint64 {
 	return s.gen
 }
 
-// TierStats reports sealed-tier sizes and query-path counters. All zeros when
-// the store runs flat. Every sealed record is encoded once, in its cell's
+// TierStats reports sealed-tier sizes and query-path counters. Every sealed record is encoded once, in its cell's
 // chunk; the per-target index points at chunks. Record counts are exact; byte
 // counts keep the trimmed prefix of a chunk straddling the retention cutoff.
 type TierStats struct {
@@ -202,8 +203,8 @@ func (s *Store) keyOf(p geo.Point) cellKey { return gridKey(p, s.cfg.CellSize) }
 
 // Insert adds a record. When Retention is configured, a record already older
 // than Latest − Retention is dropped on arrival, as if evicted at once, and
-// every insert evicts what the advanced cutoff has expired. When SealHorizon
-// is configured, aged buckets are compacted into the sealed tier on the way.
+// every insert evicts what the advanced cutoff has expired. Records aging past
+// the seal horizon are compacted into the sealed tier on the way.
 // All maintenance runs inside the same critical section as the insert:
 // readers can never observe already-expired records, and two racing inserts
 // cannot both run an eviction.
@@ -241,16 +242,14 @@ func (s *Store) insertLocked(rec Record) {
 		}
 		s.byTarget[rec.TargetID] = slices.Insert(hist, i, rec)
 	}
-	if s.cfg.SealHorizon > 0 {
-		if !s.sealFrontier.IsZero() && rec.Time.Before(s.sealFrontier) {
-			s.lateSinceSeal++
-		}
-		frontier := s.latest.Add(-s.cfg.SealHorizon)
-		// Seal once per RollupWidth of frontier progress, or when enough
-		// stragglers landed behind the frontier to be worth compacting.
-		if frontier.Sub(s.sealFrontier) >= s.cfg.RollupWidth || s.lateSinceSeal >= sealCheckEvery {
-			s.sealLocked(frontier)
-		}
+	if !s.sealFrontier.IsZero() && rec.Time.Before(s.sealFrontier) {
+		s.lateSinceSeal++
+	}
+	frontier := s.latest.Add(-s.cfg.SealHorizon)
+	// Seal once per rollupWidth of frontier progress, or when enough
+	// stragglers landed behind the frontier to be worth compacting.
+	if frontier.Sub(s.sealFrontier) >= s.rollupWidth || s.lateSinceSeal >= sealCheckEvery {
+		s.sealLocked(frontier)
 	}
 	if s.cfg.Retention > 0 {
 		s.evictLocked(s.retentionCutoff())
@@ -265,19 +264,18 @@ func (s *Store) retentionCutoff() int64 {
 
 // Seal compacts every record older than latest − SealHorizon into the sealed
 // tier and returns how many records moved. Inserts do this opportunistically;
-// Seal forces it (tests, benchmarks, explicit compaction). No-op on a flat
-// store.
+// Seal forces it (tests, benchmarks, explicit compaction).
 func (s *Store) Seal() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.SealHorizon <= 0 || s.latest.IsZero() {
+	if s.latest.IsZero() {
 		return 0
 	}
 	return s.sealLocked(s.latest.Add(-s.cfg.SealHorizon))
 }
 
 // sealLocked moves every cell record strictly before the frontier into
-// sealed chunks (grouped by RollupWidth bucket, split at ChunkTarget) and
+// sealed chunks (grouped by rollupWidth bucket, split at chunkTarget) and
 // drops the sealed prefixes of the hot target histories. Record counts do not
 // change — records move between tiers. Caller holds the write lock.
 func (s *Store) sealLocked(frontier time.Time) int {
@@ -306,17 +304,17 @@ func (s *Store) sealLocked(frontier time.Time) int {
 		if len(recs) == 0 {
 			continue
 		}
-		// Cell chunks never span a RollupWidth bucket.
+		// Cell chunks never span a rollupWidth bucket.
 		sortRecords(recs)
-		width := int64(s.cfg.RollupWidth)
+		width := int64(s.rollupWidth)
 		for i := 0; i < len(recs); {
 			b := floorDiv64(recs[i].Time.UnixNano(), width)
 			j := i + 1
 			for j < len(recs) && floorDiv64(recs[j].Time.UnixNano(), width) == b {
 				j++
 			}
-			for k := i; k < j; k += s.cfg.ChunkTarget {
-				s.addChunk(key, newSealedChunk(recs[k:min(k+s.cfg.ChunkTarget, j)]))
+			for k := i; k < j; k += s.chunkTarget {
+				s.addChunk(key, newSealedChunk(recs[k:min(k+s.chunkTarget, j)]))
 			}
 			i = j
 		}

@@ -16,6 +16,18 @@ var t0 = time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
 
 func at(d time.Duration) time.Time { return t0.Add(d) }
 
+// neverSeal is a seal horizon longer than any test's data span: a store
+// configured with it keeps every record hot, the reference the differential
+// and oracle suites compare the tiered store against.
+const neverSeal = 100 * 365 * 24 * time.Hour
+
+// withChunkTarget caps s's sealed chunks at n records, so small workloads
+// span many chunks.
+func withChunkTarget(s *Store, n int) *Store {
+	s.chunkTarget = n
+	return s
+}
+
 func rec(obs, target uint64, x, y float64, d time.Duration) Record {
 	return Record{ObsID: obs, TargetID: target, Camera: 1, Pos: geo.Pt(x, y), Time: at(d)}
 }
@@ -331,7 +343,7 @@ func TestKNNFarQueryMatchesLinearScan(t *testing.T) {
 		geo.Pt(1e10, 0), geo.Pt(0, -1e12), geo.Pt(inf, 0), geo.Pt(-inf, 7), geo.Pt(inf, -inf),
 	}
 	for _, cfg := range []Config{
-		{CellSize: 50, BucketWidth: time.Second},
+		{CellSize: 50, BucketWidth: time.Second, SealHorizon: neverSeal},
 		{CellSize: 50, BucketWidth: time.Second, SealHorizon: 30 * time.Second},
 	} {
 		s := NewStore(cfg)
@@ -379,7 +391,7 @@ func TestKNNFarQueryMatchesLinearScan(t *testing.T) {
 // sealed tier and across both.
 func TestTargetHistoryEqualTimes(t *testing.T) {
 	for _, cfg := range []Config{
-		{CellSize: 50, BucketWidth: time.Second},
+		{CellSize: 50, BucketWidth: time.Second, SealHorizon: neverSeal},
 		{CellSize: 50, BucketWidth: time.Second, SealHorizon: 10 * time.Second},
 	} {
 		s := NewStore(cfg)
@@ -395,7 +407,7 @@ func TestTargetHistoryEqualTimes(t *testing.T) {
 		// sealed instant and the hot one.
 		s.Insert(rec(1000, 4, 1, 1, 2*time.Second))
 		s.Insert(rec(999, 4, 1, 1, time.Second+time.Nanosecond))
-		if s.cfg.SealHorizon > 0 {
+		if s.cfg.SealHorizon < neverSeal {
 			if sealed := s.TierStats().SealedRecords; sealed != 5 {
 				t.Fatalf("sealed %d records, want the first instant's 5", sealed)
 			}
@@ -418,7 +430,7 @@ func TestTargetHistoryEqualTimes(t *testing.T) {
 func TestFarRecordsKeyToEdgeCells(t *testing.T) {
 	far := []geo.Point{geo.Pt(5e11, 1), geo.Pt(-5e11, 1), geo.Pt(1, 1e15), geo.Pt(math.Inf(1), 2)}
 	for _, cfg := range []Config{
-		{CellSize: 50, BucketWidth: time.Second},
+		{CellSize: 50, BucketWidth: time.Second, SealHorizon: neverSeal},
 		{CellSize: 50, BucketWidth: time.Second, SealHorizon: 10 * time.Second},
 	} {
 		s := NewStore(cfg)

@@ -27,7 +27,7 @@ func randRecords(rng *rand.Rand, n int, from time.Time, span int) []Record {
 }
 
 func randStore(seed int64, n int) (*Store, []Record) {
-	s := NewStore(Config{CellSize: 50, BucketWidth: 10 * time.Second})
+	s := NewStore(Config{CellSize: 50, BucketWidth: 10 * time.Second, SealHorizon: neverSeal})
 	recs := randRecords(rand.New(rand.NewSource(seed)), n, sumT0, 3600)
 	for _, r := range recs {
 		s.Insert(r)
@@ -48,10 +48,10 @@ func TestSummarizeConservative(t *testing.T) {
 		s, recs := randStore(seed, 500)
 		checkSummaryConservative(t, fmt.Sprintf("seed %d flat", seed), s, recs, true)
 
-		// Coarse cells and a long RollupWidth, so chunks hold several
+		// Coarse cells and a 20 min seal granule, so chunks hold several
 		// records and span minutes.
 		rng := rand.New(rand.NewSource(seed))
-		tiered := NewStore(Config{CellSize: 500, BucketWidth: 10 * time.Second, SealHorizon: 10 * time.Minute, RollupWidth: 20 * time.Minute, ChunkTarget: 8})
+		tiered := withChunkTarget(NewStore(Config{CellSize: 500, BucketWidth: 75 * time.Second, SealHorizon: 10 * time.Minute}), 8)
 		recs = randRecords(rng, 500, sumT0, 3600)
 		for _, r := range recs {
 			tiered.Insert(r)

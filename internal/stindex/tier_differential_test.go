@@ -86,7 +86,7 @@ func diffBattery(t *testing.T, flat, tiered *Store, label string) {
 	lo, hi := at(-time.Hour), at(24*time.Hour)
 	windows := [][2]time.Time{
 		{lo, hi},
-		{at(0), at(32 * time.Second)}, // RollupWidth-aligned long range
+		{at(0), at(32 * time.Second)}, // seal-granule-aligned long range
 		{at(7*time.Second + 300*time.Millisecond), at(55 * time.Second)}, // misaligned, crosses seal frontier
 		{at(40 * time.Second), at(41 * time.Second)},                     // short hot-side window
 		{at(3 * time.Second), at(3 * time.Second)},                       // instant
@@ -135,14 +135,10 @@ func diffBattery(t *testing.T, flat, tiered *Store, label string) {
 }
 
 func tieredPair() (flat, tiered *Store) {
-	flat = NewStore(Config{CellSize: 50, BucketWidth: time.Second})
-	tiered = NewStore(Config{
-		CellSize:    50,
-		BucketWidth: time.Second,
-		SealHorizon: 10 * time.Second,
-		RollupWidth: 8 * time.Second,
-		ChunkTarget: 32, // small, so workloads span many chunks
-	})
+	flat = NewStore(Config{CellSize: 50, BucketWidth: time.Second, SealHorizon: neverSeal})
+	// 500 ms buckets make an 8 s seal granule; 32-record chunks, so
+	// workloads span many chunks.
+	tiered = withChunkTarget(NewStore(Config{CellSize: 50, BucketWidth: 500 * time.Millisecond, SealHorizon: 10 * time.Second}), 32)
 	return flat, tiered
 }
 
@@ -308,19 +304,14 @@ func TestTieredRollupRouting(t *testing.T) {
 }
 
 // TestChunkSpanWindowNoDecode: a window running from one sealed chunk's first
-// record to its last — not aligned to RollupWidth — covers that chunk's span,
-// so Count and Heatmap take it whole from its count without decoding.
+// record to its last — not aligned to the seal granule — covers that chunk's
+// span, so Count and Heatmap take it whole from its count without decoding.
 func TestChunkSpanWindowNoDecode(t *testing.T) {
 	const width = 8 * time.Second
-	s := NewStore(Config{
-		CellSize:    50,
-		BucketWidth: time.Second,
-		SealHorizon: 10 * time.Second,
-		RollupWidth: width,
-	})
-	// One cell, a record every 250 ms starting 300 ms past a RollupWidth
+	s := NewStore(Config{CellSize: 50, BucketWidth: width / rollupBuckets, SealHorizon: 10 * time.Second})
+	// One cell, a record every 250 ms starting 300 ms past a seal-granule
 	// boundary, sealed up to 10 s before the last: the chunk of the second
-	// RollupWidth bucket starts and ends 50 ms and 200 ms inside it.
+	// seal granule starts and ends 50 ms and 200 ms inside it.
 	start := time.Unix(0, (floorDiv64(t0.UnixNano(), int64(width))+1)*int64(width))
 	var recs []Record
 	for i := 0; i < 160; i++ {
@@ -341,10 +332,10 @@ func TestChunkSpanWindowNoDecode(t *testing.T) {
 		}
 	}
 	if from.UnixNano()%int64(width) == 0 || (to.UnixNano()+1)%int64(width) == 0 {
-		t.Fatalf("window [%v, %v] is RollupWidth-aligned", from, to)
+		t.Fatalf("window [%v, %v] is seal-granule-aligned", from, to)
 	}
 	if ts := s.TierStats(); ts.SealedRecords < 2*want {
-		t.Fatalf("second RollupWidth bucket not sealed: %+v", ts)
+		t.Fatalf("second seal granule not sealed: %+v", ts)
 	}
 
 	world := geo.RectOf(-1e6, -1e6, 1e6, 1e6)
@@ -369,14 +360,12 @@ func TestChunkSpanWindowNoDecode(t *testing.T) {
 // queries; under -race this doubles as the locking regression for the tiered
 // paths.
 func TestTieredConcurrentSmoke(t *testing.T) {
-	tiered := NewStore(Config{
+	tiered := withChunkTarget(NewStore(Config{
 		CellSize:    50,
-		BucketWidth: 500 * time.Millisecond,
+		BucketWidth: 250 * time.Millisecond, // a 4 s seal granule
 		Retention:   20 * time.Second,
 		SealHorizon: 5 * time.Second,
-		RollupWidth: 4 * time.Second,
-		ChunkTarget: 64,
-	})
+	}), 64)
 	world := geo.RectOf(-1e6, -1e6, 1e6, 1e6)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -425,7 +414,7 @@ func TestTieredDifferentialSharedStraddler(t *testing.T) {
 	add := func(target uint64, x, y float64, d time.Duration) {
 		recs = append(recs, Record{ObsID: uint64(len(recs) + 1), TargetID: target, Camera: uint32(rng.Intn(4)), Pos: geo.Pt(x, y), Time: at(d)})
 	}
-	// One cell, one RollupWidth bucket: the early target's records come
+	// One cell, one seal granule: the early target's records come
 	// first, the others' fill the rest of the bucket.
 	for i := 0; i < 5; i++ {
 		add(early, rng.Float64()*50, rng.Float64()*50, time.Duration(100+rng.Intn(900))*time.Millisecond)
