@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-e2e bench-assoc bench-query bench-insert check reach fuzz soak-short soak soak-core soak-serve lint stcamlint loc testids
+.PHONY: all build vet fmt test race bench bench-e2e bench-assoc bench-query bench-insert bench-ingest check reach fuzz soak-short soak soak-core soak-serve lint stcamlint loc testids
 
 all: check
 
@@ -141,6 +141,15 @@ bench-query:
 # `go tool pprof -top stindex.test insert.prof`.
 bench-insert:
 	$(GO) test -run '^$$' -bench InsertAtRetention -benchmem -cpuprofile insert.prof ./internal/stindex
+
+# bench-ingest prices one 100-row sequenced batch through the worker's
+# ingest handler (index insert, seal and expiry at the retention bound, then
+# stage-2 evaluation), featureless and with 32-d features, with bytes and
+# allocations reported, and leaves CPU and allocation profiles behind:
+# `go tool pprof -top core.test ingest.prof`,
+# `go tool pprof -sample_index=alloc_space -top core.test ingest.mem.prof`.
+bench-ingest:
+	$(GO) test -run '^$$' -bench WorkerIngest -benchmem -cpuprofile ingest.prof -memprofile ingest.mem.prof ./internal/core
 
 # fuzz gives each fuzz target a short budget (regression corpora always run
 # as part of `test`). Targets are discovered per package, so new Fuzz*

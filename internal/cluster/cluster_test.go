@@ -88,6 +88,62 @@ func TestTransportHandlerError(t *testing.T) {
 	}
 }
 
+// TestTransportCallExpiredContext: a call under an already cancelled or
+// expired context fails with the context's error on every transport; in
+// process it fails before the handler runs. Over TCP the request is sent,
+// so its handler holds the reply until the test ends: the caller must not
+// wait for it.
+func TestTransportCallExpiredContext(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel2()
+	for name, mk := range transportsUnderTest(t) {
+		t.Run(name, func(t *testing.T) {
+			tr, addr := mk()
+			defer tr.Close()
+			var (
+				mu    sync.Mutex
+				calls int
+			)
+			release := make(chan struct{})
+			_, inproc := tr.(*InProc)
+			srv, err := tr.Serve(addr, func(ctx context.Context, from string, req any) (any, error) {
+				mu.Lock()
+				calls++
+				mu.Unlock()
+				if !inproc {
+					<-release
+				}
+				return echoHandler(ctx, from, req)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			defer close(release) // before Close, which waits for the handlers
+			for _, c := range []struct {
+				ctx  context.Context
+				want error
+			}{{cancelled, context.Canceled}, {expired, context.DeadlineExceeded}} {
+				if _, err := tr.Call(c.ctx, srv.Addr(), &wire.CountQuery{QueryID: 1}); !errors.Is(err, c.want) {
+					t.Errorf("call error = %v, want %v", err, c.want)
+				}
+			}
+			if s := tr.Stats(); s.Calls != 2 || s.Errors != 2 {
+				t.Errorf("stats = %+v, want 2 calls, 2 errors", s)
+			}
+			if inproc {
+				mu.Lock()
+				defer mu.Unlock()
+				if calls != 0 {
+					t.Errorf("handler ran %d times under a dead context", calls)
+				}
+			}
+		})
+	}
+}
+
 func TestTransportUnreachable(t *testing.T) {
 	for name, mk := range transportsUnderTest(t) {
 		t.Run(name, func(t *testing.T) {

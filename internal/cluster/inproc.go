@@ -91,6 +91,12 @@ func (t *InProc) Call(ctx context.Context, addr string, req any) (any, error) {
 		t.stats.errors.Add(1)
 		return nil, ErrUnreachable
 	}
+	// An expired or cancelled context fails the call before dispatch, as
+	// over TCP, where the caller stops waiting for the reply at once.
+	if err := ctx.Err(); err != nil {
+		t.stats.errors.Add(1)
+		return nil, err
+	}
 	if latency > 0 {
 		select {
 		case <-time.After(latency):

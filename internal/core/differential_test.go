@@ -1,13 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"stcam/internal/camera"
 	"stcam/internal/cluster"
 	"stcam/internal/geo"
 	"stcam/internal/sim"
@@ -267,6 +270,115 @@ func TestDifferentialPipelinedVsSerialIngest(t *testing.T) {
 					ingestMode{name: "async", opts: IngesterOptions{PipelineDepth: 4}, async: true})
 				diffOutcomes(t, "async", serial, async)
 			})
+		}
+	}
+}
+
+// rowIngester is the serialIngester with one detection per batch, so stage 2
+// never evaluates more than one row at a time. It delivers a frame in the
+// (camera, observation ID) order the batched paths apply it in.
+type rowIngester struct{ serialIngester }
+
+func (r rowIngester) IngestDetections(ctx context.Context, dets []vision.Detection) (int, error) {
+	dets = slices.Clone(dets)
+	slices.SortFunc(dets, func(a, b vision.Detection) int {
+		return cmp.Or(cmp.Compare(a.Camera, b.Camera), cmp.Compare(a.ObsID, b.ObsID))
+	})
+	accepted := 0
+	for _, d := range dets {
+		n, err := r.serialIngester.IngestDetections(ctx, []vision.Detection{d})
+		if err != nil {
+			return accepted, err
+		}
+		accepted += n
+	}
+	return accepted, nil
+}
+
+// TestDifferentialStagedEvaluation: ingest stage 2 evaluates only the
+// associated rows of a batch, read in place. Frames that mix featureless
+// rows with featured ones, inside a continuous geofence and on a resident
+// track, must yield the same ContinuousUpdate and TrackUpdate sequences
+// through the coalescing Ingester (one multi-camera batch per frame), the
+// serial reference (one batch per camera) and one batch per detection.
+func TestDifferentialStagedEvaluation(t *testing.T) {
+	region := geo.RectOf(0, 0, 500, 500)
+	tracked := vision.NewRandomFeature(newRand(41), 32)
+	walker := vision.NewRandomFeature(newRand(42), 32)
+	var frames [][]vision.Detection
+	obsID := uint64(100)
+	for k := 0; k < 6; k++ {
+		at := simT0.Add(time.Duration(k+1) * time.Second)
+		var dets []vision.Detection
+		add := func(cam camera.ID, p geo.Point, feat vision.Feature) {
+			obsID++
+			dets = append(dets, vision.Detection{ObsID: obsID, Camera: cam, Time: at, Pos: p, Feature: feat})
+		}
+		add(1, geo.Pt(120+float64(10*k), 80), nil)
+		trackedAt := geo.Pt(100+float64(20*k), 100) // in the region on even frames
+		if k%2 == 1 {
+			trackedAt = geo.Pt(700, 700)
+		}
+		add(1, trackedAt, tracked)
+		add(3, geo.Pt(200, 300+float64(k)), nil)
+		walkerAt := geo.Pt(800, 200) // enters the region on frame 2, leaves on 4
+		if k >= 2 && k < 4 {
+			walkerAt = geo.Pt(400, 250)
+		}
+		add(2, walkerAt, walker)
+		add(2, geo.Pt(450, 450), nil)
+		frames = append(frames, dets)
+	}
+
+	run := func(drive func(*Cluster) detectionIngester) (conts, tracks []string) {
+		c := newTestCluster(t, 1, Options{LostAfter: time.Hour})
+		if err := c.Coordinator.AddCameras(ctx, gridCams(world1, 2), 50); err != nil {
+			t.Fatal(err)
+		}
+		_, contCh, err := c.Coordinator.InstallContinuous(ctx, wire.ContinuousRange, region, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingestDirect(t, c, obsAt(1, 1, geo.Pt(90, 100), simT0, tracked))
+		_, trackCh, err := c.Coordinator.StartTrack(ctx, 1, tracked, simT0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drain(contCh, func(wire.ContinuousUpdate) {}) // the enrolment's own entry
+		ing := drive(c)
+		for _, dets := range frames {
+			if _, err := ing.IngestDetections(ctx, dets); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drain(contCh, func(u wire.ContinuousUpdate) {
+			conts = append(conts, fmt.Sprintf("t=%d +%v -%v n=%d", u.Time.UnixNano(), u.Positive, u.Negative, u.Count))
+		})
+		for len(trackCh) > 0 {
+			u := <-trackCh
+			tracks = append(tracks, fmt.Sprintf("track %d cam %d %v t=%d lost=%v", u.TrackID, u.Camera, u.Pos, u.Time.UnixNano(), u.Lost))
+		}
+		return conts, tracks
+	}
+	coalesced := func(c *Cluster) detectionIngester {
+		ing := NewIngester(c.Coordinator, c.Transport)
+		t.Cleanup(ing.Close)
+		return ing
+	}
+	serial := func(c *Cluster) detectionIngester { return serialIngester{c.Coordinator, c.Transport} }
+	perRow := func(c *Cluster) detectionIngester { return rowIngester{serialIngester{c.Coordinator, c.Transport}} }
+
+	wantConts, wantTracks := run(serial)
+	if len(wantConts) < 4 || len(wantTracks) < len(frames) {
+		t.Fatalf("vacuous reference: %d continuous updates, %d track updates", len(wantConts), len(wantTracks))
+	}
+	for name, drive := range map[string]func(*Cluster) detectionIngester{"coalesced": coalesced, "per-row": perRow} {
+		conts, tracks := run(drive)
+		if !slices.Equal(conts, wantConts) {
+			t.Errorf("%s: continuous updates diverged from the serial reference\ngot:  %q\nwant: %q", name, conts, wantConts)
+		}
+		if !slices.Equal(tracks, wantTracks) {
+			t.Errorf("%s: track updates diverged from the serial reference\ngot:  %q\nwant: %q", name, tracks, wantTracks)
 		}
 	}
 }

@@ -120,11 +120,24 @@ type ingestSeqState struct {
 	ack wire.IngestAck
 }
 
-// stagedObs carries one accepted primary observation from ingest stage 1
-// (index insert under w.mu) to stage 2 (evaluation under w.evalMu).
+// stagedObs carries one accepted, associated primary observation from ingest
+// stage 1 (index insert under w.mu) to stage 2 (evaluation under w.evalMu):
+// a reference into the batch, which outlives stage 2 because onIngest runs
+// both, and the target ID stage 1 assigned.
 type stagedObs struct {
-	obs wire.Observation
-	rec stindex.Record
+	obs      *wire.Observation
+	targetID uint64
+}
+
+// record is the index record stage 1 inserted for the staged observation.
+func (s stagedObs) record() stindex.Record {
+	return stindex.Record{
+		ObsID:    s.obs.ObsID,
+		TargetID: s.targetID,
+		Camera:   s.obs.Camera,
+		Pos:      s.obs.Pos,
+		Time:     s.obs.Time,
+	}
 }
 
 // NewWorker constructs a worker bound to the given transport addresses.
@@ -578,7 +591,10 @@ func (w *Worker) onIngest(ctx context.Context, m *wire.IngestBatch) (any, error)
 
 	accepted, rejected, replicated := 0, 0, 0
 	latest := m.FrameTime
-	var evals []stagedObs
+	// Stage 2 sees only associated rows: continuous queries skip target 0
+	// and tracking skips rows without a feature, so a featureless row is
+	// done once indexed. Every associated row was a probe.
+	evals := make([]stagedObs, 0, len(w.probes))
 	for i := range m.Observations {
 		obs := &m.Observations[i]
 		if _, owned := w.cameras[obs.Camera]; !owned {
@@ -616,7 +632,9 @@ func (w *Worker) onIngest(ctx context.Context, m *wire.IngestBatch) (any, error)
 			Time:     obs.Time,
 		}
 		w.store.Insert(rec)
-		evals = append(evals, stagedObs{obs: *obs, rec: rec})
+		if targetID != 0 {
+			evals = append(evals, stagedObs{obs: obs, targetID: targetID})
+		}
 	}
 	ack := wire.IngestAck{Accepted: accepted, Rejected: rejected, Replicated: replicated}
 	if sequenced {
@@ -656,15 +674,16 @@ func (w *Worker) evaluateIngest(evals []stagedObs, latest time.Time) []any {
 	w.evalMu.Lock()
 	defer w.evalMu.Unlock()
 	var pushes []any
-	for i := range evals {
+	for _, ev := range evals {
 		// Continuous queries: incremental +/- evaluation.
+		rec := ev.record()
 		for _, cs := range w.continuous {
-			if upd := cs.observe(evals[i].rec); upd != nil {
+			if upd := cs.observe(rec); upd != nil {
 				pushes = append(pushes, upd)
 			}
 		}
 		// Tracking: resident tracks and armed primes.
-		pushes = append(pushes, w.observeTracksLocked(&evals[i].obs)...)
+		pushes = append(pushes, w.observeTracksLocked(ev.obs)...)
 	}
 	if !latest.IsZero() {
 		pushes = append(pushes, w.detectLostTracksLocked(latest)...)

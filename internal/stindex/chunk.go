@@ -89,8 +89,11 @@ type targetCount struct {
 	n  int
 }
 
-// newSealedChunk encodes time-ordered records into one immutable chunk.
-func newSealedChunk(recs []Record) *sealedChunk {
+// newSealedChunk encodes time-ordered records into one immutable chunk. The
+// encoding grows in *scratch, which the caller reuses across chunks, and the
+// chunk keeps an exact-size copy: a chunk lives until retention drops it, so
+// the slack of a doubled buffer would stay resident with it.
+func newSealedChunk(recs []Record, scratch *[]byte) *sealedChunk {
 	bounds := geo.EmptyRect()
 	var targets []targetCount
 	for i := range recs {
@@ -103,7 +106,9 @@ func newSealedChunk(recs []Record) *sealedChunk {
 			targets[j].n++
 		}
 	}
-	data := appendChunk(nil, recs)
+	*scratch = appendChunk((*scratch)[:0], recs)
+	data := make([]byte, len(*scratch))
+	copy(data, *scratch)
 	r, _ := timeColumn(data)
 	r.varint() // first timestamp, already start
 	return &sealedChunk{

@@ -358,9 +358,11 @@ func recordLess(a, b *Record) bool {
 // sortRecords orders recs by (Time, ObsID) in place, stably. It sorts the
 // records' keys and then gathers the records into key order along the
 // permutation's cycles, so each record moves once. An already ordered input
-// is left as is.
-func sortRecords(recs []Record) {
-	keys := make([]recordKey, len(recs))
+// is left as is. keys is scratch for the sort keys: its capacity is reused,
+// and the buffer is returned, grown if it had to be, for the next call; nil
+// allocates one.
+func sortRecords(recs []Record, keys []recordKey) []recordKey {
+	keys = slices.Grow(keys[:0], len(recs))[:len(recs)]
 	ordered := true
 	for i := range recs {
 		keys[i] = recordKey{ns: recs[i].Time.UnixNano(), obs: recs[i].ObsID, idx: i}
@@ -369,7 +371,7 @@ func sortRecords(recs []Record) {
 		}
 	}
 	if ordered {
-		return
+		return keys
 	}
 	slices.SortFunc(keys, cmpRecordKey)
 	// Position i takes the record at keys[i].idx. Follow each cycle of that
@@ -392,4 +394,5 @@ func sortRecords(recs []Record) {
 			j = k
 		}
 	}
+	return keys
 }

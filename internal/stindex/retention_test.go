@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -194,5 +195,46 @@ func TestRetentionTickAllocs(t *testing.T) {
 	perRecord := testing.AllocsPerRun(10, func() { st.insertTicks(s, 1) }) / float64(st.perTick)
 	if perRecord > ceiling {
 		t.Fatalf("one retention tick allocates %.2f times per record, want ≤ %.1f", perRecord, ceiling)
+	}
+}
+
+// TestSealedChunksExactSize: a chunk keeps its encoding at its exact size,
+// not in the grown buffer it was encoded into, whose slack would stay
+// resident for the chunk's life.
+func TestSealedChunksExactSize(t *testing.T) {
+	s, _ := retentionStore()
+	if len(s.expiry) == 0 {
+		t.Fatal("vacuous: nothing sealed")
+	}
+	for _, e := range s.expiry {
+		if c := e.c; cap(c.data) != len(c.data) {
+			t.Fatalf("chunk [%d, %d] holds %d bytes in a %d-byte buffer", c.start, c.end, len(c.data), cap(c.data))
+		}
+	}
+}
+
+// TestSealBytesPerRecord bounds what one seal allocates per record it moves:
+// the chunks it keeps and their index entries. The records drained from each
+// cell, their sort keys and the encoding buffer are scratch the store reuses
+// from seal to seal.
+func TestSealBytesPerRecord(t *testing.T) {
+	const ceiling = 64.0 // bytes per sealed record
+	s := NewStore(Config{CellSize: 50, BucketWidth: time.Second, SealHorizon: 30 * time.Second})
+	st := newTickStream(3, 100, 300)
+	st.targetsEvery = 3
+	// Seals run at 16 s steps of the frontier, the last at Latest = 144 s;
+	// stopping at 159 s leaves 15 s of records for the forced seal below.
+	st.insertTicks(s, 160)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := s.Seal()
+	runtime.ReadMemStats(&after)
+	if n < 1000 {
+		t.Fatalf("vacuous: the seal moved %d records", n)
+	}
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("%d records sealed, %.1f bytes allocated per record", n, perRecord)
+	if perRecord > ceiling {
+		t.Fatalf("Seal allocates %.1f bytes per sealed record, want ≤ %.0f", perRecord, ceiling)
 	}
 }

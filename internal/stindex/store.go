@@ -119,6 +119,14 @@ type Store struct {
 	rollupWidth time.Duration
 	chunkTarget int
 
+	// Seal scratch, reused by every seal under mu so that a seal allocates
+	// only the chunks it keeps: the records drained from one cell, their
+	// sort keys, and the encoding of one chunk, which the chunk copies out
+	// at its exact size. Each holds at most the largest single-cell seal.
+	sealRecs []Record
+	sealKeys []recordKey
+	sealBuf  []byte
+
 	sweepVisits int // chunks, hot cells and hot histories retention has touched
 
 	queryDecodes atomic.Uint64 // chunks decoded to answer queries
@@ -296,8 +304,9 @@ func (s *Store) sealLocked(frontier time.Time) int {
 		if start, _, ok := cell.span(); !ok || !start.Before(frontier) {
 			continue
 		}
-		var recs []Record
+		recs := s.sealRecs[:0]
 		cell.evictBefore(frontier.UnixNano(), &recs)
+		s.sealRecs = recs
 		if cell.len() == 0 {
 			delete(s.cells, key)
 		}
@@ -305,7 +314,7 @@ func (s *Store) sealLocked(frontier time.Time) int {
 			continue
 		}
 		// Cell chunks never span a rollupWidth bucket.
-		sortRecords(recs)
+		s.sealKeys = sortRecords(recs, s.sealKeys)
 		width := int64(s.rollupWidth)
 		for i := 0; i < len(recs); {
 			b := floorDiv64(recs[i].Time.UnixNano(), width)
@@ -314,7 +323,7 @@ func (s *Store) sealLocked(frontier time.Time) int {
 				j++
 			}
 			for k := i; k < j; k += s.chunkTarget {
-				s.addChunk(key, newSealedChunk(recs[k:min(k+s.chunkTarget, j)]))
+				s.addChunk(key, newSealedChunk(recs[k:min(k+s.chunkTarget, j)], &s.sealBuf))
 			}
 			i = j
 		}
@@ -472,7 +481,7 @@ func (s *Store) RangeQuery(r geo.Rect, from, to time.Time) []Record {
 	if len(out) == 0 {
 		return nil
 	}
-	sortRecords(out)
+	sortRecords(out, nil)
 	return out
 }
 
@@ -789,7 +798,7 @@ func (s *Store) TargetHistory(id uint64, from, to time.Time) []Record {
 		out = append(out, hist[lo:hi]...)
 	}
 	if sealedPart > 0 {
-		sortRecords(out) // straggler seals and late hot records break seal order
+		sortRecords(out, nil) // straggler seals and late hot records break seal order
 	}
 	return out
 }
