@@ -144,12 +144,15 @@ bench-insert:
 
 # bench-ingest prices one 100-row sequenced batch through the worker's
 # ingest handler (index insert, seal and expiry at the retention bound, then
-# stage-2 evaluation), featureless and with 32-d features, with bytes and
-# allocations reported, and leaves CPU and allocation profiles behind:
+# stage-2 evaluation), featureless and with 32-d features, and the client
+# side of one 800-detection frame through the Ingester (coalesce, sort and
+# deliver over a 4-worker route table to a transport that acks at once),
+# with bytes and allocations reported, and leaves CPU and allocation
+# profiles behind:
 # `go tool pprof -top core.test ingest.prof`,
 # `go tool pprof -sample_index=alloc_space -top core.test ingest.mem.prof`.
 bench-ingest:
-	$(GO) test -run '^$$' -bench WorkerIngest -benchmem -cpuprofile ingest.prof -memprofile ingest.mem.prof ./internal/core
+	$(GO) test -run '^$$' -bench 'WorkerIngest|IngesterFrame' -benchmem -cpuprofile ingest.prof -memprofile ingest.mem.prof ./internal/core
 
 # fuzz gives each fuzz target a short budget (regression corpora always run
 # as part of `test`). Targets are discovered per package, so new Fuzz*

@@ -13,7 +13,10 @@ import (
 
 // Handler processes one request and returns a response payload. Both request
 // and response must be wire message pointers (wire.KindOf must know them).
-// Handlers are invoked concurrently.
+// Handlers are invoked concurrently. A Handler must not keep req, or any
+// slice reachable from it, after it returns: on the zero-copy InProc the
+// request is the caller's own value, which the caller may clear and reuse
+// once Call returns. It copies what it keeps.
 type Handler func(ctx context.Context, from string, req any) (any, error)
 
 // Server is a bound listener.
@@ -28,7 +31,8 @@ type Server interface {
 type Transport interface {
 	// Serve starts handling requests at addr.
 	Serve(addr string, h Handler) (Server, error)
-	// Call sends req to addr and waits for the response.
+	// Call sends req to addr and waits for the response. It does not keep
+	// req after it returns, so the caller may reuse it at once.
 	Call(ctx context.Context, addr string, req any) (any, error)
 	// Stats returns cumulative transport counters.
 	Stats() TransportStats

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"stcam/internal/camera"
 	"stcam/internal/cluster"
 	"stcam/internal/geo"
 	"stcam/internal/vision"
@@ -85,7 +86,7 @@ func (f *ingestFixture) ingest(tb testing.TB, n int) {
 // record of a featureless sequenced batch at the retention bound, where
 // every batch inserts, seals, trims and expires as at steady state.
 func TestWorkerIngestBytesPerRecord(t *testing.T) {
-	const batches, ceiling = 300, 300.0 // ceiling: bytes per record
+	const batches, ceiling = 300, 130.0 // ceiling: bytes per record
 	f := newIngestFixture(t, false)
 	f.ingest(t, 11*60) // past retention: seals and expiry are live
 	var before, after runtime.MemStats
@@ -114,5 +115,87 @@ func BenchmarkWorkerIngest(b *testing.B) {
 			b.ResetTimer()
 			f.ingest(b, b.N)
 		})
+	}
+}
+
+// ackTransport acknowledges every ingest batch at once, accepting all of
+// it, so a test prices the Ingester's side of delivery alone.
+type ackTransport struct{}
+
+func (ackTransport) Serve(string, cluster.Handler) (cluster.Server, error) {
+	return nil, cluster.ErrUnreachable
+}
+
+func (ackTransport) Call(_ context.Context, _ string, req any) (any, error) {
+	return &wire.IngestAck{Accepted: len(req.(*wire.IngestBatch).Observations)}, nil
+}
+
+func (ackTransport) Stats() cluster.TransportStats { return cluster.TransportStats{} }
+func (ackTransport) Close() error                  { return nil }
+
+// newIngesterFrameFixture returns an Ingester routing over a 4-worker
+// cluster's table (16 cameras) but delivering to ackTransport, and one
+// 800-detection frame spread over the cameras, to be replayed.
+func newIngesterFrameFixture(tb testing.TB) (*Ingester, []vision.Detection) {
+	tb.Helper()
+	c := newTestCluster(tb, 4, Options{})
+	if err := c.Coordinator.AddCameras(ctx, gridCams(world1, 4), 50); err != nil {
+		tb.Fatal(err)
+	}
+	ing := NewIngester(c.Coordinator, ackTransport{})
+	tb.Cleanup(ing.Close)
+	rng := rand.New(rand.NewSource(3))
+	frame := make([]vision.Detection, 800)
+	for i := range frame {
+		frame[i] = vision.Detection{
+			ObsID:  uint64(i + 1),
+			Camera: camera.ID(1 + rng.Intn(16)),
+			Time:   simT0.Add(time.Duration(i) * time.Millisecond),
+			Pos:    geo.Pt(rng.Float64()*world1.Width(), rng.Float64()*world1.Height()),
+		}
+	}
+	return ing, frame
+}
+
+// ingestFrame delivers frame through ing and checks every detection was
+// acknowledged.
+func ingestFrame(tb testing.TB, ing *Ingester, frame []vision.Detection) {
+	if n, err := ing.IngestDetections(ctx, frame); err != nil || n != len(frame) {
+		tb.Fatalf("IngestDetections = %d, %v; want %d accepted", n, err, len(frame))
+	}
+}
+
+// TestIngesterBytesPerDetection bounds the bytes the Ingester allocates per
+// detection to coalesce, sort and deliver a frame, past the frames that
+// grow its reusable groups.
+func TestIngesterBytesPerDetection(t *testing.T) {
+	const frames, ceiling = 200, 24.0 // ceiling: bytes per detection
+	ing, frame := newIngesterFrameFixture(t)
+	for i := 0; i < 20; i++ {
+		ingestFrame(t, ing, frame)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < frames; i++ {
+		ingestFrame(t, ing, frame)
+	}
+	runtime.ReadMemStats(&after)
+	perDet := float64(after.TotalAlloc-before.TotalAlloc) / float64(frames*len(frame))
+	t.Logf("%.1f bytes allocated per detection", perDet)
+	if perDet > ceiling {
+		t.Fatalf("the Ingester allocates %.1f bytes per detection, want ≤ %.0f", perDet, ceiling)
+	}
+}
+
+// BenchmarkIngesterFrame prices coalescing, sorting and delivering one
+// 800-detection frame over a 4-worker route table to a transport that acks
+// at once; run with -benchmem for bytes and allocations per frame.
+func BenchmarkIngesterFrame(b *testing.B) {
+	ing, frame := newIngesterFrameFixture(b)
+	ingestFrame(b, ing, frame)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ingestFrame(b, ing, frame)
 	}
 }

@@ -33,6 +33,12 @@ type IngesterOptions struct {
 // defaultPipelineDepth is the lane queue length when PipelineDepth is unset.
 const defaultPipelineDepth = 4
 
+// maxSpareGroups bounds the Ingester's spare coalesce groups: enough for
+// every group in flight on a dozen lanes at the default depth (PipelineDepth
+// queued plus one in Call, per lane). A group acknowledged while the list is
+// full is left to the collector.
+const maxSpareGroups = 64
+
 var (
 	// ingesterIDs makes default Source names unique within a process.
 	ingesterIDs atomic.Uint64
@@ -85,6 +91,13 @@ type Ingester struct {
 	closed bool
 
 	lifecycle sync.WaitGroup
+
+	// spares holds coalesce groups whose batches were acknowledged, cleared
+	// and emptied, at most maxSpareGroups of them; coalesce takes one for
+	// each new address group, so steady-state ingest reuses the grown
+	// arrays instead of doubling fresh ones every frame.
+	spareMu sync.Mutex
+	spares  [][]wire.Observation
 
 	// Async-path accounting: Flush waits for inflight to drain and collects
 	// the accumulated acceptance count and first error.
@@ -202,7 +215,11 @@ func coalesce[T any](ing *Ingester, items []T, toObs func(T) wire.Observation) (
 			unrouted++
 		}
 		for _, addr := range addrs {
-			byAddr[addr] = append(byAddr[addr], obs)
+			group, ok := byAddr[addr]
+			if !ok {
+				group = ing.spareGroup()
+			}
+			byAddr[addr] = append(group, obs)
 		}
 	}
 	for _, group := range byAddr {
@@ -220,6 +237,36 @@ func observationOf(d vision.Detection) wire.Observation {
 		Pos:     d.Pos,
 		Feature: d.Feature,
 		TrueID:  d.TrueID,
+	}
+}
+
+// spareGroup returns an empty recycled coalesce group, or nil when none is
+// spare.
+func (ing *Ingester) spareGroup() []wire.Observation {
+	ing.spareMu.Lock()
+	defer ing.spareMu.Unlock()
+	n := len(ing.spares)
+	if n == 0 {
+		return nil
+	}
+	group := ing.spares[n-1]
+	ing.spares[n-1] = nil
+	ing.spares = ing.spares[:n-1]
+	return group
+}
+
+// recycleGroup returns an acknowledged batch's observations to the spares.
+// Clearing them drops the references they hold (feature vectors) before
+// the array waits for reuse.
+func (ing *Ingester) recycleGroup(group []wire.Observation) {
+	if cap(group) == 0 {
+		return
+	}
+	clear(group)
+	ing.spareMu.Lock()
+	defer ing.spareMu.Unlock()
+	if len(ing.spares) < maxSpareGroups {
+		ing.spares = append(ing.spares, group[:0])
 	}
 }
 
@@ -260,14 +307,15 @@ func (ing *Ingester) enqueue(ctx context.Context, key laneKey, batch *wire.Inges
 // counter: stamping happens here, after any producer interleaving, so the
 // sequence a worker sees is exactly its arrival order.
 //
-// Frame encoding for each Call rides the transport's pooled buffers
-// (wire.AppendMarshal into a borrowed wire.Buf), so the lane adds no
-// per-frame wire allocations. The batch and its Observations, however, are
-// deliberately NOT recycled after the ack: on the zero-copy in-proc
-// transport the worker retains Observation.Feature backing arrays (staged
-// evaluation holds references), so reusing them would corrupt the worker's
-// state. Only the wire bytes are pooled; payload structs stay single-use on
-// the producer side.
+// Once the ack is in, the batch's Observations go back to the spares for a
+// later frame's coalesce. That is sound because nothing holds the group past
+// Call: no Transport keeps req once Call returns (TCP encodes the frame
+// before it waits, InProc runs the handler on this goroutine, Faulty sends
+// its duplicates synchronously), and no Handler keeps req or a slice of it
+// — the worker finishes stage 2 before onIngest returns and tracking copies
+// fields by value. What a worker does keep, a claimed track's template, is
+// the detection's feature array, which the group only points at; clearing
+// the group drops that pointer, not the array.
 func (ing *Ingester) runSender(addr string, s *ingestSender) {
 	defer ing.lifecycle.Done()
 	var seq uint64
@@ -280,6 +328,9 @@ func (ing *Ingester) runSender(addr string, s *ingestSender) {
 		if err == nil {
 			ack, _ = resp.(*wire.IngestAck)
 		}
+		// Spare before done, so a frame whose acks are all in has given
+		// back every group it took.
+		ing.recycleGroup(job.batch.Observations)
 		job.done(ack, err)
 	}
 }

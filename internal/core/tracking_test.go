@@ -335,10 +335,8 @@ func TestTrackTrajectoryStitching(t *testing.T) {
 			t.Fatal("trajectory out of time order")
 		}
 	}
-	first, _ := tr.Start()
-	last, _ := tr.End()
-	p0, _ := tr.At(first)
-	p1, _ := tr.At(last)
+	p0, _ := tr.At(tr.Points[0].T)
+	p1, _ := tr.At(tr.Points[tr.Len()-1].T)
 	if p1.X-p0.X < 600 {
 		t.Errorf("trajectory spans %.0f m eastward, want >= 600", p1.X-p0.X)
 	}

@@ -41,22 +41,6 @@ func (tr *Trajectory) Append(t time.Time, p Point) {
 	tr.Points[i] = tp
 }
 
-// Start returns the first sample time.
-func (tr *Trajectory) Start() (time.Time, error) {
-	if len(tr.Points) == 0 {
-		return time.Time{}, ErrEmptyTrajectory
-	}
-	return tr.Points[0].T, nil
-}
-
-// End returns the last sample time.
-func (tr *Trajectory) End() (time.Time, error) {
-	if len(tr.Points) == 0 {
-		return time.Time{}, ErrEmptyTrajectory
-	}
-	return tr.Points[len(tr.Points)-1].T, nil
-}
-
 // At returns the position at time t, linearly interpolating between the
 // surrounding samples. Times outside the sampled range clamp to the first or
 // last position.

@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"time"
 
 	"stcam/internal/geo"
 )
@@ -93,7 +92,7 @@ type targetCount struct {
 // encoding grows in *scratch, which the caller reuses across chunks, and the
 // chunk keeps an exact-size copy: a chunk lives until retention drops it, so
 // the slack of a doubled buffer would stay resident with it.
-func newSealedChunk(recs []Record, scratch *[]byte) *sealedChunk {
+func newSealedChunk(recs []hotRecord, scratch *[]byte) *sealedChunk {
 	bounds := geo.EmptyRect()
 	var targets []targetCount
 	for i := range recs {
@@ -112,8 +111,8 @@ func newSealedChunk(recs []Record, scratch *[]byte) *sealedChunk {
 	r, _ := timeColumn(data)
 	r.varint() // first timestamp, already start
 	return &sealedChunk{
-		start:   recs[0].Time.UnixNano(),
-		end:     recs[len(recs)-1].Time.UnixNano(),
+		start:   recs[0].ns,
+		end:     recs[len(recs)-1].ns,
 		bounds:  bounds,
 		count:   len(recs),
 		next:    r.off,
@@ -178,7 +177,7 @@ func (c *sealedChunk) trimBefore(cutoff int64) int {
 // appendLive decodes the chunk's live records onto dst. Sealed data is
 // immutable after encode, so a failure here is a program bug, not an input
 // condition.
-func (c *sealedChunk) appendLive(dst []Record) []Record {
+func (c *sealedChunk) appendLive(dst []hotRecord) []hotRecord {
 	dst, err := appendDecoded(dst, c.data, c.skip)
 	if err != nil {
 		panic("stindex: sealed chunk decode: " + err.Error())
@@ -224,7 +223,7 @@ func appendXor(dst []byte, x uint64) []byte {
 
 // appendChunk appends the chunkFormatV1 encoding of recs onto dst. Record
 // order is preserved exactly; the store seals records (Time, ObsID)-sorted.
-func appendChunk(dst []byte, recs []Record) []byte {
+func appendChunk(dst []byte, recs []hotRecord) []byte {
 	dst = append(dst, byte(chunkFormatV1))
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	if len(recs) == 0 {
@@ -247,16 +246,16 @@ func appendChunk(dst []byte, recs []Record) []byte {
 	// inter-frame gap, so dividing by the GCD collapses them to 1-2 bytes.
 	g := uint64(0)
 	for i := 1; i < len(recs); i++ {
-		g = gcd64(g, recs[i].Time.UnixNano()-recs[i-1].Time.UnixNano())
+		g = gcd64(g, recs[i].ns-recs[i-1].ns)
 	}
 	unit := int64(1)
 	if g != 0 && g <= math.MaxInt64 {
 		unit = int64(g)
 	}
 	dst = binary.AppendUvarint(dst, uint64(unit))
-	dst = binary.AppendVarint(dst, recs[0].Time.UnixNano())
+	dst = binary.AppendVarint(dst, recs[0].ns)
 	for i := 1; i < len(recs); i++ {
-		dst = binary.AppendVarint(dst, (recs[i].Time.UnixNano()-recs[i-1].Time.UnixNano())/unit)
+		dst = binary.AppendVarint(dst, (recs[i].ns-recs[i-1].ns)/unit)
 	}
 
 	dst = binary.AppendUvarint(dst, recs[0].ObsID)
@@ -387,7 +386,7 @@ func (r *chunkReader) xor() uint64 {
 // decodeChunk parses a sealed chunk back into records. It fails closed: an
 // unknown format tag or flag, a truncated body, an impossible record count,
 // or trailing garbage all error without returning partial records.
-func decodeChunk(data []byte) ([]Record, error) {
+func decodeChunk(data []byte) ([]hotRecord, error) {
 	return appendDecoded(nil, data, 0)
 }
 
@@ -395,7 +394,7 @@ func decodeChunk(data []byte) ([]Record, error) {
 // skip on (the live suffix of a trimmed chunk) onto dst, growing dst once. It
 // fails closed like decodeChunk: on error dst comes back at its original
 // length, without partial records.
-func appendDecoded(dst []Record, data []byte, skip int) ([]Record, error) {
+func appendDecoded(dst []hotRecord, data []byte, skip int) ([]hotRecord, error) {
 	if len(data) == 0 {
 		return dst, ErrCorruptChunk
 	}
@@ -440,7 +439,7 @@ func appendDecoded(dst []Record, data []byte, skip int) ([]Record, error) {
 			ns += r.varint() * unit
 		}
 		if i >= skip {
-			recs[i-skip].Time = time.Unix(0, ns)
+			recs[i-skip].ns = ns
 		}
 	}
 

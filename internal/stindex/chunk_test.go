@@ -10,10 +10,18 @@ import (
 	"stcam/internal/geo"
 )
 
-// recordsEqual compares record slices bit-exactly: times by UnixNano (both
-// sides of a round trip are nanosecond-resolved), positions by float bits so
-// NaN payloads and signed zeros must survive.
-func recordsEqual(a, b []Record) bool {
+// hotRecords is recs in the store's form, the form the codec encodes.
+func hotRecords(recs []Record) []hotRecord {
+	out := make([]hotRecord, len(recs))
+	for i := range recs {
+		out[i] = hotOf(recs[i])
+	}
+	return out
+}
+
+// recordsEqual compares record slices bit-exactly: times by UnixNano,
+// positions by float bits so NaN payloads and signed zeros must survive.
+func recordsEqual(a, b []hotRecord) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -21,7 +29,7 @@ func recordsEqual(a, b []Record) bool {
 		if a[i].ObsID != b[i].ObsID || a[i].TargetID != b[i].TargetID || a[i].Camera != b[i].Camera {
 			return false
 		}
-		if a[i].Time.UnixNano() != b[i].Time.UnixNano() {
+		if a[i].ns != b[i].ns {
 			return false
 		}
 		if math.Float64bits(a[i].Pos.X) != math.Float64bits(b[i].Pos.X) ||
@@ -36,7 +44,7 @@ func recordsEqual(a, b []Record) bool {
 // shapes: regular cadence vs. identical timestamps, duplicate ObsIDs,
 // zero-movement tracks, grid-snapped (quantized-path) vs. free-float
 // (XOR-path) positions. NaN-free, matching what ingest can produce.
-func genChunkRecords(rng *rand.Rand, n int) []Record {
+func genChunkRecords(rng *rand.Rand, n int) []hotRecord {
 	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	shape := rng.Intn(5)
 	recs := make([]Record, n)
@@ -75,7 +83,7 @@ func genChunkRecords(rng *rand.Rand, n int) []Record {
 			Time:     t,
 		}
 	}
-	return recs
+	return hotRecords(recs)
 }
 
 func TestChunkRoundTripProperty(t *testing.T) {
@@ -113,7 +121,8 @@ func TestChunkRoundTripEdgeCases(t *testing.T) {
 			{ObsID: 2, Pos: geo.Pt(math.SmallestNonzeroFloat64, 1e-300), Time: base.Add(time.Second)},
 		},
 	}
-	for name, recs := range cases {
+	for name, cs := range cases {
+		recs := hotRecords(cs)
 		data := appendChunk(nil, recs)
 		got, err := decodeChunk(data)
 		if err != nil {
@@ -131,7 +140,7 @@ func TestChunkDecodeFailClosed(t *testing.T) {
 		{ObsID: 1, TargetID: 2, Camera: 3, Pos: geo.Pt(10, 20), Time: base},
 		{ObsID: 2, TargetID: 2, Camera: 3, Pos: geo.Pt(10.5, 20.5), Time: base.Add(time.Second)},
 	}
-	data := appendChunk(nil, recs)
+	data := appendChunk(nil, hotRecords(recs))
 
 	// Unknown format tag: never fall back to v1.
 	bad := append([]byte(nil), data...)

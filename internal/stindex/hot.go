@@ -11,10 +11,11 @@ import (
 
 // This file is the hot tier: one spatial cell's recent records, held in
 // fixed-width time buckets kept in time order. A bucket stores each record
-// once, visits it by pointer, and keeps its record count and a conservative
-// bounding rect of the positions. A sealed chunk keeps the same two facts
-// beside its record time span, so aggregate and wide reads settle a whole
-// bucket or chunk from them before testing (or decoding) any record:
+// once, as a pointer-free hotRecord, visits it by pointer, and keeps its
+// record count and a conservative bounding rect of the positions. A sealed
+// chunk keeps the same two facts beside its record time span, so aggregate
+// and wide reads settle a whole bucket or chunk from them before testing (or
+// decoding) any record:
 //
 //   - the window misses its time span or the rect misses its bounds: no
 //     record matches, so it is skipped;
@@ -24,6 +25,44 @@ import (
 //
 // A bucket's rect only grows on add. Eviction may leave it a superset of
 // what survives, and both proofs stay sound under a superset.
+
+// hotRecord is a Record as the store keeps it: the time as UnixNano, so the
+// record holds no pointer and the arrays holding it (hot buckets, target
+// histories, decode scratch) are allocated noscan — the collector neither
+// scans them nor write-barriers their appends. It converts to and from
+// Record only at the Store API edge (hotOf, record); inside, every routine
+// reads ns directly.
+type hotRecord struct {
+	ns       int64 // UnixNano
+	ObsID    uint64
+	TargetID uint64
+	Camera   uint32
+	Pos      geo.Point
+}
+
+// hotOf is rec in the store's form.
+func hotOf(rec Record) hotRecord {
+	return hotRecord{ns: rec.Time.UnixNano(), ObsID: rec.ObsID, TargetID: rec.TargetID, Camera: rec.Camera, Pos: rec.Pos}
+}
+
+// record is r in the API's form. The time is time.Unix(0, ns), so every
+// answer carries one time representation whichever tier held the record.
+func (r *hotRecord) record() Record {
+	return Record{ObsID: r.ObsID, TargetID: r.TargetID, Camera: r.Camera, Pos: r.Pos, Time: time.Unix(0, r.ns)}
+}
+
+// toRecords converts hs, in order, into a new slice of Records; nil when hs
+// is empty.
+func toRecords(hs []hotRecord) []Record {
+	if len(hs) == 0 {
+		return nil
+	}
+	out := make([]Record, len(hs))
+	for i := range hs {
+		out[i] = hs[i].record()
+	}
+	return out
+}
 
 // hotCell is one spatial cell's hot tier. Not safe for concurrent use; the
 // Store's lock guards it.
@@ -37,7 +76,7 @@ type hotCell struct {
 type hotBucket struct {
 	idx    int64    // floor(UnixNano / width)
 	bounds geo.Rect // covers every record's position
-	recs   []Record
+	recs   []hotRecord
 }
 
 func newHotCell(width time.Duration) *hotCell {
@@ -60,8 +99,8 @@ func (c *hotCell) search(b int64) int {
 	return sort.Search(n, func(i int) bool { return c.buckets[i].idx >= b })
 }
 
-func (c *hotCell) add(rec Record) {
-	b := floorDiv64(rec.Time.UnixNano(), c.width)
+func (c *hotCell) add(rec hotRecord) {
+	b := floorDiv64(rec.ns, c.width)
 	i := len(c.buckets) - 1
 	if i < 0 || c.buckets[i].idx != b {
 		i = c.search(b)
@@ -97,7 +136,7 @@ func (c *hotCell) settle(q *query, hb *hotBucket) cover {
 // how many went; when drained is non-nil the removed records are appended to
 // it. Buckets wholly before the cutoff leave without looking at their
 // records; only the bucket holding the cutoff is filtered.
-func (c *hotCell) evictBefore(cutoff int64, drained *[]Record) int {
+func (c *hotCell) evictBefore(cutoff int64, drained *[]hotRecord) int {
 	cut := floorDiv64(cutoff, c.width)
 	k := c.search(cut) // buckets [0, k) end before the cutoff
 	removed := 0
@@ -111,7 +150,7 @@ func (c *hotCell) evictBefore(cutoff int64, drained *[]Record) int {
 		hb := &c.buckets[k]
 		kept := hb.recs[:0]
 		for _, rec := range hb.recs {
-			if rec.Time.UnixNano() >= cutoff {
+			if rec.ns >= cutoff {
 				kept = append(kept, rec)
 				continue
 			}
@@ -156,9 +195,8 @@ func newQuery(r geo.Rect, from, to time.Time) query {
 	return query{r: r, from: unixNanos(from), to: unixNanos(to)}
 }
 
-func (q *query) match(rec *Record) bool {
-	ns := rec.Time.UnixNano()
-	return ns >= q.from && ns <= q.to && q.r.Contains(rec.Pos)
+func (q *query) match(rec *hotRecord) bool {
+	return rec.ns >= q.from && rec.ns <= q.to && q.r.Contains(rec.Pos)
 }
 
 // settle decides a hot bucket or sealed chunk against q as a whole, from the
@@ -212,7 +250,7 @@ func (c *hotCell) sizeHint(q query) int {
 }
 
 // appendTo appends the cell's records matching q onto out.
-func (c *hotCell) appendTo(out []Record, q query) []Record {
+func (c *hotCell) appendTo(out []hotRecord, q query) []hotRecord {
 	bs := c.window(q.from, q.to)
 	for i := range bs {
 		hb := &bs[i]
@@ -231,7 +269,7 @@ func (c *hotCell) appendTo(out []Record, q query) []Record {
 }
 
 // each calls fn for every record of the cell matching q.
-func (c *hotCell) each(q query, fn func(*Record)) {
+func (c *hotCell) each(q query, fn func(*hotRecord)) {
 	bs := c.window(q.from, q.to)
 	for i := range bs {
 		hb := &bs[i]
@@ -324,8 +362,8 @@ var (
 	maxUnixNano = time.Unix(0, math.MaxInt64)
 )
 
-// recordKey is a record's sort key: pointer-free, so sorting moves 24 bytes
-// without write barriers instead of a 64-byte record holding a pointer.
+// recordKey is a record's sort key: sorting moves 24-byte keys and then
+// each 48-byte record once.
 type recordKey struct {
 	ns  int64
 	obs uint64
@@ -350,30 +388,38 @@ func cmpRecordKey(a, b recordKey) int {
 
 // recordLess reports whether a sorts before b in (Time, ObsID) order, the
 // order sortRecords produces.
-func recordLess(a, b *Record) bool {
-	an, bn := a.Time.UnixNano(), b.Time.UnixNano()
-	return an < bn || (an == bn && a.ObsID < b.ObsID)
+func recordLess(a, b *hotRecord) bool {
+	return a.ns < b.ns || (a.ns == b.ns && a.ObsID < b.ObsID)
+}
+
+// sortKeys returns the sort keys of recs in (Time, ObsID) order, stably,
+// and whether recs were already in that order (then the keys are left in
+// input order, which is the same). keys is scratch: its capacity is reused,
+// and the buffer is returned, grown if it had to be; nil allocates one.
+func sortKeys(recs []hotRecord, keys []recordKey) ([]recordKey, bool) {
+	keys = slices.Grow(keys[:0], len(recs))[:len(recs)]
+	ordered := true
+	for i := range recs {
+		keys[i] = recordKey{ns: recs[i].ns, obs: recs[i].ObsID, idx: i}
+		if ordered && i > 0 && cmpRecordKey(keys[i-1], keys[i]) > 0 {
+			ordered = false
+		}
+	}
+	if !ordered {
+		slices.SortFunc(keys, cmpRecordKey)
+	}
+	return keys, ordered
 }
 
 // sortRecords orders recs by (Time, ObsID) in place, stably. It sorts the
 // records' keys and then gathers the records into key order along the
 // permutation's cycles, so each record moves once. An already ordered input
-// is left as is. keys is scratch for the sort keys: its capacity is reused,
-// and the buffer is returned, grown if it had to be, for the next call; nil
-// allocates one.
-func sortRecords(recs []Record, keys []recordKey) []recordKey {
-	keys = slices.Grow(keys[:0], len(recs))[:len(recs)]
-	ordered := true
-	for i := range recs {
-		keys[i] = recordKey{ns: recs[i].Time.UnixNano(), obs: recs[i].ObsID, idx: i}
-		if ordered && i > 0 && cmpRecordKey(keys[i-1], keys[i]) > 0 {
-			ordered = false
-		}
-	}
+// is left as is. keys is sortKeys' scratch, returned for the next call.
+func sortRecords(recs []hotRecord, keys []recordKey) []recordKey {
+	keys, ordered := sortKeys(recs, keys)
 	if ordered {
 		return keys
 	}
-	slices.SortFunc(keys, cmpRecordKey)
 	// Position i takes the record at keys[i].idx. Follow each cycle of that
 	// permutation from its first position, marking positions done by
 	// pointing their key at themselves.
@@ -395,4 +441,19 @@ func sortRecords(recs []Record, keys []recordKey) []recordKey {
 		}
 	}
 	return keys
+}
+
+// sortedRecords returns recs as Records in (Time, ObsID) order, stably; nil
+// when recs is empty. Each record is converted straight into its sorted
+// place, so an answer moves every record once and recs is left as is.
+func sortedRecords(recs []hotRecord) []Record {
+	if len(recs) == 0 {
+		return nil
+	}
+	keys, _ := sortKeys(recs, nil)
+	out := make([]Record, len(recs))
+	for i, k := range keys {
+		out[i] = recs[k.idx].record()
+	}
+	return out
 }

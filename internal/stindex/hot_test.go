@@ -2,6 +2,7 @@ package stindex
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,8 +23,8 @@ func checkHotCell(t *testing.T, c *hotCell) {
 			t.Fatalf("buckets out of order: %d after %d", hb.idx, c.buckets[i-1].idx)
 		}
 		for _, rec := range hb.recs {
-			if b := floorDiv64(rec.Time.UnixNano(), c.width); b != hb.idx {
-				t.Fatalf("record at %v in bucket %d, belongs in %d", rec.Time, hb.idx, b)
+			if b := floorDiv64(rec.ns, c.width); b != hb.idx {
+				t.Fatalf("record at %v in bucket %d, belongs in %d", rec.record().Time, hb.idx, b)
 			}
 			if !hb.bounds.Contains(rec.Pos) {
 				t.Fatalf("bucket %d bounds %v miss record at %v", hb.idx, hb.bounds, rec.Pos)
@@ -49,7 +50,7 @@ func TestHotCellWindow(t *testing.T) {
 			Pos:   geo.Pt(rng.Float64()*100, rng.Float64()*100),
 			Time:  base.Add(time.Duration(rng.Intn(100000)) * time.Millisecond),
 		}
-		c.add(rec)
+		c.add(hotOf(rec))
 		all = append(all, rec)
 	}
 	checkHotCell(t, c)
@@ -65,7 +66,7 @@ func TestHotCellWindow(t *testing.T) {
 		got := 0
 		for _, hb := range c.window(from.UnixNano(), to.UnixNano()) {
 			for _, rec := range hb.recs {
-				if !rec.Time.Before(from) && !rec.Time.After(to) {
+				if rec.ns >= from.UnixNano() && rec.ns <= to.UnixNano() {
 					got++
 				}
 			}
@@ -88,19 +89,19 @@ func TestHotCellEvictBefore(t *testing.T) {
 		t.Fatal("empty cell has a span")
 	}
 	for i := 0; i < 600; i++ {
-		c.add(Record{ObsID: uint64(i), Pos: geo.Pt(float64(i), 0), Time: at(time.Duration(i) * time.Second)})
+		c.add(hotOf(Record{ObsID: uint64(i), Pos: geo.Pt(float64(i), 0), Time: at(time.Duration(i) * time.Second)}))
 	}
 	start, end, ok := c.span()
 	if !ok || !start.Equal(at(0)) || !end.Equal(at(10*time.Minute)) {
 		t.Fatalf("span = [%v, %v) %v, want [t0, t0+10m)", start, end, ok)
 	}
-	var drained []Record
+	var drained []hotRecord
 	if n := c.evictBefore(at(5*time.Minute).UnixNano(), &drained); n != 300 || len(drained) != 300 || c.len() != 300 {
 		t.Fatalf("evict at a bucket edge removed %d (drained %d), %d left; want 300/300/300", n, len(drained), c.len())
 	}
 	for _, rec := range drained {
-		if !rec.Time.Before(at(5 * time.Minute)) {
-			t.Fatalf("drained a record at %v, after the cutoff", rec.Time)
+		if rec.ns >= at(5*time.Minute).UnixNano() {
+			t.Fatalf("drained a record at %v, after the cutoff", rec.record().Time)
 		}
 	}
 	if n := c.evictBefore(at(5*time.Minute+30*time.Second).UnixNano(), nil); n != 30 {
@@ -114,9 +115,44 @@ func TestHotCellEvictBefore(t *testing.T) {
 	if c.len() != 0 || len(c.buckets) != 0 {
 		t.Fatalf("cell holds %d records in %d buckets after a full evict", c.len(), len(c.buckets))
 	}
-	c.add(Record{ObsID: 99, Time: at(2 * time.Hour)})
+	c.add(hotOf(Record{ObsID: 99, Time: at(2 * time.Hour)}))
 	checkHotCell(t, c)
 	if bs := c.window(at(0).UnixNano(), at(3*time.Hour).UnixNano()); len(bs) != 1 || bs[0].recs[0].ObsID != 99 {
 		t.Fatalf("cell unusable after a full evict: %v", bs)
+	}
+}
+
+// TestHotRecordsHoldNoPointers: the records the hot tier keeps — in its cell
+// buckets and in its per-target histories — hold no pointer, so their arrays
+// are allocated noscan and the collector neither scans them nor
+// write-barriers their growth. A time.Time (its *Location) or any slice,
+// map, string or interface field would undo that.
+func TestHotRecordsHoldNoPointers(t *testing.T) {
+	bucket, _ := reflect.TypeOf(hotBucket{}).FieldByName("recs")
+	history, _ := reflect.TypeOf(Store{}).FieldByName("byTarget")
+	for name, typ := range map[string]reflect.Type{
+		"hot bucket":     bucket.Type.Elem(),
+		"target history": history.Type.Elem().Elem(),
+	} {
+		checkPointerFree(t, name, typ)
+	}
+}
+
+func checkPointerFree(t *testing.T, path string, typ reflect.Type) {
+	t.Helper()
+	if typ == reflect.TypeOf(time.Time{}) {
+		t.Fatalf("%s is a time.Time, which holds a *Location", path)
+	}
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			checkPointerFree(t, path+"."+f.Name, f.Type)
+		}
+	case reflect.Array:
+		checkPointerFree(t, path+"[]", typ.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+		reflect.Interface, reflect.Chan, reflect.Func:
+		t.Fatalf("%s is a %v: the collector must scan it", path, typ.Kind())
 	}
 }

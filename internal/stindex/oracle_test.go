@@ -97,7 +97,7 @@ func (l linearScan) history(id uint64, from, to time.Time) []Record {
 func checkTimeObsOrder(t *testing.T, tag string, recs []Record) {
 	t.Helper()
 	for i := 1; i < len(recs); i++ {
-		if recordLess(&recs[i], &recs[i-1]) {
+		if cur, prev := hotOf(recs[i]), hotOf(recs[i-1]); recordLess(&cur, &prev) {
 			t.Fatalf("%s: out of (Time, ObsID) order at %d: %v then %v", tag, i, recs[i-1], recs[i])
 		}
 	}
@@ -321,8 +321,9 @@ func TestStoreMatchesLinearScan(t *testing.T) {
 }
 
 // TestSortRecordsMatchesStableSort: the key-sort-then-gather permutation is
-// the stable (Time, ObsID) sort, on inputs with heavy key duplication. The
-// trials share one key buffer, as seals do.
+// the stable (Time, ObsID) sort, on inputs with heavy key duplication, both
+// in place (sortRecords; the trials share one key buffer, as seals do) and
+// converting into a query answer (sortedRecords).
 func TestSortRecordsMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var keys []recordKey
@@ -346,8 +347,12 @@ func TestSortRecordsMatchesStableSort(t *testing.T) {
 			}
 			return want[i].ObsID < want[j].ObsID
 		})
-		keys = sortRecords(recs, keys)
-		if g, w := dumpRecords(recs), dumpRecords(want); g != w {
+		hs := hotRecords(recs)
+		if g, w := dumpRecords(sortedRecords(hs)), dumpRecords(want); g != w {
+			t.Fatalf("trial %d: sortedRecords diverged from the stable sort\ngot:\n%s\nwant:\n%s", trial, g, w)
+		}
+		keys = sortRecords(hs, keys)
+		if g, w := dumpRecords(toRecords(hs)), dumpRecords(want); g != w {
 			t.Fatalf("trial %d: sortRecords diverged from the stable sort\ngot:\n%s\nwant:\n%s", trial, g, w)
 		}
 	}

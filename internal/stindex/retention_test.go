@@ -80,7 +80,7 @@ func TestAnswersIndependentOfReclamationTiming(t *testing.T) {
 			}
 		}
 		for name, s := range map[string]*Store{"eager": eager, "lazy": lazy} {
-			var scratch []Record
+			var scratch []hotRecord
 			sealedTarget := 0
 			for id := range s.targetSealed {
 				sealedTarget += s.sealedTargetCount(id, &scratch)
@@ -143,8 +143,8 @@ func TestTrimKeepsChunkBytes(t *testing.T) {
 		}
 		if c.skip > 0 {
 			trimmed++
-			if got := c.appendLive(nil); len(got) != c.count || got[0].Time.UnixNano() != c.start {
-				t.Fatalf("trimmed chunk decodes %d records from %d, want %d from %d", len(got), got[0].Time.UnixNano(), c.count, c.start)
+			if got := c.appendLive(nil); len(got) != c.count || got[0].ns != c.start {
+				t.Fatalf("trimmed chunk decodes %d records from %d, want %d from %d", len(got), got[0].ns, c.count, c.start)
 			}
 		}
 	}

@@ -89,8 +89,8 @@ type Store struct {
 
 	mu       sync.RWMutex
 	cells    map[cellKey]*hotCell
-	byTarget map[uint64][]Record // time-ordered per target (hot tier)
-	n        int                 // cell-side records across both tiers
+	byTarget map[uint64][]hotRecord // time-ordered per target (hot tier)
+	n        int                    // cell-side records across both tiers
 	latest   time.Time
 	// hotFloor is the hot tier's retention watermark: no hot record is
 	// older than this UnixNano. Late inserts lower it; a seal raises it to
@@ -123,7 +123,7 @@ type Store struct {
 	// only the chunks it keeps: the records drained from one cell, their
 	// sort keys, and the encoding of one chunk, which the chunk copies out
 	// at its exact size. Each holds at most the largest single-cell seal.
-	sealRecs []Record
+	sealRecs []hotRecord
 	sealKeys []recordKey
 	sealBuf  []byte
 
@@ -147,7 +147,7 @@ func NewStore(cfg Config) *Store {
 		rollupWidth:  rollupBuckets * cfg.BucketWidth,
 		chunkTarget:  chunkTarget,
 		cells:        make(map[cellKey]*hotCell),
-		byTarget:     make(map[uint64][]Record),
+		byTarget:     make(map[uint64][]hotRecord),
 		hotFloor:     math.MaxInt64,
 		sealed:       make(map[cellKey][]*sealedChunk),
 		targetSealed: make(map[uint64][]*sealedChunk),
@@ -223,8 +223,8 @@ func (s *Store) Insert(rec Record) {
 }
 
 func (s *Store) insertLocked(rec Record) {
-	ns := rec.Time.UnixNano()
-	if s.cfg.Retention > 0 && ns < s.retentionCutoff() {
+	h := hotOf(rec)
+	if s.cfg.Retention > 0 && h.ns < s.retentionCutoff() {
 		return
 	}
 	key := s.keyOf(rec.Pos)
@@ -233,22 +233,22 @@ func (s *Store) insertLocked(rec Record) {
 		cell = newHotCell(s.cfg.BucketWidth)
 		s.cells[key] = cell
 	}
-	cell.add(rec)
+	cell.add(h)
 	s.n++
 	s.gen++
 	if rec.Time.After(s.latest) {
 		s.latest = rec.Time
 	}
-	s.hotFloor = min(s.hotFloor, ns)
+	s.hotFloor = min(s.hotFloor, h.ns)
 	if rec.TargetID != 0 {
 		// Insert keeping (Time, ObsID) order, after equal keys; appends are
 		// the common case.
 		hist := s.byTarget[rec.TargetID]
 		i := len(hist)
-		if i > 0 && recordLess(&rec, &hist[i-1]) {
-			i = sort.Search(i, func(j int) bool { return recordLess(&rec, &hist[j]) })
+		if i > 0 && recordLess(&h, &hist[i-1]) {
+			i = sort.Search(i, func(j int) bool { return recordLess(&h, &hist[j]) })
 		}
-		s.byTarget[rec.TargetID] = slices.Insert(hist, i, rec)
+		s.byTarget[rec.TargetID] = slices.Insert(hist, i, h)
 	}
 	if !s.sealFrontier.IsZero() && rec.Time.Before(s.sealFrontier) {
 		s.lateSinceSeal++
@@ -317,9 +317,9 @@ func (s *Store) sealLocked(frontier time.Time) int {
 		s.sealKeys = sortRecords(recs, s.sealKeys)
 		width := int64(s.rollupWidth)
 		for i := 0; i < len(recs); {
-			b := floorDiv64(recs[i].Time.UnixNano(), width)
+			b := floorDiv64(recs[i].ns, width)
 			j := i + 1
-			for j < len(recs) && floorDiv64(recs[j].Time.UnixNano(), width) == b {
+			for j < len(recs) && floorDiv64(recs[j].ns, width) == b {
 				j++
 			}
 			for k := i; k < j; k += s.chunkTarget {
@@ -351,14 +351,14 @@ func (s *Store) addChunk(key cellKey, c *sealedChunk) {
 
 // searchTime returns the index of the first record of the time-ordered hist
 // at or after UnixNano t.
-func searchTime(hist []Record, t int64) int {
-	return sort.Search(len(hist), func(i int) bool { return hist[i].Time.UnixNano() >= t })
+func searchTime(hist []hotRecord, t int64) int {
+	return sort.Search(len(hist), func(i int) bool { return hist[i].ns >= t })
 }
 
 // trimHistory drops the first lo records of target id's hot history hist by
 // re-slicing. The live part is copied down only once it fills less than half
 // of the backing array left to it, so compaction is amortised over trims.
-func (s *Store) trimHistory(id uint64, hist []Record, lo int) {
+func (s *Store) trimHistory(id uint64, hist []hotRecord, lo int) {
 	switch hist = hist[lo:]; {
 	case len(hist) == 0:
 		delete(s.byTarget, id)
@@ -371,7 +371,7 @@ func (s *Store) trimHistory(id uint64, hist []Record, lo int) {
 
 // decodeForQuery appends a sealed chunk's live records onto dst on the query
 // path, counting the decode.
-func (s *Store) decodeForQuery(c *sealedChunk, dst []Record) []Record {
+func (s *Store) decodeForQuery(c *sealedChunk, dst []hotRecord) []hotRecord {
 	s.queryDecodes.Add(1)
 	return c.appendLive(dst)
 }
@@ -379,7 +379,7 @@ func (s *Store) decodeForQuery(c *sealedChunk, dst []Record) []Record {
 // decodeScratch decodes a sealed chunk into *scratch, a buffer the caller
 // owns for the length of one query, and returns the records. Every chunk a
 // query decodes reuses the one buffer.
-func (s *Store) decodeScratch(c *sealedChunk, scratch *[]Record) []Record {
+func (s *Store) decodeScratch(c *sealedChunk, scratch *[]hotRecord) []hotRecord {
 	*scratch = s.decodeForQuery(c, (*scratch)[:0])
 	return *scratch
 }
@@ -388,7 +388,7 @@ func (s *Store) decodeScratch(c *sealedChunk, scratch *[]Record) []Record {
 // q covers whole is decoded straight into out; a partly covered one is
 // decoded there too and filtered in place. Caller holds (at least) the read
 // lock.
-func (s *Store) appendSealed(out []Record, key cellKey, q query) []Record {
+func (s *Store) appendSealed(out []hotRecord, key cellKey, q query) []hotRecord {
 	for _, c := range s.sealed[key] {
 		cv := q.settle(c.start, c.end, c.bounds)
 		if cv == coverNone {
@@ -405,7 +405,7 @@ func (s *Store) appendSealed(out []Record, key cellKey, q query) []Record {
 
 // filterFrom keeps the records of recs[from:] that match, in order, and
 // returns the shortened slice.
-func filterFrom(recs []Record, from int, match func(*Record) bool) []Record {
+func filterFrom(recs []hotRecord, from int, match func(*hotRecord) bool) []hotRecord {
 	k := from
 	for i := from; i < len(recs); i++ {
 		if match(&recs[i]) {
@@ -420,7 +420,7 @@ func filterFrom(recs []Record, from int, match func(*Record) bool) []Record {
 // match q. Hot buckets and sealed chunks q settles whole add their count
 // without visiting records or decoding; the rest decode into scratch. Caller
 // holds (at least) the read lock.
-func (s *Store) countCellLocked(key cellKey, q query, scratch *[]Record) int {
+func (s *Store) countCellLocked(key cellKey, q query, scratch *[]hotRecord) int {
 	n := 0
 	if cell, ok := s.cells[key]; ok {
 		n = cell.count(q)
@@ -448,8 +448,9 @@ func (s *Store) countCellLocked(key cellKey, q query, scratch *[]Record) int {
 
 // RangeQuery returns the records inside r with time in [from, to], ordered by
 // time then ObsID. Hot buckets the query covers whole are appended in bulk
-// and sealed chunks decode straight into the result, which is allocated once,
-// sized from bucket and chunk counts.
+// and sealed chunks decode straight into a pointer-free buffer, allocated
+// once, sized from bucket and chunk counts; the sort gathers it into the
+// answer.
 func (s *Store) RangeQuery(r geo.Rect, from, to time.Time) []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -471,18 +472,14 @@ func (s *Store) RangeQuery(r geo.Rect, from, to time.Time) []Record {
 	if size == 0 {
 		return nil
 	}
-	out := make([]Record, 0, size)
+	out := make([]hotRecord, 0, size)
 	s.forEachCellKeyIn(r, func(key cellKey) {
 		if cell, ok := s.cells[key]; ok {
 			out = cell.appendTo(out, q)
 		}
 		out = s.appendSealed(out, key, q)
 	})
-	if len(out) == 0 {
-		return nil
-	}
-	sortRecords(out, nil)
-	return out
+	return sortedRecords(out)
 }
 
 // Count returns the number of records inside r with time in [from, to]
@@ -496,7 +493,7 @@ func (s *Store) Count(r geo.Rect, from, to time.Time) int {
 	}
 	q := newQuery(r, from, to)
 	count := 0
-	var scratch []Record
+	var scratch []hotRecord
 	s.forEachCellKeyIn(r, func(key cellKey) {
 		count += s.countCellLocked(key, q, &scratch)
 	})
@@ -587,29 +584,34 @@ func (s *Store) KNNBounded(q geo.Point, from, to time.Time, k int, maxDist2 floa
 	}
 	center := s.keyOf(q)
 	best := make(neighborHeap, 0, min(k, 64)) // room for a usual k without regrowing
-	consider := func(rec Record) {
-		if keep == nil || keep(rec) {
-			n := Neighbor{Record: rec, Dist2: q.Dist2(rec.Pos)}
-			switch {
-			case maxDist2 > 0 && n.Dist2 > maxDist2:
-			case len(best) < k:
-				best = append(best, n) // heap.Push without boxing n
-				heap.Fix(&best, len(best)-1)
-			case neighborLess(n, best[0]):
-				best[0] = n
-				heap.Fix(&best, 0)
-			}
+	// consider offers one in-window record. Distance and rank are settled
+	// from its stored form; only a record that would enter best converts to
+	// a Record, for keep and the answer.
+	consider := func(rec *hotRecord) {
+		n := Neighbor{Record: Record{ObsID: rec.ObsID}, Dist2: q.Dist2(rec.Pos)}
+		if maxDist2 > 0 && n.Dist2 > maxDist2 || len(best) == k && !neighborLess(n, best[0]) {
+			return
+		}
+		if n.Record = rec.record(); keep != nil && !keep(n.Record) {
+			return
+		}
+		if len(best) < k {
+			best = append(best, n) // heap.Push without boxing n
+			heap.Fix(&best, len(best)-1)
+		} else {
+			best[0] = n
+			heap.Fix(&best, 0)
 		}
 	}
 	fromNs, toNs := unixNanos(from), unixNanos(to)
-	var scratch []Record
+	var scratch []hotRecord
 	scan := func(key cellKey) {
 		if cell, ok := s.cells[key]; ok {
 			bs := cell.window(fromNs, toNs)
 			for i := range bs {
 				for j := range bs[i].recs {
-					if ns := bs[i].recs[j].Time.UnixNano(); ns >= fromNs && ns <= toNs {
-						consider(bs[i].recs[j])
+					if rec := &bs[i].recs[j]; rec.ns >= fromNs && rec.ns <= toNs {
+						consider(rec)
 					}
 				}
 			}
@@ -618,8 +620,9 @@ func (s *Store) KNNBounded(q geo.Point, from, to time.Time, k int, maxDist2 floa
 			if !c.overlaps(fromNs, toNs) {
 				continue
 			}
-			for _, rec := range s.decodeScratch(c, &scratch) {
-				if ns := rec.Time.UnixNano(); ns >= fromNs && ns <= toNs {
+			recs := s.decodeScratch(c, &scratch)
+			for i := range recs {
+				if rec := &recs[i]; rec.ns >= fromNs && rec.ns <= toNs {
 					consider(rec)
 				}
 			}
@@ -742,9 +745,9 @@ func (s *Store) Heatmap(r geo.Rect, from, to time.Time, cellSize float64, keep f
 	ownKey := keep == nil && cellSize == s.cfg.CellSize
 	q := newQuery(r, from, to)
 	acc := make(map[cellKey]int64)
-	var scratch []Record
-	tally := func(rec *Record) {
-		if keep == nil || keep(*rec) {
+	var scratch []hotRecord
+	tally := func(rec *hotRecord) {
+		if keep == nil || keep(rec.record()) {
 			acc[gridKey(rec.Pos, cellSize)]++
 		}
 	}
@@ -779,35 +782,34 @@ func (s *Store) TargetHistory(id uint64, from, to time.Time) []Record {
 	if to.Before(from) {
 		return nil
 	}
-	var out []Record
+	var out []hotRecord
 	fromNs, toNs := unixNanos(from), unixNanos(to)
 	for _, c := range s.targetSealed[id] {
 		if !c.overlaps(fromNs, toNs) {
 			continue
 		}
 		base := len(out)
-		out = filterFrom(s.decodeForQuery(c, out), base, func(rec *Record) bool {
-			ns := rec.Time.UnixNano()
-			return rec.TargetID == id && ns >= fromNs && ns <= toNs
+		out = filterFrom(s.decodeForQuery(c, out), base, func(rec *hotRecord) bool {
+			return rec.TargetID == id && rec.ns >= fromNs && rec.ns <= toNs
 		})
 	}
 	sealedPart := len(out)
 	if hist := s.byTarget[id]; len(hist) > 0 {
-		lo := sort.Search(len(hist), func(i int) bool { return !hist[i].Time.Before(from) })
-		hi := sort.Search(len(hist), func(i int) bool { return hist[i].Time.After(to) })
+		lo := searchTime(hist, fromNs)
+		hi := sort.Search(len(hist), func(i int) bool { return hist[i].ns > toNs })
 		out = append(out, hist[lo:hi]...)
 	}
 	if sealedPart > 0 {
-		sortRecords(out, nil) // straggler seals and late hot records break seal order
+		return sortedRecords(out) // straggler seals and late hot records break seal order
 	}
-	return out
+	return toRecords(out)
 }
 
 // TargetCount returns the number of records associated with a target.
 func (s *Store) TargetCount(id uint64) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var scratch []Record
+	var scratch []hotRecord
 	return len(s.byTarget[id]) + s.sealedTargetCount(id, &scratch)
 }
 
@@ -815,7 +817,7 @@ func (s *Store) TargetCount(id uint64) int {
 // trimmed chunk (at most one per cell) may have lost them to its expired
 // prefix, so it is decoded into scratch; the rest answer from their target
 // sets. Caller holds (at least) the read lock.
-func (s *Store) sealedTargetCount(id uint64, scratch *[]Record) int {
+func (s *Store) sealedTargetCount(id uint64, scratch *[]hotRecord) int {
 	n := 0
 	for _, c := range s.targetSealed[id] {
 		if c.skip == 0 {
@@ -840,7 +842,7 @@ func (s *Store) Targets() []uint64 {
 	for id := range s.byTarget {
 		out = append(out, id)
 	}
-	var scratch []Record
+	var scratch []hotRecord
 	for id := range s.targetSealed {
 		if _, hot := s.byTarget[id]; !hot && s.sealedTargetCount(id, &scratch) > 0 {
 			out = append(out, id)

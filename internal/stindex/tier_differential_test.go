@@ -477,7 +477,7 @@ func TestTieredDifferentialSealScratchNoAlias(t *testing.T) {
 	}
 	first := map[*sealedChunk]snap{}
 	for _, e := range tiered.expiry {
-		first[e.c] = snap{slices.Clone(e.c.data), dumpRecords(e.c.appendLive(nil))}
+		first[e.c] = snap{slices.Clone(e.c.data), dumpRecords(toRecords(e.c.appendLive(nil)))}
 	}
 	if len(first) == 0 {
 		t.Fatal("vacuous: the first seal made no chunk")
@@ -493,7 +493,7 @@ func TestTieredDifferentialSealScratchNoAlias(t *testing.T) {
 		if !slices.Equal(c.data, s.data) {
 			t.Fatalf("chunk [%d, %d] of the first seal changed its bytes", c.start, c.end)
 		}
-		if got := dumpRecords(c.appendLive(nil)); got != s.decoded {
+		if got := dumpRecords(toRecords(c.appendLive(nil))); got != s.decoded {
 			t.Fatalf("chunk [%d, %d] of the first seal decodes differently:\n%s\nwant:\n%s", c.start, c.end, got, s.decoded)
 		}
 	}
