@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-e2e bench-assoc bench-query bench-insert bench-ingest check reach fuzz soak-short soak soak-core soak-serve lint stcamlint loc testids
+.PHONY: all build vet fmt test race bench bench-e2e bench-assoc bench-query bench-insert bench-ingest check fuzz soak-short soak soak-core soak-serve lint stcamlint loc testids
 
 all: check
 
@@ -21,23 +21,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate: format check, vet, build, reachability, and the full
-# test suite under the race detector.
-check: fmt vet build reach race
-
-# reach fails if a package under internal/ is imported by none of the
-# programs (cmd, examples, the benchmark) or the stcam facade: code no binary
-# runs is kept alive only by its own tests. analyzertest is the one
-# exception; only the analyzers' tests import it.
-reach:
-	@deps=$$($(GO) list -deps ./cmd/... ./examples/... ./benchmark/... .) || exit 1; \
-	pkgs=$$($(GO) list ./internal/...) || exit 1; \
-	missing=$$(for p in $$pkgs; do \
-		[ "$$p" = stcam/internal/analyzers/analyzertest ] && continue; \
-		echo "$$deps" | grep -qxF "$$p" || echo "$$p"; \
-	done); \
-	if [ -n "$$missing" ]; then \
-		echo "reach: no program imports these packages:"; echo "$$missing"; exit 1; fi
+# check is the CI gate: format check, vet, build, and the full test suite
+# under the race detector. The suite includes TestTreeIsClean, which runs
+# stcamlint's analyzers over the tree; its testonly analyzer fails on any
+# exported name under internal/ that only tests use, a package only tests
+# import among them.
+check: fmt vet build race
 
 # loc prints non-test Go lines per package directory, then the total (the
 # last line). testdata and hidden directories (build caches) are excluded.
@@ -54,8 +43,8 @@ testids:
 	@$(GO) test -count=1 -v ./... | grep -c '^=== RUN'
 
 # stcamlint runs the project's own static analyzer suite (rpcunderlock,
-# bufrelease, failclosed, clockinject, metricname — see internal/analyzers)
-# over the whole tree. Zero diagnostics outside documented //lint:allow
+# bufrelease, failclosed, clockinject, metricname, testonly — see
+# internal/analyzers) over the whole tree. Zero diagnostics outside documented //lint:allow
 # suppressions is the bar; any output fails the build.
 stcamlint:
 	$(GO) run ./cmd/stcamlint ./...

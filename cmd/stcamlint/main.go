@@ -1,7 +1,8 @@
 // Command stcamlint runs the project-invariant analyzer suite
 // (internal/analyzers) over the module: rpcunderlock, bufrelease, failclosed,
 // clockinject, and metricname — the bug classes this codebase has shipped and
-// re-fixed, encoded as compiler-enforced rules.
+// re-fixed, encoded as compiler-enforced rules — and testonly, which reports
+// exported API under internal/ that only tests use.
 //
 // Usage (make stcamlint and CI run the first form):
 //
@@ -66,6 +67,12 @@ func run(args []string) int {
 		return 2
 	}
 
+	// testonly weighs a package's exports against every non-test use in the
+	// module, so the whole module is loaded whatever the patterns select.
+	if _, err := loader.LoadAll(); err != nil {
+		fmt.Fprintln(os.Stderr, "stcamlint:", err)
+		return 2
+	}
 	pkgs, err := resolvePackages(loader, wd, fs.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stcamlint:", err)

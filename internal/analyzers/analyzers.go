@@ -46,7 +46,8 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	diags *[]Diagnostic
+	loader *Loader // the package's loader, for module-wide passes
+	diags  *[]Diagnostic
 }
 
 // Report records a diagnostic at pos.
@@ -73,6 +74,7 @@ func All() []*Analyzer {
 		FailClosed,
 		ClockInject,
 		MetricName,
+		TestOnly,
 	}
 }
 

@@ -8,6 +8,11 @@
 //
 //	reg.Counter("rpc." + peer).Inc() // want `not a compile-time constant`
 //
+// A line whose own comment is the finding, such as a stale //lint:allow,
+// carries the want as a block comment before it:
+//
+//	/* want `unused //lint:allow` */ //lint:allow metricname stale reason
+//
 // The quoted text is a regexp matched against the diagnostic message. Every
 // diagnostic must be covered by a want on its line and every want must be hit
 // — extra or missing diagnostics fail the test. //lint:allow suppressions are
@@ -23,11 +28,13 @@ import (
 	"stcam/internal/analyzers"
 )
 
-var wantRE = regexp.MustCompile("^//\\s*want\\s+(?:\"(.*)\"|`(.*)`)\\s*$")
+var wantRE = regexp.MustCompile("^(?://|/\\*)\\s*want\\s+(?:\"(.*?)\"|`(.*?)`)\\s*(?:\\*/)?$")
 
 // Run loads fixtureDir as a package with import path asPath (which scoped
 // analyzers match against, e.g. "stcam/internal/wire/lintfixture"), applies
 // the analyzer, and diffs diagnostics against the fixture's want comments.
+//
+//lint:allow testonly the analyzers' fixture runner: analyzer tests are its only callers by design
 func Run(t *testing.T, a *analyzers.Analyzer, fixtureDir, asPath string) {
 	t.Helper()
 	loader, err := analyzers.NewLoader(fixtureDir)

@@ -21,6 +21,8 @@ type Package struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+
+	loader *Loader
 }
 
 // Loader parses and type-checks packages of one module without the go/build
@@ -44,6 +46,10 @@ type Loader struct {
 	// checking guards against import cycles, which would otherwise recurse
 	// forever; Go forbids them so hitting one means a load bug.
 	checking map[string]bool
+	// uses is testonly's module-wide use index, valid while the loader
+	// still holds usesOver packages.
+	uses     *usage
+	usesOver int
 }
 
 // NewLoader locates the module root at or above dir and returns a loader for
@@ -201,7 +207,7 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analyzers: type-check %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Pkg: tpkg, Info: info}
+	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Pkg: tpkg, Info: info, loader: l}
 	l.pkgs[path] = p
 	return p, nil
 }

@@ -18,6 +18,7 @@ func RunPackage(p *Package, as []*Analyzer) []Diagnostic {
 			Files:    p.Files,
 			Pkg:      p.Pkg,
 			Info:     p.Info,
+			loader:   p.loader,
 			diags:    &raw,
 		}
 		a.Run(pass)

@@ -33,6 +33,15 @@ func TestMetricNameFixtures(t *testing.T) {
 	analyzertest.Run(t, analyzers.MetricName, "testdata/metricname", "stcam/lintfixture")
 }
 
+// The testonly fixture is one package, so its non-test uses are its own:
+// interface satisfaction (a module interface, heap.Interface reached only
+// through heap.Push, and fmt.Stringer, which only the fmt package declares),
+// a json-tagged field, a method behind a type alias, and a used and a stale
+// allow.
+func TestTestOnlyFixtures(t *testing.T) {
+	analyzertest.Run(t, analyzers.TestOnly, "testdata/testonly", "stcam/internal/lintfixture")
+}
+
 // A //lint:allow naming a known analyzer with no diagnostic under it is
 // itself reported: suppressions cannot outlive the violations they document.
 func TestUnusedAllowIsReported(t *testing.T) {

@@ -19,8 +19,8 @@ import (
 // TestNewMessageFailsClosedOnUnknownKind) and no surviving RPC-under-lock or
 // missing-Release violations — the bug classes PRs 3, 5, 7 and 8 designed
 // out stay designed out. Any new raw time.Now, dynamic metric key, lock-held
-// blocking call, or leaked pooled buffer fails this test before it ever
-// reaches CI's lint step.
+// blocking call, leaked pooled buffer, or exported API that only tests use
+// fails this test before it ever reaches CI's lint step.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -76,7 +76,7 @@ func moduleRoot(t *testing.T) string {
 // TestSuiteRegistry pins the analyzer set: every analyzer is registered,
 // resolvable by name, and documented.
 func TestSuiteRegistry(t *testing.T) {
-	want := []string{"rpcunderlock", "bufrelease", "failclosed", "clockinject", "metricname"}
+	want := []string{"rpcunderlock", "bufrelease", "failclosed", "clockinject", "metricname", "testonly"}
 	all := analyzers.All()
 	if len(all) != len(want) {
 		t.Fatalf("All() has %d analyzers, want %d", len(all), len(want))

@@ -112,7 +112,8 @@ func R8Failover(s Scale) *Table {
 func r8Scenario(s Scale, t *Table, replicas int) {
 	ctx := context.Background()
 	opts := core.Options{CellSize: 50, HeartbeatTimeout: 100 * time.Millisecond, Replicas: replicas}
-	c, err := core.NewLocalCluster(8, nil, opts)
+	faulty := cluster.NewFaulty(cluster.NewInProc(), 1)
+	c, err := core.NewLocalClusterOver(faulty, 8, nil, opts)
 	if err != nil {
 		panic(err)
 	}
@@ -148,8 +149,7 @@ func r8Scenario(s Scale, t *Table, replicas int) {
 		}
 	}
 	dead := c.Worker(victim)
-	inproc := c.Transport.(*cluster.InProc)
-	inproc.SetBlocked(dead.Addr(), true)
+	faulty.SetPartitioned(dead.Addr(), true)
 	crashAt := time.Now()
 
 	// Survivors heartbeat until the sweep detects the death. Each sweep
@@ -235,7 +235,7 @@ func R10Crossover(s Scale) *Table {
 		centralDur := time.Since(startC)
 
 		durFor := func(workers int) time.Duration {
-			tr := cluster.NewInProc(cluster.WithLatency(200 * time.Microsecond))
+			tr := withLatency(200*time.Microsecond, workers)
 			coord := core.NewCoordinator("coord", tr, nil, core.Options{CellSize: 50})
 			if err := coord.Start(); err != nil {
 				panic(err)
@@ -274,6 +274,19 @@ func R10Crossover(s Scale) *Table {
 		t.AddRow(side*side, wl.totalObs(), centralDur.Round(time.Millisecond), d2.Round(time.Millisecond), d8.Round(time.Millisecond), winner)
 	}
 	return t
+}
+
+// withLatency returns an in-process transport on which every call to the
+// coordinator ("coord") or to one of the workers worker-01 … worker-NN waits
+// oneWay out and oneWay back: one injected delay of 2·oneWay per call.
+func withLatency(oneWay time.Duration, workers int) *cluster.Faulty {
+	f := cluster.NewFaulty(cluster.NewInProc(), 1)
+	p := cluster.FaultProgram{Latency: 2 * oneWay}
+	f.SetProgram("coord", p)
+	for i := 1; i <= workers; i++ {
+		f.SetProgram(fmt.Sprintf("worker-%02d", i), p)
+	}
+	return f
 }
 
 func newQueryRects(world geo.Rect, n int) []geo.Rect {

@@ -124,46 +124,52 @@ func R1Ingest(s Scale) *Table {
 	}
 	wl := makeWorkload(16, s.n(400), s.n(60), 1)
 
-	// Every column is the median of five passes, each into a fresh server or
-	// cluster, so one scheduler stall does not move a row's speedup.
-	central, _ := medianPass(func() (int, time.Duration) {
+	centralPass := func() float64 {
 		c := newCentral(50)
 		start := time.Now()
 		for _, b := range wl.batches {
 			c.Ingest(b)
 		}
-		return wl.totalObs(), time.Since(start)
-	})
-
+		return float64(wl.totalObs()) / time.Since(start).Seconds()
+	}
 	ctx := context.Background()
+	distPass := func(workers int) (float64, int) {
+		c, err := core.NewLocalCluster(workers, nil, core.Options{CellSize: 50})
+		if err != nil {
+			panic(err)
+		}
+		defer c.Stop()
+		if err := c.Coordinator.AddCameras(ctx, wl.cams, 100); err != nil {
+			panic(err)
+		}
+		accepted, d := ingestAll(ctx, c, wl)
+		return float64(accepted) / d.Seconds(), accepted
+	}
+
+	// Each row runs five pairs back to back: a centralized pass, then a
+	// distributed one, each into a fresh server or cluster. The speedup is
+	// the median of the per-pair ratios, so host load that slows both halves
+	// of a pair cancels instead of moving one column's median alone.
+	const pairs = 5
 	for _, workers := range []int{1, 2, 4, 8, 16} {
-		rate, accepted := medianPass(func() (int, time.Duration) {
-			c, err := core.NewLocalCluster(workers, nil, core.Options{CellSize: 50})
-			if err != nil {
-				panic(err)
-			}
-			defer c.Stop()
-			if err := c.Coordinator.AddCameras(ctx, wl.cams, 100); err != nil {
-				panic(err)
-			}
-			return ingestAll(ctx, c, wl)
-		})
-		t.AddRow(workers, accepted, rate, central, fmt.Sprintf("%.2fx", rate/central))
+		var dist, central, speedup []float64
+		accepted := 0
+		for range pairs {
+			c := centralPass()
+			d, n := distPass(workers)
+			dist, central, speedup = append(dist, d), append(central, c), append(speedup, d/c)
+			accepted = n
+		}
+		t.AddRow(workers, accepted, median(dist), median(central), fmt.Sprintf("%.2fx", median(speedup)))
 	}
 	return t
 }
 
-// medianPass runs pass five times and returns the events per second of the
-// median pass, and the events the last pass ingested; pass reports the
-// events it ingested and its duration.
-func medianPass(pass func() (int, time.Duration)) (float64, int) {
-	durs := make([]time.Duration, 5)
-	events := 0
-	for i := range durs {
-		events, durs[i] = pass()
-	}
-	slices.Sort(durs)
-	return float64(events) / durs[len(durs)/2].Seconds(), events
+// median returns the middle value of xs (the upper middle for an even
+// count), sorting xs in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // chunkDetections re-frames the workload's detections into fixed-size ingest

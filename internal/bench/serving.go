@@ -61,7 +61,7 @@ var r21Shapes = []geo.Rect{
 // update counts are exact, while the injected latency still prices every
 // coordinator push and client RPC.
 func r21World(ctx context.Context) (*core.Cluster, *serve.Frontend) {
-	tr := cluster.NewInProc(cluster.WithLatency(r21Latency))
+	tr := withLatency(r21Latency, 1)
 	opts := core.Options{CellSize: 50, LostAfter: time.Hour}
 	coord := core.NewCoordinator("coord", tr, nil, opts)
 	if err := coord.Start(); err != nil {

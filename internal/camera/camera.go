@@ -49,9 +49,6 @@ func New(id ID, pos geo.Point, orient, halfFOV, rng float64) *Camera {
 	return c
 }
 
-// FOV returns the cached field-of-view polygon. Callers must not mutate it.
-func (c *Camera) FOV() geo.Polygon { return c.fov }
-
 // Bounds returns the bounding rectangle of the field of view.
 func (c *Camera) Bounds() geo.Rect { return c.bounds }
 

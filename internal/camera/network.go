@@ -50,36 +50,12 @@ func (n *Network) Add(c *Camera) {
 	n.index = nil // registration invalidates the covering index
 }
 
-// Remove deletes a camera and every edge touching it, returning whether it
-// existed.
-func (n *Network) Remove(id ID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.cams[id]; !ok {
-		return false
-	}
-	delete(n.cams, id)
-	delete(n.adj, id)
-	for _, edges := range n.adj {
-		delete(edges, id)
-	}
-	n.index = nil // registration invalidates the covering index
-	return true
-}
-
 // Camera returns the camera with the given ID.
 func (n *Network) Camera(id ID) (*Camera, bool) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	c, ok := n.cams[id]
 	return c, ok
-}
-
-// Len returns the number of registered cameras.
-func (n *Network) Len() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.cams)
 }
 
 // IDs returns all camera IDs in ascending order.
@@ -217,17 +193,6 @@ func (n *Network) Neighbors(id ID) []ID {
 	return out
 }
 
-// Edge returns the stats for the directed edge from → to.
-func (n *Network) Edge(from, to ID) (EdgeStats, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	e, ok := n.adj[from][to]
-	if !ok {
-		return EdgeStats{}, false
-	}
-	return *e, true
-}
-
 // EdgeCount returns the number of directed edges in the vision graph.
 func (n *Network) EdgeCount() int {
 	n.mu.RLock()
@@ -237,24 +202,6 @@ func (n *Network) EdgeCount() int {
 		total += len(edges)
 	}
 	return total
-}
-
-// PruneLearnedEdges removes learned (non-geometric) edges with fewer than
-// minCount observed transits, returning how many were dropped. Geometric
-// edges always survive.
-func (n *Network) PruneLearnedEdges(minCount int64) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	dropped := 0
-	for _, edges := range n.adj {
-		for to, e := range edges {
-			if !e.Geometric && e.Count < minCount {
-				delete(edges, to)
-				dropped++
-			}
-		}
-	}
-	return dropped
 }
 
 // CamerasCovering returns the IDs of cameras whose FOV contains p, sorted.

@@ -64,6 +64,8 @@ type fakeWaiter struct {
 }
 
 // NewFake returns a Fake starting at a fixed, arbitrary epoch.
+//
+//lint:allow testonly the deterministic-time seam tests and seeded soaks drive in place of the wall clock
 func NewFake() *Fake {
 	return &Fake{now: time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)}
 }
@@ -124,6 +126,8 @@ func (f *Fake) Advance(d time.Duration) {
 
 // Set jumps the clock to t (which must not move backwards) and wakes due
 // sleepers.
+//
+//lint:allow testonly part of the Fake clock seam tests drive
 func (f *Fake) Set(t time.Time) {
 	f.mu.Lock()
 	d := t.Sub(f.now)
@@ -135,6 +139,8 @@ func (f *Fake) Set(t time.Time) {
 
 // Sleepers reports how many Sleep calls are currently blocked, so tests can
 // wait for a goroutine to park before advancing.
+//
+//lint:allow testonly part of the Fake clock seam tests drive: lets a test wait until a goroutine blocks
 func (f *Fake) Sleepers() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -240,28 +240,6 @@ func TestTCPServerCloseUnblocksClients(t *testing.T) {
 	}
 }
 
-func TestInProcBlocking(t *testing.T) {
-	tr := NewInProc()
-	defer tr.Close()
-	srv, err := tr.Serve("w1", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := tr.Call(ctx, "w1", &wire.CountQuery{QueryID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	tr.SetBlocked("w1", true)
-	if _, err := tr.Call(ctx, "w1", &wire.CountQuery{QueryID: 2}); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("blocked call error = %v", err)
-	}
-	tr.SetBlocked("w1", false)
-	if _, err := tr.Call(ctx, "w1", &wire.CountQuery{QueryID: 3}); err != nil {
-		t.Fatalf("unblocked call failed: %v", err)
-	}
-	_ = srv
-}
-
 func TestInProcDuplicateBind(t *testing.T) {
 	tr := NewInProc()
 	defer tr.Close()
@@ -378,9 +356,6 @@ func TestMembershipLifecycle(t *testing.T) {
 	}
 	if got := len(m.Alive()); got != 1 {
 		t.Errorf("alive after revival = %d", got)
-	}
-	if !m.Remove("w1") || m.Remove("w1") {
-		t.Error("remove semantics wrong")
 	}
 }
 

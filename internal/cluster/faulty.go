@@ -100,6 +100,8 @@ func (f *Faulty) SetPartitioned(addr string, on bool) {
 
 // ClearProgram removes a destination's fault program; calls pass through
 // untouched again.
+//
+//lint:allow testonly fault-injection API: tests script per-link faults with it
 func (f *Faulty) ClearProgram(addr string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -107,6 +109,8 @@ func (f *Faulty) ClearProgram(addr string) {
 }
 
 // Program returns the fault program installed for addr, if any.
+//
+//lint:allow testonly fault-injection API: tests read back a link's scripted faults
 func (f *Faulty) Program(addr string) (FaultProgram, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

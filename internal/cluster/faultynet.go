@@ -67,6 +67,8 @@ func (n *FaultyNet) Heal(a, b string) {
 
 // Isolate severs every currently-known link to and from addr — the
 // one-call version of "this node fell off the network".
+//
+//lint:allow testonly FaultyNet scenario DSL the partition and chaos tests script
 func (n *FaultyNet) Isolate(addr string) {
 	for _, other := range n.addrs() {
 		if other != addr {
@@ -76,6 +78,8 @@ func (n *FaultyNet) Isolate(addr string) {
 }
 
 // Rejoin heals every currently-known link to and from addr.
+//
+//lint:allow testonly FaultyNet scenario DSL the partition and chaos tests script
 func (n *FaultyNet) Rejoin(addr string) {
 	for _, other := range n.addrs() {
 		if other != addr {
@@ -96,6 +100,8 @@ func (n *FaultyNet) addrs() []string {
 
 // HealAfter schedules Heal(a, b) once d elapses. The repair is cancelled if
 // the net is closed first.
+//
+//lint:allow testonly FaultyNet scenario DSL the partition and chaos tests script
 func (n *FaultyNet) HealAfter(d time.Duration, a, b string) {
 	n.mu.Lock()
 	if n.closed {
@@ -111,6 +117,8 @@ func (n *FaultyNet) HealAfter(d time.Duration, a, b string) {
 // a flapping cable. The returned stop function heals the link and ends the
 // flapping; Close stops all flappers (leaving links in whatever state the
 // last toggle set, as a real outage would).
+//
+//lint:allow testonly FaultyNet scenario DSL the partition and chaos tests script
 func (n *FaultyNet) FlapEvery(period time.Duration, a, b string) (stop func()) {
 	done := make(chan struct{})
 	var once sync.Once
@@ -149,6 +157,8 @@ func (n *FaultyNet) FlapEvery(period time.Duration, a, b string) (stop func()) {
 }
 
 // InjectedTotal sums the injected-fault counters across every view.
+//
+//lint:allow testonly FaultyNet scenario DSL: chaos tests assert faults were injected
 func (n *FaultyNet) InjectedTotal() FaultStats {
 	var out FaultStats
 	n.mu.Lock()

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"sync"
-	"time"
 
 	"stcam/internal/wire"
 )
@@ -13,17 +12,15 @@ import (
 // the benchmark suite, where protocol behaviour (message counts, fan-out
 // structure) matters but kernel networking noise does not.
 //
-// Options make the simulation stricter: WithWireFormat round-trips every
+// WithWireFormat makes the simulation stricter: it round-trips every
 // payload through the production codec so in-proc behaviour cannot diverge
-// from TCP semantics (no shared-pointer cheating), and WithLatency adds a
-// fixed one-way delay.
+// from TCP semantics (no shared-pointer cheating). Faults — latency,
+// partitions, drops — are injected by wrapping it in a Faulty.
 type InProc struct {
 	mu      sync.RWMutex
 	servers map[string]*inprocServer
-	blocked map[string]bool
 	stats   statCounters
 	wireFmt bool
-	latency time.Duration
 	closed  bool
 }
 
@@ -43,16 +40,10 @@ func WithWireFormat() InProcOption {
 	return func(t *InProc) { t.wireFmt = true }
 }
 
-// WithLatency adds a fixed one-way delay to every call and response.
-func WithLatency(d time.Duration) InProcOption {
-	return func(t *InProc) { t.latency = d }
-}
-
 // NewInProc returns an empty in-process transport.
 func NewInProc(opts ...InProcOption) *InProc {
 	t := &InProc{
 		servers: make(map[string]*inprocServer),
-		blocked: make(map[string]bool),
 	}
 	for _, o := range opts {
 		o(t)
@@ -83,11 +74,9 @@ func (t *InProc) Call(ctx context.Context, addr string, req any) (any, error) {
 	t.mu.RLock()
 	s, ok := t.servers[addr]
 	closed := ok && s.closed // s.closed is guarded by t.mu; don't read it after RUnlock
-	blocked := t.blocked[addr]
 	wireFmt := t.wireFmt
-	latency := t.latency
 	t.mu.RUnlock()
-	if !ok || closed || blocked {
+	if !ok || closed {
 		t.stats.errors.Add(1)
 		return nil, ErrUnreachable
 	}
@@ -96,14 +85,6 @@ func (t *InProc) Call(ctx context.Context, addr string, req any) (any, error) {
 	if err := ctx.Err(); err != nil {
 		t.stats.errors.Add(1)
 		return nil, err
-	}
-	if latency > 0 {
-		select {
-		case <-time.After(latency):
-		case <-ctx.Done():
-			t.stats.errors.Add(1)
-			return nil, ctx.Err()
-		}
 	}
 	sendReq := req
 	if wireFmt {
@@ -119,14 +100,6 @@ func (t *InProc) Call(ctx context.Context, addr string, req any) (any, error) {
 	if err != nil {
 		t.stats.errors.Add(1)
 		return nil, err
-	}
-	if latency > 0 {
-		select {
-		case <-time.After(latency):
-		case <-ctx.Done():
-			t.stats.errors.Add(1)
-			return nil, ctx.Err()
-		}
 	}
 	if wireFmt && resp != nil {
 		clone, n, err := t.roundTrip(resp)
@@ -162,14 +135,6 @@ func (t *InProc) roundTrip(msg any) (any, int, error) {
 		return nil, 0, err
 	}
 	return out, len(body), nil
-}
-
-// SetBlocked simulates a network partition or crash of addr: calls fail with
-// ErrUnreachable until unblocked. Used by failure-injection tests (R8).
-func (t *InProc) SetBlocked(addr string, blocked bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.blocked[addr] = blocked
 }
 
 // Stats implements Transport.

@@ -90,17 +90,6 @@ func (m *Membership) Refresh(now time.Time) {
 	}
 }
 
-// Remove drops a member entirely (graceful shutdown).
-func (m *Membership) Remove(node wire.NodeID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.members[node]; !ok {
-		return false
-	}
-	delete(m.members, node)
-	return true
-}
-
 // Sweep marks members silent past the timeout as dead and returns the members
 // that died in this sweep (transition edge only, so callers can trigger
 // recovery exactly once per failure).

@@ -11,18 +11,6 @@ import (
 // Assignment maps camera IDs to owning workers.
 type Assignment map[uint32]wire.NodeID
 
-// CamerasOf returns the cameras assigned to one node, sorted.
-func (a Assignment) CamerasOf(node wire.NodeID) []uint32 {
-	var out []uint32
-	for cam, n := range a {
-		if n == node {
-			out = append(out, cam)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Counts returns the number of cameras per node.
 func (a Assignment) Counts() map[wire.NodeID]int {
 	out := make(map[wire.NodeID]int)

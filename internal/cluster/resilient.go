@@ -407,6 +407,8 @@ func (r *Resilient) call(ctx context.Context, addr string, traceID uint64, req a
 
 // BreakerOpen reports whether addr's circuit is currently open (a call now
 // would fail fast).
+//
+//lint:allow testonly circuit-breaker probe the resilience tests assert on
 func (r *Resilient) BreakerOpen(addr string) bool {
 	r.mu.Lock()
 	b, ok := r.breakers[addr]
@@ -422,6 +424,8 @@ func (r *Resilient) BreakerOpen(addr string) bool {
 // TripBreaker forces addr's breaker open now, as if FailureThreshold
 // consecutive failures had just been observed — an operational drain hook
 // and a test seam. No-op when circuit breaking is disabled.
+//
+//lint:allow testonly opens a breaker on demand so resilience tests need not script failures
 func (r *Resilient) TripBreaker(addr string) {
 	b := r.breakerFor(addr)
 	if b == nil {

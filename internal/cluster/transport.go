@@ -49,8 +49,11 @@ type TransportStats struct {
 	Calls  int64
 	Errors int64
 	// BytesOut and BytesIn are the encoded payload bytes of the requests
-	// Call sent and the responses it received, frame headers excluded. TCP
-	// always counts them; InProc only with WithWireFormat.
+	// Call delivered and the responses it received, frame headers excluded.
+	// TCP always counts them; InProc only with WithWireFormat, since without
+	// it payloads pass by pointer. A Faulty decorator reports its inner
+	// transport's counts: a duplicated request counts twice, and a call it
+	// drops, hangs or partitions counts nothing.
 	BytesOut int64
 	BytesIn  int64
 

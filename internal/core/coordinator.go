@@ -88,13 +88,8 @@ type coordTrack struct {
 	lost       bool
 	ch         chan wire.TrackUpdate
 	handoffs   int
-	path       []wire.TrackUpdate // stitched cross-camera trajectory
 	primed     map[wire.NodeID]bool
 }
-
-// maxTrackPath bounds the per-track trajectory memory; older samples are
-// dropped from the front once exceeded.
-const maxTrackPath = 100000
 
 // NewCoordinator constructs a coordinator. The partitioner may be nil, which
 // selects spatial partitioning.
@@ -918,6 +913,8 @@ func (c *Coordinator) StartTrack(ctx context.Context, cam uint32, feature []floa
 }
 
 // StopTrack cancels a track everywhere and closes its channel.
+//
+//lint:allow testonly pairs StartTrack in the public API; the tracking end-to-end benchmark will call it
 func (c *Coordinator) StopTrack(ctx context.Context, id uint64) error {
 	c.mu.Lock()
 	tr, ok := c.tracks[id]
@@ -953,24 +950,6 @@ func (c *Coordinator) TrackInfo(id uint64) (owner wire.NodeID, lastCamera uint32
 	return tr.owner, tr.lastCamera, tr.handoffs, true
 }
 
-// TrackTrajectory returns the stitched cross-camera trajectory of an active
-// track, assembled from the position updates its successive owner workers
-// pushed. This is the "where has the target been" answer without a
-// distributed query: the coordinator already saw every sighting.
-func (c *Coordinator) TrackTrajectory(id uint64) (geo.Trajectory, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tr, ok := c.tracks[id]
-	if !ok {
-		return geo.Trajectory{}, false
-	}
-	var out geo.Trajectory
-	for _, u := range tr.path {
-		out.Append(u.Time, u.Pos)
-	}
-	return out, true
-}
-
 func (c *Coordinator) trackCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -987,10 +966,6 @@ func (c *Coordinator) onTrackUpdate(m *wire.TrackUpdate) {
 		tr.lastSeen = m.Time
 		tr.lost = m.Lost
 		if !m.Lost {
-			tr.path = append(tr.path, *m)
-			if len(tr.path) > maxTrackPath {
-				tr.path = append(tr.path[:0:0], tr.path[len(tr.path)-maxTrackPath:]...)
-			}
 			// The owner re-sighted the target while a handoff was in flight:
 			// the peer primes armed by beginHandoff are now stale. Revoke them
 			// before one matches a look-alike and forks the track.
@@ -1265,9 +1240,6 @@ func (c *Coordinator) Sweep(ctx context.Context, now time.Time) []cluster.Member
 	}
 	return died
 }
-
-// Alive returns the live membership view.
-func (c *Coordinator) Alive() []cluster.Member { return c.membership.Alive() }
 
 // WorkerStats fetches metric snapshots from every live worker.
 func (c *Coordinator) WorkerStats(ctx context.Context) []wire.StatsResult {

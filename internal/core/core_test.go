@@ -9,6 +9,7 @@ import (
 	"stcam/internal/cluster"
 	"stcam/internal/geo"
 	"stcam/internal/sim"
+	"stcam/internal/stindex"
 	"stcam/internal/vision"
 	"stcam/internal/wire"
 )
@@ -51,12 +52,35 @@ func newTestCluster(t testing.TB, workers int, opts Options) *Cluster {
 	return c
 }
 
+// newFaultyTestCluster is newTestCluster over a Faulty transport, so a test
+// can partition a node away (SetPartitioned) to kill it.
+func newFaultyTestCluster(t testing.TB, workers int, opts Options) (*Cluster, *cluster.Faulty) {
+	t.Helper()
+	faulty := cluster.NewFaulty(cluster.NewInProc(), 1)
+	c, err := NewLocalClusterOver(faulty, workers, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	return c, faulty
+}
+
 // TestZeroOptionsWorkerStoreIsTiered: the zero Options run a worker on the
 // tiered store the benchmark measures, sealing at a 2 min horizon.
 func TestZeroOptionsWorkerStoreIsTiered(t *testing.T) {
 	w := NewWorker("w01", "worker-01", "coord", cluster.NewInProc(), Options{})
-	if got := w.store.Config().SealHorizon; got != 2*time.Minute {
-		t.Fatalf("zero-Options worker store seals at %v, want 2m0s", got)
+	base := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
+	insert := func(obs uint64, d time.Duration) {
+		w.store.Insert(stindex.Record{ObsID: obs, Camera: 1, Pos: geo.Pt(10, 10), Time: base.Add(d)})
+	}
+	insert(1, 0)
+	insert(2, 2*time.Minute)
+	if w.store.Seal(); w.store.TierStats().SealedRecords != 0 {
+		t.Fatal("zero-Options worker store sealed a record exactly 2m0s old")
+	}
+	insert(3, 2*time.Minute+time.Millisecond)
+	if w.store.Seal(); w.store.TierStats().SealedRecords != 1 {
+		t.Fatalf("zero-Options worker store holds %d sealed records past a 2m0s horizon, want 1", w.store.TierStats().SealedRecords)
 	}
 }
 

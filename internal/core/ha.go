@@ -176,27 +176,6 @@ func (c *Coordinator) Role() (role string, leader wire.NodeID, leaderAddr string
 	return "standby", l, addr
 }
 
-// JournalApplied returns the applied journal index (diagnostics and tests).
-func (c *Coordinator) JournalApplied() uint64 {
-	if c.ha == nil {
-		return 0
-	}
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	return c.ha.applied
-}
-
-// JournalStats reports the compaction state: the index folded into the live
-// state (base) and the records still resident (diagnostics and tests).
-func (c *Coordinator) JournalStats() (base uint64, resident int) {
-	if c.ha == nil {
-		return 0, 0
-	}
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	return c.ha.base, len(c.ha.journal)
-}
-
 // haAppend journals one control-plane mutation on the leader and kicks an
 // immediate replication round, returning the assigned index (0 when not HA
 // or not leading). Callers must not hold c.mu (ha.mu and c.mu never nest).

@@ -66,6 +66,27 @@ func leaderAmong(cs []*Coordinator) *Coordinator {
 	return nil
 }
 
+// journalApplied returns c's applied journal index.
+func journalApplied(c *Coordinator) uint64 {
+	if c.ha == nil {
+		return 0
+	}
+	c.ha.mu.Lock()
+	defer c.ha.mu.Unlock()
+	return c.ha.applied
+}
+
+// journalStats reports c's compaction state: the index folded into the live
+// state (base) and the records still resident.
+func journalStats(c *Coordinator) (base uint64, resident int) {
+	if c.ha == nil {
+		return 0, 0
+	}
+	c.ha.mu.Lock()
+	defer c.ha.mu.Unlock()
+	return c.ha.base, len(c.ha.journal)
+}
+
 // TestHAReplicationToStandby: control-plane mutations on the leader — camera
 // registry, assignment, membership, track registry — stream to the standby,
 // which answers leader-only traffic with a CodeNotLeader redirect naming the
@@ -92,8 +113,8 @@ func TestHAReplicationToStandby(t *testing.T) {
 	}
 
 	waitFor(t, 2*time.Second, "standby journal catch-up", func() bool {
-		applied := standby.JournalApplied()
-		return applied > 0 && applied == leader.JournalApplied()
+		applied := journalApplied(standby)
+		return applied > 0 && applied == journalApplied(leader)
 	})
 
 	if got, want := standby.Epoch(), leader.Epoch(); got != want {
@@ -115,8 +136,8 @@ func TestHAReplicationToStandby(t *testing.T) {
 	if wantOwner, wantCam, _, _ := leader.TrackInfo(trackID); owner != wantOwner || lastCam != wantCam {
 		t.Fatalf("standby track state (%s, cam %d) != leader (%s, cam %d)", owner, lastCam, wantOwner, wantCam)
 	}
-	if len(standby.Alive()) != len(leader.Alive()) {
-		t.Fatalf("standby sees %d live workers, leader %d", len(standby.Alive()), len(leader.Alive()))
+	if len(standby.membership.Alive()) != len(leader.membership.Alive()) {
+		t.Fatalf("standby sees %d live workers, leader %d", len(standby.membership.Alive()), len(leader.membership.Alive()))
 	}
 
 	// Leader-only traffic is redirected with the leader's address.
@@ -153,10 +174,10 @@ func TestHAFailoverElectsStandby(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantApplied := leader.JournalApplied()
+	wantApplied := journalApplied(leader)
 	waitFor(t, 2*time.Second, "standbys caught up", func() bool {
-		return hc.Coordinators[1].JournalApplied() == wantApplied &&
-			hc.Coordinators[2].JournalApplied() == wantApplied
+		return journalApplied(hc.Coordinators[1]) == wantApplied &&
+			journalApplied(hc.Coordinators[2]) == wantApplied
 	})
 	epoch0 := leader.Epoch()
 	oldOwner, _, _, _ := leader.TrackInfo(trackID)
@@ -196,7 +217,7 @@ func TestHAFailoverElectsStandby(t *testing.T) {
 		for _, w := range hc.Workers {
 			w.SendHeartbeat(ctx) //nolint:errcheck // retried until the waitFor deadline
 		}
-		return len(newLeader.Alive()) == len(hc.Workers)
+		return len(newLeader.membership.Alive()) == len(hc.Workers)
 	})
 
 	// The data plane serves through the new leader.
@@ -233,10 +254,10 @@ func TestHATakeoverWithUnboundedAttempts(t *testing.T) {
 	if err := leader.AddCameras(ctx, gridCams(world1, 2), 50); err != nil {
 		t.Fatal(err)
 	}
-	wantApplied := leader.JournalApplied()
+	wantApplied := journalApplied(leader)
 	waitFor(t, 2*time.Second, "standbys caught up", func() bool {
-		return hc.Coordinators[1].JournalApplied() == wantApplied &&
-			hc.Coordinators[2].JournalApplied() == wantApplied
+		return journalApplied(hc.Coordinators[1]) == wantApplied &&
+			journalApplied(hc.Coordinators[2]) == wantApplied
 	})
 
 	leader.Stop()
@@ -271,12 +292,12 @@ func TestHAMajorityAckGatesClientAck(t *testing.T) {
 	}
 	caughtUp := 0
 	for _, s := range hc.Coordinators[1:] {
-		if s.JournalApplied() == old.JournalApplied() {
+		if journalApplied(s) == journalApplied(old) {
 			caughtUp++
 		}
 	}
 	if caughtUp < 1 {
-		t.Fatalf("no standby had applied the mutation when the client ack returned (leader at %d)", old.JournalApplied())
+		t.Fatalf("no standby had applied the mutation when the client ack returned (leader at %d)", journalApplied(old))
 	}
 
 	// Cut the leader off from both peers (its worker link stays up): it is
@@ -316,12 +337,12 @@ func TestHAMajorityAckGatesClientAck(t *testing.T) {
 	}
 	caughtUp = 0
 	for _, c := range hc.Coordinators {
-		if c != newLeader && c.JournalApplied() == newLeader.JournalApplied() {
+		if c != newLeader && journalApplied(c) == journalApplied(newLeader) {
 			caughtUp++
 		}
 	}
 	if caughtUp < 1 {
-		t.Fatalf("no standby in sync with the new leader (at %d) when its ack returned", newLeader.JournalApplied())
+		t.Fatalf("no standby in sync with the new leader (at %d) when its ack returned", journalApplied(newLeader))
 	}
 }
 
@@ -352,7 +373,7 @@ func TestHAJournalCompactionAndSnapshotCatchUp(t *testing.T) {
 		}
 	}
 
-	base, resident := leader.JournalStats()
+	base, resident := journalStats(leader)
 	if base == 0 {
 		t.Fatalf("leader journal never compacted after %d appends (resident %d)", appends, resident)
 	}
@@ -367,7 +388,7 @@ func TestHAJournalCompactionAndSnapshotCatchUp(t *testing.T) {
 	// catch-up must ride a snapshot frame, then the live tail.
 	hc.Net.Heal(CoordAddrHA(1), CoordAddrHA(3))
 	waitFor(t, 5*time.Second, "partitioned standby to catch up via snapshot", func() bool {
-		return behind.JournalApplied() == leader.JournalApplied()
+		return journalApplied(behind) == journalApplied(leader)
 	})
 	if c := leader.Metrics().Counter("ha.snapshots_sent").Value(); c < 1 {
 		t.Fatalf("ha.snapshots_sent = %d on the leader, want >= 1", c)
@@ -389,8 +410,8 @@ func TestHAJournalCompactionAndSnapshotCatchUp(t *testing.T) {
 			t.Fatalf("camera %d assigned to %s on standby, %s on leader", cam, sa[cam], node)
 		}
 	}
-	if len(behind.Alive()) != len(leader.Alive()) {
-		t.Fatalf("standby sees %d live workers after snapshot, leader %d", len(behind.Alive()), len(leader.Alive()))
+	if len(behind.membership.Alive()) != len(leader.membership.Alive()) {
+		t.Fatalf("standby sees %d live workers after snapshot, leader %d", len(behind.membership.Alive()), len(leader.membership.Alive()))
 	}
 }
 
@@ -474,7 +495,7 @@ func TestHAStaleLeaderStepsDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, "standby caught up", func() bool {
-		return next.JournalApplied() == old.JournalApplied()
+		return journalApplied(next) == journalApplied(old)
 	})
 
 	hc.Net.Isolate(CoordAddrHA(1))
@@ -501,7 +522,7 @@ func TestHAStaleLeaderStepsDown(t *testing.T) {
 	// The demoted node resynchronizes from the new leader's journal and
 	// converges on its epoch.
 	waitFor(t, 2*time.Second, "demoted node journal resync", func() bool {
-		return old.JournalApplied() == next.JournalApplied() && old.Epoch() == next.Epoch()
+		return journalApplied(old) == journalApplied(next) && old.Epoch() == next.Epoch()
 	})
 }
 
@@ -643,7 +664,7 @@ func TestSweepRegisterEpochRace(t *testing.T) {
 	}
 	cl.Coordinator.Sweep(ctx, time.Now())
 	alive := make(map[wire.NodeID]bool)
-	for _, m := range cl.Coordinator.Alive() {
+	for _, m := range cl.Coordinator.membership.Alive() {
 		alive[m.Node] = true
 	}
 	for _, id := range trackIDs {

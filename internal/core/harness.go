@@ -114,17 +114,6 @@ func NewHACluster(m, n int, p cluster.Partitioner, seed int64, opts Options) (*H
 	return hc, nil
 }
 
-// Leader returns the coordinator currently acting as leader, or nil while
-// the group is leaderless.
-func (hc *HACluster) Leader() *Coordinator {
-	for _, c := range hc.Coordinators {
-		if role, _, _ := c.Role(); role == "leader" {
-			return c
-		}
-	}
-	return nil
-}
-
 // Stop tears the HA cluster down.
 func (hc *HACluster) Stop() {
 	for _, w := range hc.Workers {

@@ -13,7 +13,7 @@ import (
 
 func TestReplicationNoDuplicatesAndNoLoss(t *testing.T) {
 	opts := Options{Replicas: 1, HeartbeatTimeout: 50 * time.Millisecond}
-	c := newTestCluster(t, 3, opts)
+	c, faulty := newFaultyTestCluster(t, 3, opts)
 	if err := c.Coordinator.AddCameras(ctx, gridCams(world1, 3), 50); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestReplicationNoDuplicatesAndNoLoss(t *testing.T) {
 
 	// Kill a worker: with replication, history completeness stays 1.0.
 	dead := c.Workers[0]
-	c.Transport.(*cluster.InProc).SetBlocked(dead.Addr(), true)
+	faulty.SetPartitioned(dead.Addr(), true)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		for _, w := range c.Workers[1:] {

@@ -179,7 +179,7 @@ func TestHeartbeatReregisters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord2.Stop()
-	if len(coord2.Alive()) != 0 {
+	if len(coord2.membership.Alive()) != 0 {
 		t.Fatal("fresh coordinator has members")
 	}
 
@@ -189,7 +189,7 @@ func TestHeartbeatReregisters(t *testing.T) {
 	if got := w.Metrics().Counter("heartbeat.reregister").Value(); got != 1 {
 		t.Errorf("heartbeat.reregister = %d, want 1", got)
 	}
-	alive := coord2.Alive()
+	alive := coord2.membership.Alive()
 	if len(alive) != 1 || alive[0].Node != "w1" {
 		t.Fatalf("worker did not rejoin: alive = %v", alive)
 	}

@@ -289,7 +289,7 @@ func TestSoakFailoverLeaderKill(t *testing.T) {
 		if !ok {
 			return false
 		}
-		for _, m := range newLeader.Alive() {
+		for _, m := range newLeader.membership.Alive() {
 			if m.Node == owner {
 				return true
 			}
@@ -299,7 +299,7 @@ func TestSoakFailoverLeaderKill(t *testing.T) {
 
 	// All workers re-homed to the new leader.
 	waitFor(t, 2*time.Second, "all workers live on new leader", func() bool {
-		return len(newLeader.Alive()) == len(hc.Workers)
+		return len(newLeader.membership.Alive()) == len(hc.Workers)
 	})
 
 	// Settle: quiet the ingest links, flush, then one final complete answer —

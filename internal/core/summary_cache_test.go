@@ -53,8 +53,8 @@ func TestSummaryCacheInvalidatedByContentChange(t *testing.T) {
 		t.Fatalf("EvictBefore removed %d, want 1", removed)
 	}
 	w.store.Insert(rec(3, 1010, 1010, 5*time.Second))
-	if w.store.Len() != 2 || !w.store.Latest().Equal(base.Add(10*time.Second)) {
-		t.Fatalf("scenario broken: len=%d latest=%v", w.store.Len(), w.store.Latest())
+	if w.store.Len() != 2 {
+		t.Fatalf("scenario broken: len=%d", w.store.Len())
 	}
 
 	w.mu.Lock()

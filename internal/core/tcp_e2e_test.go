@@ -46,7 +46,7 @@ func TestTCPEndToEnd(t *testing.T) {
 		w.StartHeartbeats(100 * time.Millisecond)
 		workers = append(workers, w)
 	}
-	if got := len(coord.Alive()); got != 3 {
+	if got := len(coord.membership.Alive()); got != 3 {
 		t.Fatalf("alive workers = %d", got)
 	}
 

@@ -112,7 +112,7 @@ func TestSweepCommitsOwnershipOnlyOnRecoverySuccess(t *testing.T) {
 
 	// Start a track on a camera owned by the worker we are about to kill.
 	victim := c.Workers[0]
-	victimCams := c.Coordinator.Assignment().CamerasOf(victim.ID())
+	victimCams := camerasOf(c.Coordinator.Assignment(), victim.ID())
 	if len(victimCams) == 0 {
 		t.Fatal("victim owns no cameras")
 	}

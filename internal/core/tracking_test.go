@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,18 @@ import (
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// camerasOf returns the cameras a assigns to node, sorted.
+func camerasOf(a cluster.Assignment, node wire.NodeID) []uint32 {
+	var out []uint32
+	for cam, n := range a {
+		if n == node {
+			out = append(out, cam)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
 
 // corridorCams builds n directional cameras in a row along y=50, each
 // covering a disjoint x span of width `span` starting at x=0, as wire infos.
@@ -109,7 +122,7 @@ done:
 	if handoffs == 0 {
 		t.Error("no cross-worker handoffs recorded")
 	}
-	finalOwnerCams := c.Coordinator.Assignment().CamerasOf(owner)
+	finalOwnerCams := camerasOf(c.Coordinator.Assignment(), owner)
 	found := false
 	for _, cc := range finalOwnerCams {
 		if cc == 8 {
@@ -186,7 +199,7 @@ func TestTrackStartUnknownCamera(t *testing.T) {
 
 func TestWorkerFailureRecovery(t *testing.T) {
 	opts := Options{HeartbeatTimeout: 50 * time.Millisecond}
-	c := newTestCluster(t, 3, opts)
+	c, faulty := newFaultyTestCluster(t, 3, opts)
 	if err := c.Coordinator.AddCameras(ctx, gridCams(world1, 3), 50); err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +216,10 @@ func TestWorkerFailureRecovery(t *testing.T) {
 	}
 	epochBefore := c.Coordinator.Epoch()
 
-	// Kill worker w01: block its address and let heartbeats lapse. The other
+	// Kill worker w01: partition its address and let heartbeats lapse. The other
 	// workers keep heartbeating.
 	dead := c.Workers[0]
-	inproc := c.Transport.(*cluster.InProc)
-	inproc.SetBlocked(dead.Addr(), true)
+	faulty.SetPartitioned(dead.Addr(), true)
 	deadline := time.Now().Add(2 * time.Second)
 	var died []cluster.Member
 	for time.Now().Before(deadline) {
@@ -317,12 +329,13 @@ func TestTrackTrajectoryStitching(t *testing.T) {
 		t.Fatal(err)
 	}
 	walkTarget(t, c, feat, geo.Pt(30, 50), geo.Pt(770, 50), 74, simT0.Add(time.Second), time.Second, 100)
+	// The track's channel carries every sighting its successive owners
+	// pushed: the stitched cross-camera trajectory needs no coordinator copy.
+	var tr geo.Trajectory
 	for len(ch) > 0 {
-		<-ch
-	}
-	tr, ok := c.Coordinator.TrackTrajectory(trackID)
-	if !ok {
-		t.Fatal("no trajectory for active track")
+		if u := <-ch; !u.Lost {
+			tr.Append(u.Time, u.Pos)
+		}
 	}
 	// ~75 walk steps produce ~75 sightings, minus the handoff gaps where the
 	// target crosses camera boundaries unseen by any resident tracker.
@@ -340,15 +353,16 @@ func TestTrackTrajectoryStitching(t *testing.T) {
 	if p1.X-p0.X < 600 {
 		t.Errorf("trajectory spans %.0f m eastward, want >= 600", p1.X-p0.X)
 	}
-	// Unknown track.
-	if _, ok := c.Coordinator.TrackTrajectory(999999); ok {
-		t.Error("trajectory for unknown track")
-	}
-	// Stopping the track removes the trajectory.
+	// Stopping the track closes its channel.
 	if err := c.Coordinator.StopTrack(ctx, trackID); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Coordinator.TrackTrajectory(trackID); ok {
-		t.Error("trajectory survived StopTrack")
+	deadline := time.After(5 * time.Second)
+	for open := true; open; {
+		select {
+		case _, open = <-ch:
+		case <-deadline:
+			t.Fatal("track channel open after StopTrack")
+		}
 	}
 }

@@ -73,11 +73,3 @@ func (tr *Trajectory) Length() float64 {
 	}
 	return sum
 }
-
-// Duration returns the time covered by the trajectory.
-func (tr *Trajectory) Duration() time.Duration {
-	if len(tr.Points) < 2 {
-		return 0
-	}
-	return tr.Points[len(tr.Points)-1].T.Sub(tr.Points[0].T)
-}

@@ -65,11 +65,8 @@ func TestTrajectoryLengthSpeed(t *testing.T) {
 	if got := tr.Length(); !almostEq(got, 30) {
 		t.Errorf("Length = %v, want 30", got)
 	}
-	if got := tr.Duration(); got != 10*time.Second {
-		t.Errorf("Duration = %v, want 10s", got)
-	}
 	var empty Trajectory
-	if empty.Length() != 0 || empty.Duration() != 0 {
-		t.Error("empty trajectory should have zero measures")
+	if empty.Length() != 0 {
+		t.Error("empty trajectory should have zero length")
 	}
 }

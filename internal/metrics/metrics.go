@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +46,7 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram records durations in exponential buckets (factor √2 starting at
-// 1µs) and answers percentile queries from the bucket midpoints. Memory is
+// 1µs); Snapshot answers percentiles from the bucket midpoints. Memory is
 // constant; relative error per observation is bounded by the bucket factor
 // (≈ ±19%), ample for latency reporting.
 type Histogram struct {
@@ -124,61 +123,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.count++
 	h.sum += d
-}
-
-// Time runs fn and records its duration.
-func (h *Histogram) Time(fn func()) {
-	start := time.Now()
-	fn()
-	h.Observe(time.Since(start))
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Mean returns the mean observed duration (0 when empty).
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
-}
-
-// Quantile returns the duration at quantile q in [0, 1] (0 when empty). The
-// exact min and max are returned at the extremes.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	target := int64(q * float64(h.count))
-	if target >= h.count {
-		target = h.count - 1
-	}
-	var cum int64
-	for i, c := range h.buckets {
-		cum += c
-		if cum > target {
-			// Bucket midpoints can fall outside the observed range (a single
-			// 1ms sample lands in a bucket whose midpoint is ~1.2ms), so the
-			// estimate is clamped to the exact [min, max] envelope.
-			return clampDur(bucketMid(i), h.min, h.max)
-		}
-	}
-	return h.max
 }
 
 // Snapshot returns a consistent summary.
@@ -266,7 +210,7 @@ func (m *Meter) Mark(n int64) {
 	m.mu.Unlock()
 }
 
-// Rate returns events per second since the window start (or since Reset).
+// Rate returns events per second since the window start.
 func (m *Meter) Rate() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -275,21 +219,6 @@ func (m *Meter) Rate() float64 {
 		return 0
 	}
 	return float64(m.count) / el
-}
-
-// Count returns the events in the current window.
-func (m *Meter) Count() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.count
-}
-
-// Reset zeroes the meter and restarts the window.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	m.count = 0
-	m.start = time.Now()
-	m.mu.Unlock()
 }
 
 // Registry is a named collection of metrics, used by workers to expose their
@@ -373,20 +302,4 @@ type RegistrySnapshot struct {
 	Counters   map[string]int64
 	Gauges     map[string]int64
 	Histograms map[string]HistSnapshot
-}
-
-// Keys returns the sorted union of metric names, for deterministic printing.
-func (s RegistrySnapshot) Keys() []string {
-	keys := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for k := range s.Counters {
-		keys = append(keys, k)
-	}
-	for k := range s.Gauges {
-		keys = append(keys, k)
-	}
-	for k := range s.Histograms {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -182,7 +182,8 @@ func TestHealthAndReadyProbes(t *testing.T) {
 // /readyz and watches it flip as a worker dies and re-registers.
 func TestReadyzTracksClusterMembership(t *testing.T) {
 	opts := core.Options{HeartbeatTimeout: 50 * time.Millisecond}
-	c, err := core.NewLocalCluster(2, nil, opts)
+	faulty := cluster.NewFaulty(cluster.NewInProc(), 1)
+	c, err := core.NewLocalClusterOver(faulty, 2, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +202,7 @@ func TestReadyzTracksClusterMembership(t *testing.T) {
 
 	// Kill one of two workers: quorum (strict majority) is lost.
 	dead := c.Workers[0]
-	inproc := c.Transport.(*cluster.InProc)
-	inproc.SetBlocked(dead.Addr(), true)
+	faulty.SetPartitioned(dead.Addr(), true)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		c.Workers[1].SendHeartbeat(ctx) //nolint:errcheck // best-effort in test loop
@@ -216,7 +216,7 @@ func TestReadyzTracksClusterMembership(t *testing.T) {
 	}
 
 	// The worker comes back and heartbeats: readiness recovers.
-	inproc.SetBlocked(dead.Addr(), false)
+	faulty.SetPartitioned(dead.Addr(), false)
 	if err := dead.SendHeartbeat(ctx); err != nil {
 		t.Fatal(err)
 	}

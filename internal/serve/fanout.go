@@ -210,10 +210,3 @@ func (f *Frontend) unsubscribe(ctx context.Context, m *wire.Unsubscribe) (any, b
 	}
 	return &wire.UnsubscribeAck{Remaining: remaining}, true
 }
-
-// SubscriberCount reports attached subscribers (test hook).
-func (f *Frontend) SubscriberCount() int {
-	f.fmu.Lock()
-	defer f.fmu.Unlock()
-	return len(f.subs)
-}

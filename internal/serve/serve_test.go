@@ -132,8 +132,8 @@ func TestSharedSubscribeDedup(t *testing.T) {
 	if g := gauge(c, "continuous.active"); g != 1 {
 		t.Fatalf("continuous.active = %d, want 1 (dedup broken)", g)
 	}
-	if f.SubscriberCount() != subs {
-		t.Fatalf("subscriber count = %d, want %d", f.SubscriberCount(), subs)
+	if subscriberCount(f) != subs {
+		t.Fatalf("subscriber count = %d, want %d", subscriberCount(f), subs)
 	}
 
 	ingest(t, c, trackedObs(1, 1, geo.Pt(200, 200), time.Unix(100, 0).UTC()))
@@ -167,8 +167,8 @@ func TestSharedSubscribeDedup(t *testing.T) {
 	if g := gauge(c, "continuous.active"); g != 0 {
 		t.Fatalf("continuous.active after teardown = %d, want 0 (leaked install)", g)
 	}
-	if f.SubscriberCount() != 0 {
-		t.Fatalf("subscribers after teardown = %d, want 0", f.SubscriberCount())
+	if subscriberCount(f) != 0 {
+		t.Fatalf("subscribers after teardown = %d, want 0", subscriberCount(f))
 	}
 }
 
@@ -256,8 +256,8 @@ func TestConcurrentFirstSubscribe(t *testing.T) {
 			t.Fatalf("round %d: continuous.active = %d after every unsubscribe, want 0", round, g)
 		}
 	}
-	if f.SubscriberCount() != 0 {
-		t.Fatalf("subscribers after teardown = %d, want 0", f.SubscriberCount())
+	if subscriberCount(f) != 0 {
+		t.Fatalf("subscribers after teardown = %d, want 0", subscriberCount(f))
 	}
 }
 
@@ -604,4 +604,11 @@ func TestServedRangeIsEncodedOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// subscriberCount reports f's attached subscribers.
+func subscriberCount(f *Frontend) int {
+	f.fmu.Lock()
+	defer f.fmu.Unlock()
+	return len(f.subs)
 }

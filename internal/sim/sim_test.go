@@ -47,9 +47,9 @@ func TestWorldDeterminism(t *testing.T) {
 		a.Step()
 		b.Step()
 	}
-	for i := range a.Objects() {
-		if a.Objects()[i].Pos != b.Objects()[i].Pos {
-			t.Fatalf("object %d diverged: %v vs %v", i, a.Objects()[i].Pos, b.Objects()[i].Pos)
+	for i := range a.objects {
+		if a.objects[i].Pos != b.objects[i].Pos {
+			t.Fatalf("object %d diverged: %v vs %v", i, a.objects[i].Pos, b.objects[i].Pos)
 		}
 	}
 	if !a.Now().Equal(b.Now()) {
@@ -68,9 +68,9 @@ func TestLinearModelExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := w.Objects()[0].Pos
+	start := w.objects[0].Pos
 	w.Step()
-	got := w.Objects()[0].Pos
+	got := w.objects[0].Pos
 	wantX := math.Mod(start.X+10-0, 1000)
 	if math.Abs(got.X-wantX) > 1e-9 || got.Y != start.Y {
 		t.Errorf("after 1s: %v, want x=%v", got, wantX)
@@ -93,7 +93,7 @@ func TestObjectsStayInWorldRandomWaypoint(t *testing.T) {
 	grown := world1km().Expand(1e-6)
 	for i := 0; i < 500; i++ {
 		w.Step()
-		for _, o := range w.Objects() {
+		for _, o := range w.objects {
 			if !grown.Contains(o.Pos) {
 				t.Fatalf("tick %d: object %d escaped to %v", i, o.ID, o.Pos)
 			}
@@ -114,7 +114,7 @@ func TestObjectsStayInWorldRoadGrid(t *testing.T) {
 	grown := world1km().Expand(1e-6)
 	for i := 0; i < 500; i++ {
 		w.Step()
-		for _, o := range w.Objects() {
+		for _, o := range w.objects {
 			if !grown.Contains(o.Pos) {
 				t.Fatalf("tick %d: object %d escaped to %v", i, o.ID, o.Pos)
 			}
@@ -142,7 +142,7 @@ func TestRoadGridStaysOnRoads(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		w.Step()
-		for _, o := range w.Objects() {
+		for _, o := range w.objects {
 			if !onRoad(o.Pos) {
 				t.Fatalf("tick %d: object %d off-road at %v", i, o.ID, o.Pos)
 			}
@@ -172,7 +172,7 @@ func TestHotspotSkew(t *testing.T) {
 		if i < 200 {
 			continue
 		}
-		for _, o := range w.Objects() {
+		for _, o := range w.objects {
 			samples++
 			if hot.Contains(o.Pos) {
 				inHot++
@@ -298,8 +298,5 @@ func TestRunLoop(t *testing.T) {
 	}
 	if totalObs != 100 { // 5 objects × 20 ticks, full coverage, no noise
 		t.Errorf("total observations = %d, want 100", totalObs)
-	}
-	if w.Ticks() != 20 {
-		t.Errorf("Ticks = %d", w.Ticks())
 	}
 }

@@ -48,7 +48,6 @@ type World struct {
 	rng     *rand.Rand
 	objects []*Object
 	now     time.Time
-	ticks   int
 	truth   map[uint64]*geo.Trajectory
 }
 
@@ -94,12 +93,6 @@ func NewWorld(cfg Config) (*World, error) {
 // Now returns the current simulated time.
 func (w *World) Now() time.Time { return w.now }
 
-// Ticks returns the number of Steps taken.
-func (w *World) Ticks() int { return w.ticks }
-
-// Objects returns the live objects. Callers must treat them as read-only.
-func (w *World) Objects() []*Object { return w.objects }
-
 // Object returns the object with the given ID, or nil.
 func (w *World) Object(id uint64) *Object {
 	i := int(id) - 1
@@ -113,7 +106,6 @@ func (w *World) Object(id uint64) *Object {
 func (w *World) Step() {
 	dt := w.cfg.Tick.Seconds()
 	w.now = w.now.Add(w.cfg.Tick)
-	w.ticks++
 	for _, o := range w.objects {
 		w.cfg.Model.Step(o, dt, w.rng)
 		if w.cfg.RecordTruth {

@@ -46,7 +46,7 @@ func TestInsertEvictionAtomicity(t *testing.T) {
 					return
 				default:
 				}
-				latest := s.Latest()
+				latest := latestTime(s)
 				if latest.IsZero() {
 					continue
 				}

@@ -114,8 +114,8 @@ func checkOracle(t *testing.T, s *Store, ref linearScan, label string) {
 	if s.Len() != len(ref) {
 		t.Fatalf("%s: Len %d, linear scan %d", label, s.Len(), len(ref))
 	}
-	cs := s.Config().CellSize
-	bw := s.Config().BucketWidth
+	cs := s.cfg.CellSize
+	bw := s.cfg.BucketWidth
 	rng := rand.New(rand.NewSource(int64(len(ref))))
 	pick := func() Record { return ref[rng.Intn(len(ref))] }
 
@@ -184,7 +184,7 @@ func checkOracle(t *testing.T, s *Store, ref linearScan, label string) {
 		}
 	}
 	slices.Sort(ids)
-	if got := s.Targets(); !slices.Equal(got, ids) {
+	if got := targets(s); !slices.Equal(got, ids) {
 		t.Fatalf("%s: Targets %v, linear scan %v", label, got, ids)
 	}
 	for _, id := range ids {

@@ -37,7 +37,7 @@ func TestAnswersIndependentOfReclamationTiming(t *testing.T) {
 	recs := edgeWorkload(rng, 6000, 50, time.Second, 1)
 	dropped, trimmed := 0, 0
 	for i, rec := range recs {
-		if rec.Time.Before(eager.Latest().Add(-retention)) {
+		if rec.Time.Before(latestTime(eager).Add(-retention)) {
 			dropped++
 		}
 		eager.Insert(rec)
@@ -53,7 +53,7 @@ func TestAnswersIndependentOfReclamationTiming(t *testing.T) {
 		if (i+1)%lazyEvery != 0 {
 			continue
 		}
-		cutoff := lazy.Latest().Add(-retention)
+		cutoff := latestTime(lazy).Add(-retention)
 		lazy.EvictBefore(cutoff)
 		if (i+1)%checkEvery != 0 {
 			continue
@@ -69,7 +69,7 @@ func TestAnswersIndependentOfReclamationTiming(t *testing.T) {
 		// frontier in the sealed tier.
 		eager.Seal()
 		lazy.Seal()
-		frontier := eager.Latest().Add(-eagerCfg.SealHorizon)
+		frontier := latestTime(eager).Add(-eagerCfg.SealHorizon)
 		wantSealed, wantTarget := 0, 0
 		for _, r := range ref {
 			if r.Time.Before(frontier) {
@@ -158,7 +158,7 @@ func TestTrimKeepsChunkBytes(t *testing.T) {
 // touches exactly the chunks holding an expired record and no hot cell.
 func TestRetentionTickWorkFollowsExpiry(t *testing.T) {
 	s, st := retentionStore()
-	latest := s.Latest()
+	latest := latestTime(s)
 	visits, n := s.sweepVisits, s.Len()
 	// The cutoff moves 400 ms, short of the oldest tick still live.
 	s.Insert(Record{ObsID: 1 << 40, TargetID: 1, Pos: geo.Pt(10, 10), Time: latest.Add(400 * time.Millisecond)})

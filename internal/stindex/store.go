@@ -154,21 +154,11 @@ func NewStore(cfg Config) *Store {
 	}
 }
 
-// Config returns the effective configuration.
-func (s *Store) Config() Config { return s.cfg }
-
 // Len returns the number of stored records (hot + sealed).
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.n
-}
-
-// Latest returns the most recent record time seen (zero when empty).
-func (s *Store) Latest() time.Time {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.latest
 }
 
 // Gen returns a counter that changes on every mutation (insert, seal,
@@ -833,27 +823,10 @@ func (s *Store) sealedTargetCount(id uint64, scratch *[]hotRecord) int {
 	return n
 }
 
-// Targets returns the IDs with at least one associated record, sorted; a
-// target listed only under chunks that trimmed all its records is omitted.
-func (s *Store) Targets() []uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]uint64, 0, len(s.byTarget)+len(s.targetSealed))
-	for id := range s.byTarget {
-		out = append(out, id)
-	}
-	var scratch []hotRecord
-	for id := range s.targetSealed {
-		if _, hot := s.byTarget[id]; !hot && s.sealedTargetCount(id, &scratch) > 0 {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // EvictBefore removes every record older than cutoff, returning the count
 // (hot and sealed; the per-target index trims alongside).
+//
+//lint:allow testonly the retention property test's reference schedule: explicit eviction beside insert-time retention
 func (s *Store) EvictBefore(cutoff time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -943,17 +916,4 @@ func (q *expiryQueue) Pop() any {
 	old[len(old)-1] = expiry{}
 	*q = old[:len(old)-1]
 	return nil
-}
-
-// CellCount returns the number of spatial cells with data in either tier.
-func (s *Store) CellCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := len(s.cells)
-	for key := range s.sealed {
-		if _, hot := s.cells[key]; !hot {
-			n++
-		}
-	}
-	return n
 }

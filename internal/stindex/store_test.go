@@ -16,6 +16,45 @@ var t0 = time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
 
 func at(d time.Duration) time.Time { return t0.Add(d) }
 
+// latestTime returns the most recent record time s has seen (zero when empty).
+func latestTime(s *Store) time.Time {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.latest
+}
+
+// targets returns the IDs with at least one live record, sorted; a target
+// listed only under chunks that trimmed all its records is omitted.
+func targets(s *Store) []uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]uint64, 0, len(s.byTarget)+len(s.targetSealed))
+	for id := range s.byTarget {
+		out = append(out, id)
+	}
+	var scratch []hotRecord
+	for id := range s.targetSealed {
+		if _, hot := s.byTarget[id]; !hot && s.sealedTargetCount(id, &scratch) > 0 {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// cellCount returns the number of spatial cells with data in either tier.
+func cellCount(s *Store) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := len(s.cells)
+	for key := range s.sealed {
+		if _, hot := s.cells[key]; !hot {
+			n++
+		}
+	}
+	return n
+}
+
 // neverSeal is a seal horizon longer than any test's data span: a store
 // configured with it keeps every record hot, the reference the differential
 // and oracle suites compare the tiered store against.
@@ -61,8 +100,8 @@ func TestStoreInsertAndRange(t *testing.T) {
 	if got := s.RangeQuery(geo.RectOf(0, 0, 100, 100), at(time.Hour), at(0)); len(got) != 0 {
 		t.Errorf("inverted window = %v", got)
 	}
-	if !s.Latest().Equal(at(2 * time.Second)) {
-		t.Errorf("Latest = %v", s.Latest())
+	if !latestTime(s).Equal(at(2 * time.Second)) {
+		t.Errorf("Latest = %v", latestTime(s))
 	}
 }
 
@@ -197,7 +236,7 @@ func TestTargetHistoryAndTrajectory(t *testing.T) {
 	if got := s.TargetHistory(999, at(0), at(time.Hour)); got != nil {
 		t.Errorf("unknown target history = %v", got)
 	}
-	targets := s.Targets()
+	targets := targets(s)
 	if len(targets) != 2 || targets[0] != 7 || targets[1] != 8 {
 		t.Errorf("Targets = %v", targets)
 	}
@@ -244,9 +283,9 @@ func TestStoreEviction(t *testing.T) {
 	}
 	// Evict everything: target map must empty out.
 	s.EvictBefore(at(time.Hour))
-	if s.Len() != 0 || len(s.Targets()) != 0 || s.CellCount() != 0 {
+	if s.Len() != 0 || len(targets(s)) != 0 || cellCount(s) != 0 {
 		t.Errorf("store not empty after full evict: len=%d targets=%v cells=%d",
-			s.Len(), s.Targets(), s.CellCount())
+			s.Len(), targets(s), cellCount(s))
 	}
 }
 

@@ -106,11 +106,11 @@ func checkSummaryConservative(t *testing.T, label string, s *Store, recs []Recor
 	if sum.Records != len(recs) {
 		t.Fatalf("%s: Records = %d, want %d", label, sum.Records, len(recs))
 	}
-	if rem := math.Mod(sum.CellSize, s.Config().CellSize); rem != 0 {
-		t.Fatalf("%s: coarse cell size %v not a multiple of %v", label, sum.CellSize, s.Config().CellSize)
+	if rem := math.Mod(sum.CellSize, s.cfg.CellSize); rem != 0 {
+		t.Fatalf("%s: coarse cell size %v not a multiple of %v", label, sum.CellSize, s.cfg.CellSize)
 	}
-	if sum.BucketWidth%s.Config().BucketWidth != 0 {
-		t.Fatalf("%s: bucket width %v not a multiple of %v", label, sum.BucketWidth, s.Config().BucketWidth)
+	if sum.BucketWidth%s.cfg.BucketWidth != 0 {
+		t.Fatalf("%s: bucket width %v not a multiple of %v", label, sum.BucketWidth, s.cfg.BucketWidth)
 	}
 	cells := make(map[[2]int32]*SummaryCell)
 	var total int64

@@ -67,10 +67,10 @@ func diffBattery(t *testing.T, flat, tiered *Store, label string) {
 	if f, g := flat.Len(), tiered.Len(); f != g {
 		t.Fatalf("%s: Len: flat %d, tiered %d", label, f, g)
 	}
-	if f, g := flat.CellCount(), tiered.CellCount(); f != g {
+	if f, g := cellCount(flat), cellCount(tiered); f != g {
 		t.Fatalf("%s: CellCount: flat %d, tiered %d", label, f, g)
 	}
-	if f, g := flat.Latest(), tiered.Latest(); !f.Equal(g) {
+	if f, g := latestTime(flat), latestTime(tiered); !f.Equal(g) {
 		t.Fatalf("%s: Latest: flat %v, tiered %v", label, f, g)
 	}
 
@@ -117,7 +117,7 @@ func diffBattery(t *testing.T, flat, tiered *Store, label string) {
 	gb := tiered.KNNBounded(geo.Pt(100, 100), lo, hi, 10, 250*250, oddCam)
 	check("knn bounded", dumpNeighbors(fb), dumpNeighbors(gb))
 
-	ft, gt := flat.Targets(), tiered.Targets()
+	ft, gt := targets(flat), targets(tiered)
 	if fmt.Sprint(ft) != fmt.Sprint(gt) {
 		t.Fatalf("%s: Targets: flat %v, tiered %v", label, ft, gt)
 	}
@@ -241,9 +241,9 @@ func TestTieredDifferentialEviction(t *testing.T) {
 	if fr, gr := flat.EvictBefore(at(time.Hour)), tiered.EvictBefore(at(time.Hour)); fr != gr {
 		t.Fatalf("full evict: flat removed %d, tiered removed %d", fr, gr)
 	}
-	if tiered.Len() != 0 || tiered.CellCount() != 0 || len(tiered.Targets()) != 0 {
+	if tiered.Len() != 0 || cellCount(tiered) != 0 || len(targets(tiered)) != 0 {
 		t.Fatalf("tiered store not empty after full evict: len=%d cells=%d targets=%v",
-			tiered.Len(), tiered.CellCount(), tiered.Targets())
+			tiered.Len(), cellCount(tiered), targets(tiered))
 	}
 	if ts := tiered.TierStats(); ts.SealedChunks != 0 || ts.SealedRecords != 0 || ts.SealedBytes != 0 ||
 		ts.IndexBytes != 0 || len(tiered.targetSealed) != 0 {
@@ -381,7 +381,7 @@ func TestTieredConcurrentSmoke(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 150; i++ {
-				latest := tiered.Latest()
+				latest := latestTime(tiered)
 				tiered.Count(world, at(-time.Hour), latest)
 				tiered.RangeQuery(geo.RectOf(0, 0, 300, 300), at(0), latest)
 				tiered.KNN(geo.Pt(float64(g*100), 50), at(0), latest, 5)
@@ -396,7 +396,7 @@ func TestTieredConcurrentSmoke(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
 			tiered.Seal()
-			tiered.EvictBefore(tiered.Latest().Add(-25 * time.Second))
+			tiered.EvictBefore(latestTime(tiered).Add(-25 * time.Second))
 		}
 	}()
 	wg.Wait()
@@ -442,7 +442,7 @@ func TestTieredDifferentialSharedStraddler(t *testing.T) {
 	if n := tiered.TargetCount(early); n != 0 {
 		t.Fatalf("TargetCount(%d) = %d, want 0", early, n)
 	}
-	if ids := tiered.Targets(); slices.Contains(ids, early) {
+	if ids := targets(tiered); slices.Contains(ids, early) {
 		t.Fatalf("Targets() = %v lists target %d", ids, early)
 	}
 	if h := tiered.TargetHistory(early, at(-time.Hour), at(time.Hour)); len(h) != 0 {

@@ -137,17 +137,6 @@ func (b *block) update(row int, f Feature, at int64) {
 	b.seen[row] = max(b.seen[row], at)
 }
 
-// Remove drops an identity, returning whether it existed.
-func (g *Gallery) Remove(id uint64) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	ref, ok := g.index[id]
-	if ok {
-		g.removeRow(ref.b, ref.row)
-	}
-	return ok
-}
-
 // removeRow deletes one row by moving the block's last row into its place.
 func (g *Gallery) removeRow(b *block, row int) {
 	last := len(b.ids) - 1

@@ -13,8 +13,8 @@ import (
 // seeded stream and fails on the first difference. The stream mixes what can
 // make the two disagree: re-sightings whose noise straddles the threshold,
 // identities with identical prototypes (exact score ties, enrolled in both ID
-// orders), zero vectors, probes of a second dimension, and removals (which
-// reorder the dense rows). The dense side goes through AssociateBatch in
+// orders), zero vectors, probes of a second dimension, and retention expiry
+// (whose swap-deletes reorder the dense rows). The dense side goes through AssociateBatch in
 // random cuts, so the batch entry point is covered by the same comparison.
 func assocStream(t *testing.T, seed int64, dim, identities, probes int) {
 	t.Helper()
@@ -25,7 +25,11 @@ func assocStream(t *testing.T, seed int64, dim, identities, probes int) {
 	dense, ref := NewAssociator(threshold), newRefAssociator(threshold)
 
 	var bases []Feature
-	var known []uint64 // every ID either side may hold
+	// seen mirrors the dense side's last-seen times on the reference IDs,
+	// and latest its newest observation time, so expiry can be replayed.
+	seen := map[uint64]int64{}
+	latest := int64(math.MinInt64)
+	observe := func(id uint64, at int64) { seen[id] = max(seen[id], at) }
 	t0 := time.Unix(1_700_000_000, 0)
 	step := 0
 	var pending []Probe
@@ -39,7 +43,8 @@ func assocStream(t *testing.T, seed int64, dim, identities, probes int) {
 			if ids[i] != want {
 				t.Fatalf("seed %d step %d: batch probe %d got id %d, reference %d", seed, step, i, ids[i], want)
 			}
-			known = append(known, want)
+			latest = max(latest, p.At.UnixNano())
+			observe(want, p.At.UnixNano())
 		}
 		pending = pending[:0]
 	}
@@ -52,7 +57,7 @@ func assocStream(t *testing.T, seed int64, dim, identities, probes int) {
 			if id != wantID || matched != wantMatched {
 				t.Fatalf("seed %d step %d: got (%d, %v), reference (%d, %v)", seed, step, id, matched, wantID, wantMatched)
 			}
-			known = append(known, id)
+			observe(id, pinned)
 			return
 		}
 		pending = append(pending, Probe{Feature: f, At: t0.Add(time.Duration(step) * time.Second)})
@@ -107,7 +112,7 @@ func assocStream(t *testing.T, seed int64, dim, identities, probes int) {
 			for _, id := range []uint64{lo, hi} {
 				dense.Gallery().Enroll(id, f)
 				ref.gallery.Enroll(id, f)
-				known = append(known, id)
+				observe(id, pinned)
 			}
 			bases = append(bases, f)
 			associate(f.Clone())
@@ -115,11 +120,28 @@ func assocStream(t *testing.T, seed int64, dim, identities, probes int) {
 			associate(make(Feature, dim))
 		case r < 92: // second dimension, own small population
 			associate(NewRandomFeature(rand.New(rand.NewSource(int64(rng.Intn(8)))), dim+8))
-		case r < 98:
+		case r < 98: // one probe under retention: expire the quiet identities
 			flush()
-			id := known[rng.Intn(len(known))]
-			if got, want := dense.Gallery().Remove(id), ref.gallery.Remove(id); got != want {
-				t.Fatalf("seed %d step %d: Remove(%d) = %v, reference %v", seed, step, id, got, want)
+			step++
+			f := bases[rng.Intn(len(bases))].Perturb(rng, edge)
+			at := t0.Add(time.Duration(step) * time.Second)
+			retention := time.Duration(10+rng.Intn(200)) * time.Second
+			ids, expired := dense.AssociateBatch([]Probe{{Feature: f, At: at}}, retention, nil)
+			latest = max(latest, at.UnixNano())
+			wantExpired := 0
+			for id, last := range seen {
+				if last < latest-int64(retention) {
+					if !ref.gallery.Remove(id) {
+						t.Fatalf("seed %d step %d: reference lost identity %d before it expired", seed, step, id)
+					}
+					delete(seen, id)
+					wantExpired++
+				}
+			}
+			want, _ := ref.Associate(f)
+			observe(want, at.UnixNano())
+			if expired != wantExpired || ids[0] != want {
+				t.Fatalf("seed %d step %d: expired %d, id %d; reference expired %d, id %d", seed, step, expired, ids[0], wantExpired, want)
 			}
 		default:
 			compareMatch(bases[rng.Intn(len(bases))].Perturb(rng, edge))
@@ -420,7 +442,7 @@ func TestAssociatorExpiry(t *testing.T) {
 		if _, err := a.Gallery().Match(resident, 1); err != nil {
 			t.Fatal(err)
 		}
-		if !a.Gallery().Remove(1 << 40) {
+		if _, ok := a.Gallery().index[1<<40]; !ok {
 			t.Errorf("identity enrolled without an observation time was expired")
 		}
 		return ids, peak, expired

@@ -265,21 +265,6 @@ func TestGalleryEnrollAveraging(t *testing.T) {
 	}
 }
 
-func TestGalleryRemove(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	g := NewGallery()
-	g.Enroll(1, NewRandomFeature(rng, 16))
-	if !g.Remove(1) {
-		t.Fatal("remove failed")
-	}
-	if g.Remove(1) {
-		t.Fatal("double remove succeeded")
-	}
-	if g.Len() != 0 {
-		t.Fatal("gallery not empty")
-	}
-}
-
 func TestAssociator(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := NewAssociator(0.7)

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Pooled encode/read scratch buffers. Every hot path that moves a message —
 // the TCP writer, the TCP reader, the in-proc wire-format round-trip —
@@ -31,24 +28,14 @@ type Buf struct {
 
 var bufPool sync.Pool
 
-// Pool hit-rate accounting: borrows counts BorrowBuf calls, misses counts the
-// ones the pool could not serve (a fresh allocation). Their difference is the
-// hit count; under steady load borrows grows while misses stays flat.
-var (
-	poolBorrows atomic.Uint64
-	poolMisses  atomic.Uint64
-)
-
 // BorrowBuf returns an empty buffer from the pool (length 0, capacity
 // whatever its previous life grew it to). Release it when done.
 func BorrowBuf() *Buf {
-	poolBorrows.Add(1)
 	if v := bufPool.Get(); v != nil {
 		b := v.(*Buf)
 		b.B = b.B[:0]
 		return b
 	}
-	poolMisses.Add(1)
 	return &Buf{B: make([]byte, 0, 4096)}
 }
 
@@ -71,11 +58,4 @@ func (b *Buf) Release() {
 		return
 	}
 	bufPool.Put(b)
-}
-
-// PoolStats reports the encode-pool hit accounting: total borrows and the
-// subset that missed the pool (allocated fresh). Exposed so load tests can
-// assert the pool is actually serving traffic.
-func PoolStats() (borrows, misses uint64) {
-	return poolBorrows.Load(), poolMisses.Load()
 }

@@ -109,7 +109,6 @@ func TestPoolMutateAfterReleaseIsIsolated(t *testing.T) {
 func TestPoolConcurrentEncodeDecode(t *testing.T) {
 	const lanes = 8
 	const iters = 400
-	borrows0, misses0 := PoolStats()
 	var wg sync.WaitGroup
 	errs := make(chan error, lanes)
 	for lane := 0; lane < lanes; lane++ {
@@ -152,17 +151,21 @@ func TestPoolConcurrentEncodeDecode(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	borrows1, misses1 := PoolStats()
-	borrowDelta := borrows1 - borrows0
-	missDelta := misses1 - misses0
-	if borrowDelta < lanes*iters {
-		t.Fatalf("pool borrow counter did not move under load: delta %d, want >= %d", borrowDelta, lanes*iters)
-	}
-	// The pool must actually serve traffic: under sustained load the hit
-	// count (borrows - misses) dominates. GC may drop pooled buffers, so the
-	// bound is deliberately loose.
-	if hits := borrowDelta - missDelta; hits < borrowDelta/2 {
-		t.Fatalf("pool is not recycling: %d hits out of %d borrows", hits, borrowDelta)
+}
+
+// TestPoolServesBorrows: a borrow/append/release loop runs on recycled
+// buffers. A pool that served nothing would allocate a Buf and its 4 KiB
+// array on every borrow; GC and the race detector drop some pooled buffers,
+// so the bound is deliberately loose.
+func TestPoolServesBorrows(t *testing.T) {
+	frame := []byte("pooled frame")
+	allocs := testing.AllocsPerRun(1000, func() {
+		b := BorrowBuf()
+		b.B = append(b.B, frame...)
+		b.Release()
+	})
+	if allocs >= 1 {
+		t.Fatalf("pool is not recycling: %.2f allocations per borrow", allocs)
 	}
 }
 

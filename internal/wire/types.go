@@ -231,11 +231,6 @@ type TimeWindow struct {
 	From, To time.Time
 }
 
-// Contains reports whether t falls inside the window.
-func (w TimeWindow) Contains(t time.Time) bool {
-	return !t.Before(w.From) && !t.After(w.To)
-}
-
 // RangeQuery asks for observations in a rectangle and time window.
 type RangeQuery struct {
 	QueryID uint64

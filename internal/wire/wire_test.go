@@ -177,16 +177,6 @@ func TestMarshalUnknownPayload(t *testing.T) {
 	}
 }
 
-func TestTimeWindowContains(t *testing.T) {
-	w := TimeWindow{From: t0, To: t0.Add(time.Minute)}
-	if !w.Contains(t0) || !w.Contains(t0.Add(time.Minute)) || !w.Contains(t0.Add(30*time.Second)) {
-		t.Error("window should be boundary-inclusive")
-	}
-	if w.Contains(t0.Add(-time.Nanosecond)) || w.Contains(t0.Add(time.Minute+time.Nanosecond)) {
-		t.Error("window contains out-of-range instants")
-	}
-}
-
 func TestTimestampPrecision(t *testing.T) {
 	// Nanosecond precision must survive the round trip.
 	msg := &TrackUpdate{TrackID: 1, Time: time.Unix(1234567890, 987654321).UTC()}
