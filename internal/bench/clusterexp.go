@@ -278,7 +278,8 @@ func R10Crossover(s Scale) *Table {
 
 // withLatency returns an in-process transport on which every call to the
 // coordinator ("coord") or to one of the workers worker-01 … worker-NN waits
-// oneWay out and oneWay back: one injected delay of 2·oneWay per call.
+// oneWay out and oneWay back: one injected delay of 2·oneWay per call, which
+// lasts at least the host's timer floor (see cluster.FaultProgram.Latency).
 func withLatency(oneWay time.Duration, workers int) *cluster.Faulty {
 	f := cluster.NewFaulty(cluster.NewInProc(), 1)
 	p := cluster.FaultProgram{Latency: 2 * oneWay}

@@ -193,7 +193,8 @@ func chunkDetections(batches [][]vision.Detection, size int) [][]vision.Detectio
 // rpcLatency models one LAN round trip per ingest RPC. Over the raw in-proc
 // transport a call is a function invocation and coalescing has nothing to
 // amortize; a fixed per-call delay restores the cost structure the pipeline
-// exists for (and that a TCP deployment pays on every Call).
+// exists for (and that a TCP deployment pays on every Call). Each call's wait
+// lasts the host's timer floor, not 200 µs (see cluster.FaultProgram.Latency).
 const rpcLatency = 200 * time.Microsecond
 
 // runFramedIngest feeds pre-framed detections through a fresh cluster at

@@ -21,6 +21,8 @@ import (
 // heavy read traffic. One cluster runs over an in-proc transport with a fixed
 // simulated per-message latency, so every ratio below is dominated by message
 // counts — the quantity the serving plane actually changes — not host speed.
+// r21Latency is nominal: each call's wait lasts the host's timer floor (see
+// withLatency).
 // Headline columns feeding the CI gate (all on the "shared" row; the
 // "per-sub" baseline row carries "-" in gated cells):
 //

@@ -25,6 +25,9 @@ type FaultProgram struct {
 	// duplicate's response is discarded. Exercises at-least-once semantics.
 	Duplicate float64
 	// Latency delays every call; Jitter adds a uniform [0, Jitter) extra.
+	// The delay is one timer wait, so it lasts at least the host's timer
+	// floor: on a 2-core Linux host a 200 µs or 400 µs wait reads a p50 of
+	// about 1.1 ms.
 	Latency time.Duration
 	Jitter  time.Duration
 	// Partition fails every call to this address fast with ErrUnreachable.

@@ -53,11 +53,13 @@ type Coordinator struct {
 	// gateway is the optional serving-plane front end (see gateway.go).
 	gateway atomic.Pointer[gatewaySlot]
 
+	// table is the current route table (see routes.go): loaded without a
+	// lock, replaced only under mu.
+	table atomic.Pointer[routeTable]
+
+	// mu guards continuous and tracks, and is held across each route-table
+	// publish.
 	mu         sync.Mutex
-	epoch      uint64
-	assignment cluster.Assignment
-	replicas   map[uint32][]wire.NodeID
-	camInfos   map[uint32]wire.CameraInfo
 	continuous map[uint64]*coordContinuous
 	tracks     map[uint64]*coordTrack
 
@@ -109,9 +111,6 @@ func NewCoordinator(addr string, transport cluster.Transport, p cluster.Partitio
 		partitioner: p,
 		network:     camera.NewNetwork(),
 		stopCh:      make(chan struct{}),
-		assignment:  make(cluster.Assignment),
-		replicas:    make(map[uint32][]wire.NodeID),
-		camInfos:    make(map[uint32]wire.CameraInfo),
 		continuous:  make(map[uint64]*coordContinuous),
 		tracks:      make(map[uint64]*coordTrack),
 		summaries:   make(map[wire.NodeID]nodeSummary),
@@ -134,6 +133,7 @@ func NewCoordinator(addr string, transport cluster.Transport, p cluster.Partitio
 			commitCh: make(chan struct{}),
 		}
 	}
+	c.table.Store(&routeTable{})
 	c.ingest = NewIngester(c, c.rpc)
 	c.ingest.lanes = proxyLanes
 	return c
@@ -193,13 +193,6 @@ func (c *Coordinator) Network() *camera.Network { return c.network }
 
 // Metrics exposes the coordinator's instrumentation.
 func (c *Coordinator) Metrics() *metrics.Registry { return c.reg }
-
-// Epoch returns the current assignment epoch.
-func (c *Coordinator) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
 
 // handle dispatches inbound RPCs: worker control traffic, plus the
 // client-facing query surface (remote clients send the same query messages a
@@ -369,222 +362,10 @@ func (c *Coordinator) proxyIngest(ctx context.Context, m *wire.IngestBatch) (any
 	return &ack, nil
 }
 
-// --- camera management -----------------------------------------------------
-
-// AddCameras registers cameras, reseeds geometric vision-graph edges within
-// maxGap, recomputes the partition over live workers, and pushes assignments.
-func (c *Coordinator) AddCameras(ctx context.Context, infos []wire.CameraInfo, maxGap float64) error {
-	for _, ci := range infos {
-		c.network.Add(camera.New(camera.ID(ci.ID), ci.Pos, ci.Orient, ci.HalfFOV, ci.Range))
-	}
-	c.network.SeedGeometricEdges(maxGap)
-	c.network.BuildIndex(0)
-	c.mu.Lock()
-	for _, ci := range infos {
-		c.camInfos[ci.ID] = ci
-	}
-	c.mu.Unlock()
-	if !c.haAppendWait(c.Epoch(), wire.ControlRecord{Op: wire.OpCameras, Cameras: infos}) {
-		return fmt.Errorf("core: add cameras: %w", ErrNotCommitted)
-	}
-	return c.Reassign(ctx)
-}
-
-// Reassign recomputes the camera partition over the currently live workers
-// and pushes it, bumping the epoch. Continuous queries are reinstalled on the
-// new owners.
-func (c *Coordinator) Reassign(ctx context.Context) error {
-	alive := c.membership.Alive()
-	if len(alive) == 0 {
-		return errNoLiveWorkers
-	}
-	nodes := make([]wire.NodeID, len(alive))
-	addrByNode := make(map[wire.NodeID]string, len(alive))
-	for i, m := range alive {
-		nodes[i] = m.Node
-		addrByNode[m.Node] = m.Addr
-	}
-
-	c.mu.Lock()
-	cams := make([]wire.CameraInfo, 0, len(c.camInfos))
-	for _, ci := range c.camInfos {
-		cams = append(cams, ci)
-	}
-	sort.Slice(cams, func(i, j int) bool { return cams[i].ID < cams[j].ID })
-	c.epoch++
-	epoch := c.epoch
-	proposed := c.partitioner.Partition(cams, nodes)
-	aliveSet := make(map[wire.NodeID]bool, len(nodes))
-	for _, n := range nodes {
-		aliveSet[n] = true
-	}
-	// Stability-first assignment: a camera stays with its live owner (its
-	// history lives there); a camera whose owner died is promoted to a live
-	// replica holder when one exists (standby history becomes authoritative);
-	// only otherwise does the partitioner's fresh proposal apply.
-	assignment := make(cluster.Assignment, len(cams))
-	for _, ci := range cams {
-		switch {
-		case aliveSet[c.assignment[ci.ID]]:
-			assignment[ci.ID] = c.assignment[ci.ID]
-		case c.promotableReplicaLocked(ci.ID, aliveSet) != "":
-			assignment[ci.ID] = c.promotableReplicaLocked(ci.ID, aliveSet)
-		default:
-			assignment[ci.ID] = proposed[ci.ID]
-		}
-	}
-	c.assignment = assignment
-	c.replicas = replicaPlacement(cams, nodes, assignment, c.opts.Replicas)
-	camsByNode := make(map[wire.NodeID][]wire.CameraInfo)
-	replicasByNode := make(map[wire.NodeID][]wire.CameraInfo)
-	for _, ci := range cams {
-		n := assignment[ci.ID]
-		camsByNode[n] = append(camsByNode[n], ci)
-		for _, rn := range c.replicas[ci.ID] {
-			replicasByNode[rn] = append(replicasByNode[rn], ci)
-		}
-	}
-	// Continuous queries to reinstall.
-	conts := make([]*coordContinuous, 0, len(c.continuous))
-	for _, cc := range c.continuous {
-		conts = append(conts, cc)
-	}
-	assignRec := c.assignRecordLocked()
-	c.mu.Unlock()
-	// The new assignment must be majority-durable before any worker acts on
-	// it: a minority-partitioned leader pushing an epoch a failover forgets
-	// would leave workers fenced on an epoch no future leader knows.
-	if !c.haAppendWait(epoch, assignRec) {
-		return fmt.Errorf("core: reassign to epoch %d: %w", epoch, ErrNotCommitted)
-	}
-
-	var firstErr error
-	for _, n := range nodes {
-		msg := &wire.AssignCameras{Epoch: epoch, Cameras: camsByNode[n], Replicas: replicasByNode[n]}
-		if _, err := c.rpc.Call(ctx, addrByNode[n], msg); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: assign to %s: %w", n, err)
-		}
-	}
-	// Reinstall continuous queries on the owners under the new assignment.
-	for _, cc := range conts {
-		c.installContinuousOnWorkers(ctx, cc)
-	}
-	c.reg.Counter("assignments.pushed").Inc()
-	return firstErr
-}
-
-// Assignment returns a copy of the current camera→worker map.
-func (c *Coordinator) Assignment() cluster.Assignment {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(cluster.Assignment, len(c.assignment))
-	for k, v := range c.assignment {
-		out[k] = v
-	}
-	return out
-}
-
-// promotableReplicaLocked returns a live replica holder for a camera, or ""
-// when none exists. Caller holds c.mu.
-func (c *Coordinator) promotableReplicaLocked(cam uint32, alive map[wire.NodeID]bool) wire.NodeID {
-	for _, n := range c.replicas[cam] {
-		if alive[n] {
-			return n
-		}
-	}
-	return ""
-}
-
-// replicaPlacement chooses, per camera, `count` standby nodes distinct from
-// the primary, by rendezvous hashing — stable placement under membership
-// churn, deterministic across coordinator restarts.
-func replicaPlacement(cams []wire.CameraInfo, nodes []wire.NodeID, primary cluster.Assignment, count int) map[uint32][]wire.NodeID {
-	out := make(map[uint32][]wire.NodeID, len(cams))
-	if count <= 0 || len(nodes) < 2 {
-		return out
-	}
-	if count > len(nodes)-1 {
-		count = len(nodes) - 1
-	}
-	for _, ci := range cams {
-		type scored struct {
-			node  wire.NodeID
-			score uint64
-		}
-		cands := make([]scored, 0, len(nodes))
-		for _, n := range nodes {
-			if n == primary[ci.ID] {
-				continue
-			}
-			cands = append(cands, scored{n, cluster.RendezvousScore(ci.ID, n)})
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].score != cands[j].score {
-				return cands[i].score > cands[j].score
-			}
-			return cands[i].node < cands[j].node
-		})
-		picked := make([]wire.NodeID, 0, count)
-		for i := 0; i < count && i < len(cands); i++ {
-			picked = append(picked, cands[i].node)
-		}
-		out[ci.ID] = picked
-	}
-	return out
-}
-
-// RoutesFor returns the serve addresses of every worker that should receive a
-// camera's stream: the primary first, then any replicas. Used by ingest
-// drivers when replication is enabled.
-func (c *Coordinator) RoutesFor(cam uint32) []string {
-	c.mu.Lock()
-	nodes := make([]wire.NodeID, 0, 1+len(c.replicas[cam]))
-	if n, ok := c.assignment[cam]; ok {
-		nodes = append(nodes, n)
-	}
-	nodes = append(nodes, c.replicas[cam]...)
-	c.mu.Unlock()
-	var out []string
-	for _, n := range nodes {
-		if m, ok := c.membership.Get(n); ok && m.Alive {
-			out = append(out, m.Addr)
-		}
-	}
-	return out
-}
-
-// RouteFor returns the serve address of the worker owning a camera.
-func (c *Coordinator) RouteFor(cam uint32) (string, bool) {
-	c.mu.Lock()
-	node, ok := c.assignment[cam]
-	c.mu.Unlock()
-	if !ok {
-		return "", false
-	}
-	m, ok := c.membership.Get(node)
-	if !ok || !m.Alive {
-		return "", false
-	}
-	return m.Addr, true
-}
-
 // --- queries ----------------------------------------------------------------
 
-// workersFor returns the serve addresses of live workers owning cameras whose
-// FOV could have produced observations in r (grown by the routing slack).
-func (c *Coordinator) workersFor(r geo.Rect) []string {
-	return addrsOfTargets(c.targetsFor(r))
-}
-
-// allWorkers returns every live worker address.
-func (c *Coordinator) allWorkers() []string {
-	alive := c.membership.Alive()
-	out := make([]string, len(alive))
-	for i, m := range alive {
-		out[i] = m.Addr
-	}
-	return out
-}
+// allWorkers returns every live worker address, sorted.
+func (c *Coordinator) allWorkers() []string { return addrsOfTargets(c.allTargets()) }
 
 // Range runs a distributed spatio-temporal range query and merges the
 // results (time order, ObsID tie-break). It is the one place a range answer
@@ -611,8 +392,8 @@ func (c *Coordinator) RangeMeta(ctx context.Context, rect geo.Rect, window wire.
 	start := c.now()
 	defer func() { c.reg.Histogram("query.range").Observe(c.now().Sub(start)) }()
 	q := &wire.RangeQuery{QueryID: c.nextQueryID.Add(1), Rect: rect, Window: window, Limit: limit}
-	targets, pruned := c.pruneTargets(c.targetsFor(rect), rect, window)
-	resps, meta := c.scatter(ctx, addrsOfTargets(targets), q)
+	addrs, pruned := c.queryTargets(rect, window)
+	resps, meta := c.scatter(ctx, addrs, q)
 	meta.Pruned = pruned
 	parts := make([]*wire.RecordBlock, 0, len(resps))
 	for _, resp := range resps {
@@ -651,8 +432,8 @@ func (c *Coordinator) Count(ctx context.Context, rect geo.Rect, window wire.Time
 // 1.0 means the total undercounts (some workers never answered).
 func (c *Coordinator) CountMeta(ctx context.Context, rect geo.Rect, window wire.TimeWindow) (int, QueryMeta, error) {
 	q := &wire.CountQuery{QueryID: c.nextQueryID.Add(1), Rect: rect, Window: window}
-	targets, pruned := c.pruneTargets(c.targetsFor(rect), rect, window)
-	resps, meta := c.scatter(ctx, addrsOfTargets(targets), q)
+	addrs, pruned := c.queryTargets(rect, window)
+	resps, meta := c.scatter(ctx, addrs, q)
 	meta.Pruned = pruned
 	total := 0
 	for _, resp := range resps {
@@ -672,8 +453,8 @@ func (c *Coordinator) Filter(ctx context.Context, q wire.FilterQuery) ([]wire.Re
 	q.QueryID = c.nextQueryID.Add(1)
 	var merged []wire.ResultRecord
 	plans := make(map[string]int)
-	targets, pruned := c.pruneTargets(c.targetsFor(q.Rect), q.Rect, q.Window)
-	resps, meta := c.scatter(ctx, addrsOfTargets(targets), &q)
+	addrs, pruned := c.queryTargets(q.Rect, q.Window)
+	resps, meta := c.scatter(ctx, addrs, &q)
 	meta.Pruned = pruned
 	for _, resp := range resps {
 		if fr, ok := resp.(*wire.FilterResult); ok {
@@ -710,8 +491,8 @@ func (c *Coordinator) HeatmapMeta(ctx context.Context, rect geo.Rect, window wir
 	}
 	q := &wire.HeatmapQuery{QueryID: c.nextQueryID.Add(1), Rect: rect, Window: window, CellSize: cellSize}
 	acc := make(map[[2]int32]int64)
-	targets, pruned := c.pruneTargets(c.targetsFor(rect), rect, window)
-	resps, meta := c.scatter(ctx, addrsOfTargets(targets), q)
+	addrs, pruned := c.queryTargets(rect, window)
+	resps, meta := c.scatter(ctx, addrs, q)
 	meta.Pruned = pruned
 	for _, resp := range resps {
 		hr, ok := resp.(*wire.HeatmapResult)
@@ -822,7 +603,7 @@ func (c *Coordinator) InstallContinuous(ctx context.Context, kind wire.Continuou
 }
 
 func (c *Coordinator) installContinuousOnWorkers(ctx context.Context, cc *coordContinuous) {
-	addrs := c.workersFor(cc.install.Rect)
+	addrs := addrsOfTargets(c.targetsFor(c.table.Load(), cc.install.Rect))
 	for _, addr := range addrs {
 		if _, err := c.rpc.Call(ctx, addr, &cc.install); err != nil {
 			c.reg.Counter("continuous.install_errors").Inc()
@@ -871,21 +652,22 @@ func (c *Coordinator) onContinuousUpdate(m *wire.ContinuousUpdate) {
 // StartTrack begins cross-camera tracking of a target sighted at the given
 // camera with the given appearance. Updates stream on the returned channel.
 func (c *Coordinator) StartTrack(ctx context.Context, cam uint32, feature []float32, at time.Time) (uint64, <-chan wire.TrackUpdate, error) {
-	addr, ok := c.RouteFor(cam)
+	// The owner recorded and the address the TrackStart goes to come from
+	// one route table, so a concurrent publish cannot split them.
+	node, addr, ok := c.liveOwner(cam)
 	if !ok {
 		return 0, nil, fmt.Errorf("core: camera %d has no live owner", cam)
 	}
 	id := c.nextTrackID.Add(1)
 	tr := &coordTrack{
 		trackID:    id,
+		owner:      node,
 		lastCamera: cam,
 		feature:    feature,
 		lastSeen:   at,
 		ch:         make(chan wire.TrackUpdate, 1024),
 	}
 	c.mu.Lock()
-	node := c.assignment[cam]
-	tr.owner = node
 	c.tracks[id] = tr
 	c.mu.Unlock()
 	if _, err := c.rpc.Call(ctx, addr, &wire.TrackStart{TrackID: id, Camera: cam, Feature: feature, Time: at}); err != nil {
@@ -1000,11 +782,11 @@ func (c *Coordinator) cancelPrimes(ctx context.Context, trackID uint64, nodes []
 		if n == keep {
 			continue
 		}
-		mem, ok := c.membership.Get(n)
-		if !ok || !mem.Alive {
+		addr, ok := c.liveAddr(n)
+		if !ok {
 			continue
 		}
-		if _, err := c.rpc.Call(ctx, mem.Addr, &wire.TrackStop{TrackID: trackID}); err != nil {
+		if _, err := c.rpc.Call(ctx, addr, &wire.TrackStop{TrackID: trackID}); err != nil {
 			c.reg.Counter("handoff.prime_cancel_errors").Inc()
 		} else {
 			c.reg.Counter("handoff.primes_canceled").Inc()
@@ -1047,14 +829,13 @@ func (c *Coordinator) beginHandoff(m *wire.TrackHandoff) {
 		return
 	}
 	// Group prime targets by owning worker.
-	c.mu.Lock()
+	rt := c.table.Load()
 	byNode := make(map[wire.NodeID][]uint32)
 	for _, cid := range camIDs {
-		if n, ok := c.assignment[cid]; ok {
+		if n, ok := rt.owner(cid); ok {
 			byNode[n] = append(byNode[n], cid)
 		}
 	}
-	c.mu.Unlock()
 	prime := &wire.TrackPrime{
 		TrackID: m.TrackID,
 		Feature: tr.feature,
@@ -1063,13 +844,13 @@ func (c *Coordinator) beginHandoff(m *wire.TrackHandoff) {
 	ctx := context.Background()
 	var primed []wire.NodeID
 	for node, cams := range byNode {
-		mem, ok := c.membership.Get(node)
-		if !ok || !mem.Alive {
+		addr, ok := c.liveAddr(node)
+		if !ok {
 			continue
 		}
 		p := *prime
 		p.Cameras = cams
-		if _, err := c.rpc.Call(ctx, mem.Addr, &p); err != nil {
+		if _, err := c.rpc.Call(ctx, addr, &p); err != nil {
 			c.reg.Counter("handoff.prime_errors").Inc()
 		} else {
 			c.reg.Counter("handoff.primes_sent").Inc()
@@ -1091,6 +872,7 @@ func (c *Coordinator) beginHandoff(m *wire.TrackHandoff) {
 }
 
 func (c *Coordinator) completeHandoff(m *wire.TrackHandoff) {
+	rt := c.table.Load()
 	c.mu.Lock()
 	tr, ok := c.tracks[m.TrackID]
 	var prevOwner, newOwner wire.NodeID
@@ -1101,7 +883,7 @@ func (c *Coordinator) completeHandoff(m *wire.TrackHandoff) {
 		prevOwner = tr.owner
 		prevCamera = tr.lastCamera
 		prevSeen = tr.lastSeen
-		if n, k := c.assignment[m.ToCamera]; k {
+		if n, k := rt.owner(m.ToCamera); k {
 			newOwner = n
 			tr.owner = n
 		}
@@ -1141,8 +923,8 @@ func (c *Coordinator) completeHandoff(m *wire.TrackHandoff) {
 	}
 	// Stop the previous owner's resident copy when ownership moved.
 	if prevOwner != "" && prevOwner != newOwner {
-		if mem, k := c.membership.Get(prevOwner); k && mem.Alive {
-			c.rpc.Call(context.Background(), mem.Addr, &wire.TrackStop{TrackID: m.TrackID}) //nolint:errcheck // best-effort
+		if addr, k := c.liveAddr(prevOwner); k {
+			c.rpc.Call(context.Background(), addr, &wire.TrackStop{TrackID: m.TrackID}) //nolint:errcheck // best-effort
 		}
 	}
 	// Revoke the losing primes (the claimant consumed its own on claim).
@@ -1175,8 +957,7 @@ func (c *Coordinator) Sweep(ctx context.Context, now time.Time) []cluster.Member
 	// the recovery RPC goes to exactly the snapshotted node, and the
 	// ownership commit re-validates the epoch so a Reassign racing the pass
 	// invalidates the commit instead of recording an owner read from a
-	// superseded assignment (the old code re-read c.assignment after the
-	// RPC, which could disagree with the address the RPC went to).
+	// superseded assignment.
 	aliveMembers := c.membership.Alive()
 	alive := make(map[wire.NodeID]bool, len(aliveMembers))
 	addrOf := make(map[wire.NodeID]string, len(aliveMembers))
@@ -1190,14 +971,14 @@ func (c *Coordinator) Sweep(ctx context.Context, now time.Time) []cluster.Member
 		addr string
 		msg  *wire.TrackStart
 	}
+	rt := c.table.Load()
 	c.mu.Lock()
-	epoch := c.epoch
 	var plans []orphanPlan
 	for _, tr := range c.tracks {
 		if alive[tr.owner] {
 			continue
 		}
-		node, ok := c.assignment[tr.lastCamera]
+		node, ok := rt.owner(tr.lastCamera)
 		if !ok || !alive[node] {
 			continue
 		}
@@ -1221,7 +1002,7 @@ func (c *Coordinator) Sweep(ctx context.Context, now time.Time) []cluster.Member
 		var rec wire.ControlRecord
 		committed := false
 		c.mu.Lock()
-		if c.tracks[p.tr.trackID] == p.tr && c.epoch == epoch {
+		if c.tracks[p.tr.trackID] == p.tr && c.table.Load().epoch == rt.epoch {
 			p.tr.owner = p.node
 			rec = trackRecordOf(p.tr)
 			committed = true
@@ -1231,7 +1012,7 @@ func (c *Coordinator) Sweep(ctx context.Context, now time.Time) []cluster.Member
 			// Async like the handoff path: the recovery is leader-internal
 			// (no client to ack), and a record lost to failover just means
 			// the next leader's sweep recovers the same orphan again.
-			c.haAppend(epoch, rec)
+			c.haAppend(rt.epoch, rec)
 			c.reg.Counter("tracks.recovered").Inc()
 		}
 	}

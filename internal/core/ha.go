@@ -248,15 +248,16 @@ func (c *Coordinator) haWaitCommitted(idx uint64) bool {
 	}
 }
 
-// assignRecordLocked snapshots the full camera→worker assignment (plus
-// replicas) as one OpAssign record. Caller holds c.mu.
-func (c *Coordinator) assignRecordLocked() wire.ControlRecord {
-	rec := wire.ControlRecord{Op: wire.OpAssign}
-	rec.Assign = make([]wire.AssignEntry, 0, len(c.assignment))
-	for cam, node := range c.assignment {
-		e := wire.AssignEntry{Camera: cam, Node: node}
-		if reps := c.replicas[cam]; len(reps) > 0 {
-			e.Replicas = append([]wire.NodeID(nil), reps...)
+// assignRecordOf snapshots a route table's camera→worker assignment (plus
+// replicas) as one OpAssign record. The record shares the table's slices,
+// which are never mutated.
+func assignRecordOf(rt *routeTable) wire.ControlRecord {
+	rec := wire.ControlRecord{Op: wire.OpAssign, Epoch: rt.epoch}
+	rec.Assign = make([]wire.AssignEntry, 0, len(rt.nodes))
+	for cam, ns := range rt.nodes {
+		e := wire.AssignEntry{Camera: cam, Node: ns[0]}
+		if len(ns) > 1 {
+			e.Replicas = ns[1:]
 		}
 		rec.Assign = append(rec.Assign, e)
 	}
@@ -281,25 +282,19 @@ func trackRecordOf(tr *coordTrack) wire.ControlRecord {
 // or c.mu.
 func (c *Coordinator) snapshotRecords() []wire.ControlRecord {
 	members := c.membership.All()
-	c.mu.Lock()
-	epoch := c.epoch
+	rt := c.table.Load()
+	epoch := rt.epoch
 	var recs []wire.ControlRecord
-	if len(c.camInfos) > 0 {
-		cams := make([]wire.CameraInfo, 0, len(c.camInfos))
-		for _, ci := range c.camInfos {
-			cams = append(cams, ci)
-		}
-		sort.Slice(cams, func(i, j int) bool { return cams[i].ID < cams[j].ID })
-		recs = append(recs, wire.ControlRecord{Epoch: epoch, Op: wire.OpCameras, Cameras: cams})
+	if len(rt.cams) > 0 {
+		recs = append(recs, wire.ControlRecord{Epoch: epoch, Op: wire.OpCameras, Cameras: rt.sortedCams()})
 	}
 	for _, m := range members {
 		recs = append(recs, wire.ControlRecord{Epoch: epoch, Op: wire.OpMember, Member: wire.MemberRecord{
 			Node: m.Node, Addr: m.Addr, Capacity: m.Capacity,
 		}})
 	}
-	ar := c.assignRecordLocked()
-	ar.Epoch = epoch
-	recs = append(recs, ar)
+	recs = append(recs, assignRecordOf(rt))
+	c.mu.Lock()
 	for _, tr := range c.tracks {
 		tr := trackRecordOf(tr)
 		tr.Epoch = epoch
@@ -620,23 +615,16 @@ func (c *Coordinator) applyRecord(rec *wire.ControlRecord) {
 		c.network.SeedGeometricEdges(routeSlack)
 		c.network.BuildIndex(0)
 		c.mu.Lock()
-		for _, ci := range rec.Cameras {
-			c.camInfos[ci.ID] = ci
-		}
+		c.table.Store(c.table.Load().withCameras(rec.Cameras))
 		c.mu.Unlock()
 	case wire.OpAssign:
-		c.mu.Lock()
-		c.assignment = make(cluster.Assignment, len(rec.Assign))
-		c.replicas = make(map[uint32][]wire.NodeID)
+		nodes := make(map[uint32][]wire.NodeID, len(rec.Assign))
 		for _, e := range rec.Assign {
-			c.assignment[e.Camera] = e.Node
-			if len(e.Replicas) > 0 {
-				c.replicas[e.Camera] = append([]wire.NodeID(nil), e.Replicas...)
-			}
+			nodes[e.Camera] = append([]wire.NodeID{e.Node}, e.Replicas...)
 		}
-		if rec.Epoch > c.epoch {
-			c.epoch = rec.Epoch
-		}
+		c.mu.Lock()
+		prev := c.table.Load()
+		c.table.Store(&routeTable{epoch: max(prev.epoch, rec.Epoch), cams: prev.cams, nodes: nodes})
 		c.mu.Unlock()
 	case wire.OpMember:
 		c.membership.Register(&wire.Register{
@@ -799,7 +787,9 @@ func (c *Coordinator) becomeLeader() {
 			// already bumped and journaled the epoch — bumping again would
 			// desynchronize the in-memory epoch from the journaled one.
 			c.mu.Lock()
-			c.epoch++
+			next := *c.table.Load()
+			next.epoch++
+			c.table.Store(&next)
 			c.mu.Unlock()
 		}
 		c.reg.Counter("ha.promote_reassign_errors").Inc()

@@ -55,10 +55,10 @@ var (
 	}()
 )
 
-// Ingester routes observations to the workers owning their cameras, caching
-// the routing table per epoch. It stands in for the per-camera feed
-// processes of a real deployment, and the coordinator's ingest proxy
-// delivers through one.
+// Ingester routes observations to the workers owning their cameras, by the
+// coordinator's current route table; it keeps no routing state of its own.
+// It stands in for the per-camera feed processes of a real deployment, and
+// the coordinator's ingest proxy delivers through one.
 //
 // Each frame's observations are coalesced into one multi-camera batch per
 // destination worker, and a persistent sender lane per worker delivers
@@ -71,9 +71,6 @@ type Ingester struct {
 	opts      IngesterOptions
 
 	mu      sync.Mutex
-	epoch   uint64              // assignment epoch the route cache reflects
-	routes  map[uint32][]string // routed cameras only: primary first, then replicas
-	missed  bool                // a lookup missed since the last rebuild
 	senders map[laneKey]*ingestSender
 
 	// lanes is the number of sequenced lanes kept per worker, each with its
@@ -154,72 +151,38 @@ func NewIngesterWith(coord *Coordinator, transport cluster.Transport, o Ingester
 	return ing
 }
 
-// refreshLocked rebuilds the route cache when the assignment epoch changed,
-// and reports whether it did. Caller holds ing.mu.
-func (ing *Ingester) refreshLocked() bool {
-	epoch := ing.coord.Epoch()
-	if epoch == ing.epoch && ing.routes != nil {
-		return false
-	}
-	ing.rebuildLocked(epoch)
-	return true
-}
-
-// rebuildLocked reads the coordinator's routing table into the cache.
-// Caller holds ing.mu.
-func (ing *Ingester) rebuildLocked(epoch uint64) {
-	ing.epoch = epoch
-	ing.missed = false
-	ing.routes = make(map[uint32][]string)
-	for cam := range ing.coord.Assignment() {
-		if addrs := ing.coord.RoutesFor(cam); len(addrs) > 0 {
-			ing.routes[cam] = addrs
-		}
-	}
-	ing.coord.reg.Counter("ingest.route_refreshes").Inc()
-}
-
-// routesFor returns a camera's delivery addresses. The first miss in an
-// epoch makes sure the cache is fresh (membership may have changed
-// mid-stream); later misses in the epoch answer nil without a rebuild, so a
-// stream of observations naming unknown or removed cameras (a proxied
-// client's, say) costs one rebuild per epoch, not one per observation, and
-// adds nothing to the cache: it holds only assigned cameras.
-func (ing *Ingester) routesFor(cam uint32) []string {
-	ing.mu.Lock()
-	defer ing.mu.Unlock()
-	rebuilt := ing.refreshLocked()
-	addrs, ok := ing.routes[cam]
-	if !ok {
-		if !rebuilt && !ing.missed {
-			ing.rebuildLocked(ing.epoch)
-			addrs = ing.routes[cam]
-		}
-		ing.missed = true
-	}
-	return addrs
-}
-
 // coalesce converts items to observations and groups them per destination
-// address (primaries and replicas alike), each group sorted by (camera,
+// address (live primaries and replicas alike), each group sorted by (camera,
 // observation ID) so per-worker identity association is deterministic
 // regardless of input order. It also returns how many observations had no
-// live owner.
+// live owner. The whole frame routes by one route table, and each distinct
+// node's address and liveness are read from membership once.
 func coalesce[T any](ing *Ingester, items []T, toObs func(T) wire.Observation) (map[string][]wire.Observation, int) {
+	rt := ing.coord.table.Load()
+	addrOf := make(map[wire.NodeID]string, 8) // "" for a dead or unknown node
 	byAddr := make(map[string][]wire.Observation)
 	unrouted := 0
 	for _, item := range items {
 		obs := toObs(item)
-		addrs := ing.routesFor(obs.Camera)
-		if len(addrs) == 0 {
-			unrouted++
-		}
-		for _, addr := range addrs {
+		routed := false
+		for _, n := range rt.nodes[obs.Camera] {
+			addr, ok := addrOf[n]
+			if !ok {
+				addr, _ = ing.coord.liveAddr(n)
+				addrOf[n] = addr
+			}
+			if addr == "" {
+				continue
+			}
+			routed = true
 			group, ok := byAddr[addr]
 			if !ok {
 				group = ing.spareGroup()
 			}
 			byAddr[addr] = append(group, obs)
+		}
+		if !routed {
+			unrouted++
 		}
 	}
 	for _, group := range byAddr {
@@ -335,21 +298,25 @@ func (ing *Ingester) runSender(addr string, s *ingestSender) {
 	}
 }
 
-// Tick sends an empty clock frame to every live worker, advancing their
-// observation time so track-loss detection and continuous-answer expiry run
-// even on workers whose cameras saw nothing this frame. Real deployments get
-// this for free from per-camera frame cadence. Tick returns once every
-// worker acknowledged (or failed) the frame.
+// Tick sends an empty clock frame to every live owner and replica the route
+// table names, advancing their observation time so track-loss detection and
+// continuous-answer expiry run even on workers whose cameras saw nothing
+// this frame. Real deployments get this for free from per-camera frame
+// cadence. Tick returns once every worker acknowledged (or failed) the
+// frame.
 func (ing *Ingester) Tick(ctx context.Context, now time.Time) {
-	frames := make(map[string][]wire.Observation)
-	ing.mu.Lock()
-	ing.refreshLocked()
-	for _, addrs := range ing.routes {
-		for _, addr := range addrs {
+	nodes := make(map[wire.NodeID]bool)
+	for _, ns := range ing.coord.table.Load().nodes {
+		for _, n := range ns {
+			nodes[n] = true
+		}
+	}
+	frames := make(map[string][]wire.Observation, len(nodes))
+	for n := range nodes {
+		if addr, ok := ing.coord.liveAddr(n); ok {
 			frames[addr] = nil
 		}
 	}
-	ing.mu.Unlock()
 	ing.deliver(ctx, frames, now) //nolint:errcheck // clock ticks are best-effort
 }
 

@@ -133,84 +133,68 @@ func TestProxyIngestConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestProxyIngestUnroutedRefreshesOncePerEpoch: a proxied batch naming
-// cameras nobody owns rebuilds the coordinator's route table once, not once
-// per observation, and a second such batch in the same epoch rebuilds
-// nothing. A new epoch gets one fresh rebuild.
-func TestProxyIngestUnroutedRefreshesOncePerEpoch(t *testing.T) {
+// TestProxyIngestUnroutedCameras: the proxy routes each batch by the
+// coordinator's current route table. A batch naming only unknown cameras
+// answers not-found, a partly routable one is accepted with the rest counted
+// as rejected, thousands of unknown cameras publish no table, and once a
+// Reassign publishes a table that assigns them, the next batch reaches their
+// owners.
+func TestProxyIngestUnroutedCameras(t *testing.T) {
 	c := newTestCluster(t, 2, Options{})
 	cams := gridCams(world1, 2)
 	if err := c.Coordinator.AddCameras(ctx, cams, 50); err != nil {
 		t.Fatal(err)
 	}
-	refreshes := c.Coordinator.Metrics().Counter("ingest.route_refreshes")
-	unknown := make([]wire.CameraInfo, 200)
-	for i := range unknown {
-		unknown[i] = wire.CameraInfo{ID: uint32(1000 + i), Pos: cams[0].Pos}
-	}
-	resp, err := c.Transport.Call(ctx, c.Coordinator.Addr(), proxyBatch(1, 8, cams, simT0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack := resp.(*wire.IngestAck); ack.Accepted != 8 {
-		t.Fatalf("routed batch: %+v, want 8 accepted", ack)
-	}
-	unrouted := func(first uint64, wantRefreshes int64) {
-		t.Helper()
-		before := refreshes.Value()
-		_, err := c.Transport.Call(ctx, c.Coordinator.Addr(), proxyBatch(first, len(unknown), unknown, simT0))
-		var re *cluster.RemoteError
-		if !errors.As(err, &re) || re.Code != wire.CodeNotFound {
-			t.Fatalf("unroutable batch: err %v, want not-found", err)
+	unknownCams := func(first, n int) []wire.CameraInfo {
+		out := make([]wire.CameraInfo, n)
+		for i := range out {
+			out[i] = wire.CameraInfo{ID: uint32(first + i), Pos: cams[0].Pos, Range: 100, HalfFOV: 3.1}
 		}
-		if got := refreshes.Value() - before; got != wantRefreshes {
-			t.Fatalf("%d route-table rebuilds for %d unroutable observations, want %d", got, len(unknown), wantRefreshes)
+		return out
+	}
+	call := func(b *wire.IngestBatch) (*wire.IngestAck, error) {
+		resp, err := c.Transport.Call(ctx, c.Coordinator.Addr(), b)
+		if err != nil {
+			return nil, err
 		}
+		return resp.(*wire.IngestAck), nil
 	}
-	unrouted(100, 1)
-	unrouted(400, 0)
-	if err := c.Coordinator.Reassign(ctx); err != nil {
-		t.Fatal(err)
-	}
-	unrouted(700, 1)
-}
 
-// TestProxyIngestUnknownCamerasLeaveCacheBounded: a client naming many
-// distinct unknown cameras in one epoch adds none of them to the proxy's
-// route cache, which keeps holding only assigned cameras, and costs at most
-// one route-table rebuild.
-func TestProxyIngestUnknownCamerasLeaveCacheBounded(t *testing.T) {
-	c := newTestCluster(t, 2, Options{})
-	cams := gridCams(world1, 2)
-	if err := c.Coordinator.AddCameras(ctx, cams, 50); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Transport.Call(ctx, c.Coordinator.Addr(), proxyBatch(1, 8, cams, simT0)); err != nil {
-		t.Fatal(err)
-	}
-	refreshes := c.Coordinator.Metrics().Counter("ingest.route_refreshes")
-	before := refreshes.Value()
+	table := c.Coordinator.table.Load()
 	const batches, perBatch = 20, 250
 	for b := 0; b < batches; b++ {
-		unknown := make([]wire.CameraInfo, perBatch)
-		for i := range unknown {
-			unknown[i] = wire.CameraInfo{ID: uint32(1000 + b*perBatch + i), Pos: cams[0].Pos}
-		}
-		_, err := c.Transport.Call(ctx, c.Coordinator.Addr(), proxyBatch(uint64(100+b*perBatch), perBatch, unknown, simT0))
+		_, err := call(proxyBatch(uint64(1000+b*perBatch), perBatch, unknownCams(1000+b*perBatch, perBatch), simT0))
 		var re *cluster.RemoteError
 		if !errors.As(err, &re) || re.Code != wire.CodeNotFound {
 			t.Fatalf("unroutable batch %d: err %v, want not-found", b, err)
 		}
 	}
-	if got := refreshes.Value() - before; got > 1 {
-		t.Fatalf("%d route-table rebuilds for %d unknown cameras in one epoch, want at most 1", got, batches*perBatch)
+	if c.Coordinator.table.Load() != table {
+		t.Fatalf("%d unknown cameras published a route table", batches*perBatch)
 	}
-	ing := c.Coordinator.ingest
-	ing.mu.Lock()
-	cached := len(ing.routes)
-	ing.mu.Unlock()
-	if assigned := len(c.Coordinator.Assignment()); cached > assigned {
-		t.Fatalf("route cache holds %d cameras after %d unknown ones, want at most the %d assigned", cached, batches*perBatch, assigned)
+
+	mixed := append(append([]wire.CameraInfo(nil), cams[:2]...), unknownCams(1000, 2)...)
+	ack, err := call(proxyBatch(1, 8, mixed, simT0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Accepted != 4 || ack.Rejected != 4 {
+		t.Fatalf("partly routable batch: %+v, want 4 accepted and 4 rejected", ack)
+	}
+
+	epoch := c.Coordinator.Epoch()
+	added := unknownCams(1000, 2)
+	if err := c.Coordinator.AddCameras(ctx, added, 50); err != nil {
+		t.Fatal(err)
+	}
+	if c.Coordinator.Epoch() == epoch {
+		t.Fatal("AddCameras did not reassign")
+	}
+	if ack, err = call(proxyBatch(100, 8, added, simT0)); err != nil {
+		t.Fatal(err)
+	}
+	if ack.Accepted != 8 {
+		t.Fatalf("batch after the reassign: %+v, want 8 accepted", ack)
 	}
 }
 

@@ -48,18 +48,41 @@ type nodeSummary struct {
 	sum *wire.WorkerSummary
 }
 
+// queryTargets returns the addresses of the live workers a rect query fans
+// out to, and how many more were pruned: dropped because their sketch proves
+// them empty for the rect and window (counted into scatter.pruned). Owners
+// and the epoch the sketches are checked against come from one route table.
+func (c *Coordinator) queryTargets(rect geo.Rect, window wire.TimeWindow) ([]string, int) {
+	rt := c.table.Load()
+	ts := c.targetsFor(rt, rect)
+	if c.opts.DisablePrune {
+		return addrsOfTargets(ts), 0
+	}
+	kept := make([]string, 0, len(ts))
+	pruned := 0
+	for _, t := range ts {
+		if summaryCanMatch(c.summaryOf(t.node, rt.epoch), rect, window) {
+			kept = append(kept, t.addr)
+		} else {
+			pruned++
+		}
+	}
+	if pruned > 0 {
+		c.reg.Counter("scatter.pruned").Add(int64(pruned))
+	}
+	return kept, pruned
+}
+
 // targetsFor returns the live workers owning cameras whose FOV could have
 // produced observations in r (grown by the routing slack), sorted by address.
-func (c *Coordinator) targetsFor(r geo.Rect) []workerTarget {
+func (c *Coordinator) targetsFor(rt *routeTable, r geo.Rect) []workerTarget {
 	camIDs := c.network.CamerasIntersecting(r.Expand(routeSlack))
-	c.mu.Lock()
 	nodes := make(map[wire.NodeID]bool)
 	for _, id := range camIDs {
-		if n, ok := c.assignment[uint32(id)]; ok {
+		if n, ok := rt.owner(uint32(id)); ok {
 			nodes[n] = true
 		}
 	}
-	c.mu.Unlock()
 	var out []workerTarget
 	for _, m := range c.membership.Alive() {
 		if nodes[m.Node] {
@@ -224,28 +247,6 @@ func summaryKNNLowerBound(s *wire.WorkerSummary, center geo.Point, window wire.T
 		}
 	}
 	return lb
-}
-
-// pruneTargets drops the targets whose sketch proves them empty for the rect
-// and window, counting the drops into scatter.pruned.
-func (c *Coordinator) pruneTargets(ts []workerTarget, rect geo.Rect, window wire.TimeWindow) ([]workerTarget, int) {
-	if c.opts.DisablePrune || len(ts) == 0 {
-		return ts, 0
-	}
-	epoch := c.Epoch()
-	kept := make([]workerTarget, 0, len(ts))
-	pruned := 0
-	for _, t := range ts {
-		if summaryCanMatch(c.summaryOf(t.node, epoch), rect, window) {
-			kept = append(kept, t)
-		} else {
-			pruned++
-		}
-	}
-	if pruned > 0 {
-		c.reg.Counter("scatter.pruned").Add(int64(pruned))
-	}
-	return kept, pruned
 }
 
 // --- merging -----------------------------------------------------------------
