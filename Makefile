@@ -126,7 +126,8 @@ bench-query:
 
 # bench-insert prices one record insert on a store shaped like one
 # ingest.plain worker at its retention bound (seal, trim and expiry all live;
-# allocs reported) and leaves a CPU profile behind:
+# allocs reported), one record per Insert call (/record) and one 200-record
+# tick per call (/tick), and leaves a CPU profile behind:
 # `go tool pprof -top stindex.test insert.prof`.
 bench-insert:
 	$(GO) test -run '^$$' -bench InsertAtRetention -benchmem -cpuprofile insert.prof ./internal/stindex

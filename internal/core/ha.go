@@ -109,6 +109,7 @@ type haState struct {
 
 	mu           sync.Mutex
 	standby      bool
+	leadsFrom    uint64 // leader: the first assignment epoch it reports leading at
 	lease        *cluster.Lease
 	journal      []wire.ControlRecord   // records (base+1 .. base+len]
 	base         uint64                 // indices <= base are compacted into live state
@@ -162,14 +163,18 @@ func (c *Coordinator) IsStandby() bool {
 }
 
 // Role describes this coordinator's control-plane role: "single" outside an
-// HA group, else "leader" or "standby" plus the current leader's identity.
+// HA group, else "leader" or "standby" plus the current leader's identity. A
+// promoted standby reports "leader" only once its assignment epoch has moved
+// past the one it was promoted at: until then a deposed leader's epoch is
+// still current, and claiming it would lead peers and clients to renew a
+// lease on, or route by, an epoch the promotion is about to fence.
 func (c *Coordinator) Role() (role string, leader wire.NodeID, leaderAddr string) {
 	if c.ha == nil {
 		return "single", "", ""
 	}
 	c.ha.mu.Lock()
 	defer c.ha.mu.Unlock()
-	if !c.ha.standby {
+	if !c.ha.standby && c.Epoch() >= c.ha.leadsFrom {
 		return "leader", c.ha.id, c.Addr()
 	}
 	l, addr, _ := c.ha.lease.Holder()
@@ -740,7 +745,9 @@ func (c *Coordinator) maybeElect() {
 // becomeLeader promotes this standby: adopt the replicated membership as
 // freshly seen, flip the role, bump the assignment epoch through Reassign —
 // which both redirects the data plane and fences any deposed leader — and
-// start leasing on the next tick. Promotion is serialized against in-flight
+// start leasing on the next tick. The role flips before the bump, since
+// Reassign journals as leader; Role reports "leader" only once the bumped
+// epoch is published. Promotion is serialized against in-flight
 // journal application (applyMu): a long Replicate batch can outlive the
 // lease TTL, and flipping the role mid-apply would let the batch tail race
 // haAppend on the new leader's journal.
@@ -757,6 +764,7 @@ func (c *Coordinator) becomeLeader() {
 		return
 	}
 	h.standby = false
+	h.leadsFrom = c.Epoch() + 1
 	h.acks = make(map[wire.NodeID]uint64)
 	h.streamLeader = ""
 	var down time.Duration

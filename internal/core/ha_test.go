@@ -234,6 +234,75 @@ func TestHAFailoverElectsStandby(t *testing.T) {
 	}
 }
 
+// TestHAPromotionNeverLeadsAtDeposedEpoch: a promoted standby flips its role
+// before Reassign publishes the bumped assignment epoch, and in that window
+// it must not report itself as leader: Role and the LeaderInfo peers poll
+// would name it leader at the deposed leader's epoch. The test holds the
+// standby's coordinator lock, which Reassign needs before it publishes, so
+// the window stays open until the promotion has visibly begun; a poller
+// checks the invariant throughout the failover.
+func TestHAPromotionNeverLeadsAtDeposedEpoch(t *testing.T) {
+	lease := 150 * time.Millisecond
+	hc := newHATestCluster(t, 2, 2, 3, haOpts(lease))
+	leader, standby := hc.Coordinators[0], hc.Coordinators[1]
+	if err := leader.AddCameras(ctx, gridCams(world1, 2), 50); err != nil {
+		t.Fatal(err)
+	}
+	wantApplied := journalApplied(leader)
+	waitFor(t, 2*time.Second, "standby caught up", func() bool {
+		return journalApplied(standby) == wantApplied
+	})
+	epoch0 := standby.Epoch()
+
+	// violation reads the role before the epoch: the epoch only grows, so a
+	// leader role read first and an epoch read after at or below epoch0 mean
+	// the role was claimed at epoch0.
+	violation := func() string {
+		if role, _, _ := standby.Role(); role == "leader" && standby.Epoch() <= epoch0 {
+			return "Role() = leader"
+		}
+		resp, err := standby.onLeaderQuery()
+		if li, ok := resp.(*wire.LeaderInfo); err == nil && ok && li.IsLeader && li.Epoch <= epoch0 {
+			return "LeaderInfo.IsLeader"
+		}
+		return ""
+	}
+	stop := make(chan struct{})
+	polled := make(chan string, 1)
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if v := violation(); v != "" {
+				polled <- v
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+
+	standby.mu.Lock()
+	leader.Stop()
+	waitFor(t, 20*lease, "the standby to begin its promotion", func() bool { return !standby.IsStandby() })
+	held := violation()
+	standby.mu.Unlock()
+	if held != "" {
+		t.Fatalf("%s at the deposed leader's epoch %d while the promotion's Reassign was parked", held, epoch0)
+	}
+	waitFor(t, 20*lease, "the standby to lead", func() bool { return leaderAmong(hc.Coordinators[1:]) == standby })
+	close(stop)
+	if v := <-polled; v != "" {
+		t.Fatalf("%s at the deposed leader's epoch %d during failover", v, epoch0)
+	}
+	if e := standby.Epoch(); e <= epoch0 {
+		t.Fatalf("promoted epoch %d did not move past %d", e, epoch0)
+	}
+}
+
 // TestHATakeoverWithUnboundedAttempts: a negative PerAttemptTimeout leaves
 // attempts unbounded, and so must it leave the new leader's takeover
 // reassignment: that push runs without a deadline and succeeds, instead of

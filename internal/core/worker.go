@@ -53,8 +53,9 @@ type Worker struct {
 	primary    map[uint32]bool
 	store      *stindex.Store
 	assoc      *vision.Associator
-	probes     []vision.Probe // onIngest scratch: the batch's featured primary observations
-	localIDs   []uint64       // onIngest scratch: their associated identities
+	probes     []vision.Probe   // onIngest scratch: the batch's featured primary observations
+	localIDs   []uint64         // onIngest scratch: their associated identities
+	recs       []stindex.Record // onIngest scratch: the batch's owned rows, indexed in one store call
 	ingestSeqs map[string]*ingestSeqState
 	hbSeq      uint64
 	loadMeter  *metrics.Meter
@@ -552,10 +553,11 @@ func (w *Worker) onAssign(m *wire.AssignCameras) (any, error) {
 
 // onIngest is the hot path, split into two stages. Stage 1, under w.mu, is
 // the short critical section: sequenced-delivery dedup, ownership check,
-// identity association, and index insert. Stage 2, under w.evalMu, is the
-// staged evaluation: continuous queries, tracking, and observation-time
-// expiry. Queries never wait behind stage 2, and stage-1 inserts from the
-// next pipelined batch overlap with this batch's evaluation.
+// identity association, and one index insert for the batch's owned rows.
+// Stage 2, under w.evalMu, is the staged evaluation: continuous queries,
+// tracking, and observation-time expiry. Queries never wait behind stage 2,
+// and stage-1 inserts from the next pipelined batch overlap with this batch's
+// evaluation.
 func (w *Worker) onIngest(ctx context.Context, m *wire.IngestBatch) (any, error) {
 	w.mu.Lock()
 	sequenced := m.Source != "" && m.Seq != 0
@@ -595,6 +597,7 @@ func (w *Worker) onIngest(ctx context.Context, m *wire.IngestBatch) (any, error)
 	// and tracking skips rows without a feature, so a featureless row is
 	// done once indexed. Every associated row was a probe.
 	evals := make([]stagedObs, 0, len(w.probes))
+	w.recs = w.recs[:0]
 	for i := range m.Observations {
 		obs := &m.Observations[i]
 		if _, owned := w.cameras[obs.Camera]; !owned {
@@ -609,7 +612,7 @@ func (w *Worker) onIngest(ctx context.Context, m *wire.IngestBatch) (any, error)
 			// continuous queries, and tracking; running them here too would
 			// duplicate answer deltas and track updates.
 			replicated++
-			w.store.Insert(stindex.Record{
+			w.recs = append(w.recs, stindex.Record{
 				ObsID:  obs.ObsID,
 				Camera: obs.Camera,
 				Pos:    obs.Pos,
@@ -624,18 +627,18 @@ func (w *Worker) onIngest(ctx context.Context, m *wire.IngestBatch) (any, error)
 			targetID = w.idNamespace | localIDs[0]
 			localIDs = localIDs[1:]
 		}
-		rec := stindex.Record{
+		w.recs = append(w.recs, stindex.Record{
 			ObsID:    obs.ObsID,
 			TargetID: targetID,
 			Camera:   obs.Camera,
 			Pos:      obs.Pos,
 			Time:     obs.Time,
-		}
-		w.store.Insert(rec)
+		})
 		if targetID != 0 {
 			evals = append(evals, stagedObs{obs: obs, targetID: targetID})
 		}
 	}
+	w.store.Insert(w.recs...)
 	ack := wire.IngestAck{Accepted: accepted, Rejected: rejected, Replicated: replicated}
 	if sequenced {
 		st, ok := w.ingestSeqs[m.Source]

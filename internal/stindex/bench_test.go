@@ -178,7 +178,8 @@ type tickStream struct {
 	perTick      int
 	side         float64
 	next         int
-	targetsEvery int // every n-th record carries a TargetID; 0 = none
+	targetsEvery int      // every n-th record carries a TargetID; 0 = none
+	tick         []Record // insertTicks scratch: one tick's records
 }
 
 func newTickStream(seed int64, perTick int, side float64) *tickStream {
@@ -200,25 +201,51 @@ func (st *tickStream) record() Record {
 	return r
 }
 
-// insertTicks inserts the stream's next n ticks into s.
+// insertTicks inserts the stream's next n ticks into s, one Insert call per
+// tick, as a worker indexes one ingest batch.
 func (st *tickStream) insertTicks(s *Store, n int) {
-	for k := 0; k < n*st.perTick; k++ {
-		s.Insert(st.record())
+	for ; n > 0; n-- {
+		st.insertRecords(s, st.perTick)
 	}
+}
+
+// insertRecords inserts the stream's next n records into s in one call.
+func (st *tickStream) insertRecords(s *Store, n int) {
+	st.tick = st.tick[:0]
+	for ; n > 0; n-- {
+		st.tick = append(st.tick, st.record())
+	}
+	s.Insert(st.tick...)
 }
 
 // BenchmarkInsertAtRetention prices one record insert on a store shaped like
 // one ingest.plain worker at its retention bound: 50 m cells over a 2 km
 // world, 200 detections per 1 s tick, Retention 10 min and SealHorizon 2 min,
 // pre-aged past retention so that every tick seals, trims and expires as at
-// steady state.
+// steady state. /record inserts one record per call; /tick inserts a whole
+// tick per call, as the worker indexes an ingest batch. Both report ns per
+// record.
 func BenchmarkInsertAtRetention(b *testing.B) {
-	s := NewStore(Config{CellSize: 50, Retention: 10 * time.Minute, SealHorizon: 2 * time.Minute})
-	st := newTickStream(1, 200, 2000)
-	st.insertTicks(s, 11*60)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Insert(st.record())
+	atRetention := func() (*Store, *tickStream) {
+		s := NewStore(Config{CellSize: 50, Retention: 10 * time.Minute, SealHorizon: 2 * time.Minute})
+		st := newTickStream(1, 200, 2000)
+		st.insertTicks(s, 11*60)
+		return s, st
 	}
+	b.Run("record", func(b *testing.B) {
+		s, st := atRetention()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Insert(st.record())
+		}
+	})
+	b.Run("tick", func(b *testing.B) {
+		s, st := atRetention()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done := 0; done < b.N; done += st.perTick {
+			st.insertRecords(s, min(st.perTick, b.N-done))
+		}
+	})
 }

@@ -12,9 +12,10 @@ import (
 )
 
 // Retention trims sealed chunks through a live-suffix view and finds the
-// chunks to trim through the expiry queue. These tests hold that answers do
-// not depend on when reclamation runs, that sealed bytes never change, and
-// that a retention tick's work follows what expired.
+// chunks to trim through the bucketed expiry index. These tests hold that
+// answers do not depend on when reclamation runs or on how inserts are
+// batched, that sealed bytes never change, and that a retention tick's work
+// follows what expired.
 
 // TestAnswersIndependentOfReclamationTiming feeds one stream — late arrivals
 // (some already expired), duplicate timestamps and ObsIDs, straggler seals —
@@ -44,8 +45,8 @@ func TestAnswersIndependentOfReclamationTiming(t *testing.T) {
 		lazy.Insert(rec)
 		flat.Insert(rec)
 		ref = append(ref, rec)
-		for _, e := range eager.expiry {
-			if e.c.skip > 0 {
+		for _, c := range sealedChunks(eager) {
+			if c.skip > 0 {
 				trimmed++
 				break
 			}
@@ -97,6 +98,84 @@ func TestAnswersIndependentOfReclamationTiming(t *testing.T) {
 	}
 }
 
+// TestBatchedInsertMatchesPerRow feeds one stream into two stores, one record
+// per Insert call and in frame-sized calls. The calls carry out-of-order
+// rows, rows already behind the retention cutoff and stragglers behind the
+// seal frontier, and one call spans more than one seal granule and more than
+// the retention span. After every call both stores answer every query kind
+// alike and hold the same Len, TierStats and sealed chunks, byte for byte.
+func TestBatchedInsertMatchesPerRow(t *testing.T) {
+	cfg := Config{CellSize: 50, BucketWidth: 500 * time.Millisecond, Retention: 20 * time.Second, SealHorizon: 10 * time.Second}
+	perRow, batched := withChunkTarget(NewStore(cfg), 32), withChunkTarget(NewStore(cfg), 32)
+	rng := rand.New(rand.NewSource(44))
+	recs := edgeWorkload(rng, 12000, 50, cfg.BucketWidth, 1)
+	var disordered, expired, late, calls int
+	wide := false
+	for i := 0; i < len(recs); calls++ {
+		n := 1 + rng.Intn(200)
+		if calls == 20 {
+			n = 3000 // the call spanning a seal granule and a retention span
+		}
+		batch := recs[i:min(i+n, len(recs))]
+		i += len(batch)
+		lo, hi := batch[0].Time, batch[0].Time
+		for j, r := range batch {
+			if r.Time.Before(latestTime(perRow).Add(-cfg.Retention)) {
+				expired++
+			}
+			if sf := perRow.sealFrontier; sf != noTime && r.Time.UnixNano() < sf {
+				late++
+			}
+			if j > 0 && r.Time.Before(batch[j-1].Time) {
+				disordered++
+			}
+			if r.Time.Before(lo) {
+				lo = r.Time
+			}
+			if r.Time.After(hi) {
+				hi = r.Time
+			}
+			perRow.Insert(r)
+		}
+		if span := hi.Sub(lo); span > cfg.Retention && span > batched.rollupWidth {
+			wide = true
+		}
+		batched.Insert(batch...)
+		label := fmt.Sprintf("after call %d (%d records)", calls, i)
+		diffBattery(t, perRow, batched, label)
+		if p, b := perRow.TierStats(), batched.TierStats(); p != b {
+			t.Fatalf("%s: TierStats: per row %+v, batched %+v", label, p, b)
+		}
+		sameChunks(t, perRow, batched, label)
+	}
+	if disordered == 0 || expired == 0 || late == 0 || !wide {
+		t.Fatalf("vacuous: %d out-of-order rows, %d expired on arrival, %d behind the seal frontier, wide call %v",
+			disordered, expired, late, wide)
+	}
+}
+
+// sameChunks fails unless a and b hold the same sealed chunks in every cell,
+// in the same order, with the same bytes and live views.
+func sameChunks(t *testing.T, a, b *Store, label string) {
+	t.Helper()
+	if len(a.sealed) != len(b.sealed) {
+		t.Fatalf("%s: sealed chunks in %d cells, want %d", label, len(b.sealed), len(a.sealed))
+	}
+	for key, as := range a.sealed {
+		bs := b.sealed[key]
+		if len(as) != len(bs) {
+			t.Fatalf("%s: cell %v holds %d chunks, want %d", label, key, len(bs), len(as))
+		}
+		for i, ac := range as {
+			bc := bs[i]
+			if !bytes.Equal(ac.data, bc.data) || ac.skip != bc.skip || ac.count != bc.count || ac.start != bc.start || ac.end != bc.end {
+				t.Fatalf("%s: cell %v chunk %d differs: skip %d count %d [%d, %d], want skip %d count %d [%d, %d]",
+					label, key, i, bc.skip, bc.count, bc.start, bc.end, ac.skip, ac.count, ac.start, ac.end)
+			}
+		}
+	}
+}
+
 // retentionStore returns a tiered store at its retention bound, fed by the
 // returned stream: 100 detections per 1 s tick over a 1 km world, every
 // third carrying a TargetID, Retention 2 min and a half (so no tick lands on
@@ -120,8 +199,8 @@ func TestTrimKeepsChunkBytes(t *testing.T) {
 		start, end int64
 	}
 	before := map[*sealedChunk]snap{}
-	for _, e := range s.expiry {
-		before[e.c] = snap{bytes.Clone(e.c.data), e.c.skip + e.c.count, e.c.start, e.c.end}
+	for _, c := range sealedChunks(s) {
+		before[c] = snap{bytes.Clone(c.data), c.skip + c.count, c.start, c.end}
 	}
 	ptr := map[*sealedChunk]*byte{}
 	for c := range before {
@@ -129,8 +208,7 @@ func TestTrimKeepsChunkBytes(t *testing.T) {
 	}
 	st.insertTicks(s, 40)
 	trimmed := 0
-	for _, e := range s.expiry {
-		c := e.c
+	for _, c := range sealedChunks(s) {
 		b, ok := before[c]
 		if !ok {
 			continue
@@ -154,34 +232,46 @@ func TestTrimKeepsChunkBytes(t *testing.T) {
 }
 
 // TestRetentionTickWorkFollowsExpiry: a tick that advances Latest without
-// expiring anything touches no chunk, hot cell or history; a tick that does
-// touches exactly the chunks holding an expired record and no hot cell.
+// expiring anything reads no expiry entry and touches no chunk, hot cell or
+// history; a tick that does reads the entries of the expiry bucket holding
+// the cutoff and no other, and touches exactly the chunks holding an expired
+// record and no hot cell.
 func TestRetentionTickWorkFollowsExpiry(t *testing.T) {
 	s, st := retentionStore()
 	latest := latestTime(s)
-	visits, n := s.sweepVisits, s.Len()
+	visits, reads, n := s.sweepVisits, s.expiryReads, s.Len()
 	// The cutoff moves 400 ms, short of the oldest tick still live.
 	s.Insert(Record{ObsID: 1 << 40, TargetID: 1, Pos: geo.Pt(10, 10), Time: latest.Add(400 * time.Millisecond)})
-	if d := s.sweepVisits - visits; d != 0 || s.Len() != n+1 {
-		t.Fatalf("quiet tick: %d retention visits, Len %d → %d", d, n, s.Len())
+	if dv, dr := s.sweepVisits-visits, s.expiryReads-reads; dv != 0 || dr != 0 || s.Len() != n+1 {
+		t.Fatalf("quiet tick: %d retention visits, %d expiry entries read, Len %d → %d", dv, dr, n, s.Len())
 	}
 
-	next := st.record()
-	cutoff := next.Time.Add(-s.cfg.Retention).UnixNano()
+	tick := make([]Record, st.perTick)
+	for i := range tick {
+		tick[i] = st.record()
+	}
+	cutoff := tick[0].Time.Add(-s.cfg.Retention).UnixNano()
+	if len(s.expiry) < 2 || s.expiry[0].idx != floorDiv64(cutoff, int64(s.rollupWidth)) {
+		t.Fatal("vacuous: the oldest expiry bucket is not the one holding the next cutoff, or it is the only one")
+	}
 	want := 0
-	for _, e := range s.expiry {
-		if e.c.start < cutoff {
+	for _, e := range s.expiry[0].entries {
+		if e.start < cutoff {
 			want++
 		}
 	}
 	if want == 0 {
 		t.Fatal("vacuous: the next tick expires no sealed record")
 	}
-	visits = s.sweepVisits
-	s.Insert(next)
+	wantReads := len(s.expiry[0].entries)
+	visits, reads = s.sweepVisits, s.expiryReads
+	s.Insert(tick...)
 	if d := s.sweepVisits - visits; d != want {
 		t.Fatalf("expiring tick: %d retention visits, want the %d chunks holding expired records (of %d cells, %d chunks)",
-			d, want, len(s.cells), len(s.expiry))
+			d, want, len(s.cells), len(sealedChunks(s)))
+	}
+	if d := s.expiryReads - reads; d != wantReads {
+		t.Fatalf("expiring tick: %d expiry entries read, want the %d of the bucket holding the cutoff", d, wantReads)
 	}
 }
 
@@ -193,6 +283,7 @@ func TestRetentionTickAllocs(t *testing.T) {
 	s, st := retentionStore()
 	s.Seal() // the next seal is 16 ticks away; the runs below take 11
 	perRecord := testing.AllocsPerRun(10, func() { st.insertTicks(s, 1) }) / float64(st.perTick)
+	t.Logf("%.2f allocations per record", perRecord)
 	if perRecord > ceiling {
 		t.Fatalf("one retention tick allocates %.2f times per record, want ≤ %.1f", perRecord, ceiling)
 	}
@@ -203,11 +294,12 @@ func TestRetentionTickAllocs(t *testing.T) {
 // resident for the chunk's life.
 func TestSealedChunksExactSize(t *testing.T) {
 	s, _ := retentionStore()
-	if len(s.expiry) == 0 {
+	chunks := sealedChunks(s)
+	if len(chunks) == 0 {
 		t.Fatal("vacuous: nothing sealed")
 	}
-	for _, e := range s.expiry {
-		if c := e.c; cap(c.data) != len(c.data) {
+	for _, c := range chunks {
+		if cap(c.data) != len(c.data) {
 			t.Fatalf("chunk [%d, %d] holds %d bytes in a %d-byte buffer", c.start, c.end, len(c.data), cap(c.data))
 		}
 	}

@@ -91,7 +91,7 @@ type Store struct {
 	cells    map[cellKey]*hotCell
 	byTarget map[uint64][]hotRecord // time-ordered per target (hot tier)
 	n        int                    // cell-side records across both tiers
-	latest   time.Time
+	latest   int64                  // UnixNano of the newest record; noTime while empty
 	// hotFloor is the hot tier's retention watermark: no hot record is
 	// older than this UnixNano. Late inserts lower it; a seal raises it to
 	// the seal frontier and a hot sweep to its cutoff, so retention sweeps
@@ -101,14 +101,15 @@ type Store struct {
 	// Sealed tier. sealed holds each cell's chunks in
 	// seal order, the one encoded copy of every sealed record; targetSealed
 	// lists, per target, the same chunks that hold one of its records, in
-	// seal order; expiry holds every chunk, ordered for retention.
-	// sealFrontier is the exclusive upper bound of sealed time: after a seal
-	// sweep no hot record is older than it (late arrivals may dip below
-	// until the next sweep compacts them).
+	// seal order; expiry holds every chunk, bucketed for retention.
+	// sealFrontier is the exclusive UnixNano upper bound of sealed time
+	// (noTime before the first seal): after a seal sweep no hot record is
+	// older than it (late arrivals may dip below until the next sweep
+	// compacts them).
 	sealed        map[cellKey][]*sealedChunk
 	targetSealed  map[uint64][]*sealedChunk
-	expiry        expiryQueue
-	sealFrontier  time.Time
+	expiry        []expiryBucket
+	sealFrontier  int64
 	lateSinceSeal int
 
 	gen uint64 // bumped on every mutation (insert/seal/evict)
@@ -128,6 +129,7 @@ type Store struct {
 	sealBuf  []byte
 
 	sweepVisits int // chunks, hot cells and hot histories retention has touched
+	expiryReads int // expiry entries retention has read
 
 	queryDecodes atomic.Uint64 // chunks decoded to answer queries
 	rollupHits   atomic.Uint64 // chunks counted whole, without decoding
@@ -148,7 +150,9 @@ func NewStore(cfg Config) *Store {
 		chunkTarget:  chunkTarget,
 		cells:        make(map[cellKey]*hotCell),
 		byTarget:     make(map[uint64][]hotRecord),
+		latest:       noTime,
 		hotFloor:     math.MaxInt64,
+		sealFrontier: noTime,
 		sealed:       make(map[cellKey][]*sealedChunk),
 		targetSealed: make(map[uint64][]*sealedChunk),
 	}
@@ -188,36 +192,72 @@ type TierStats struct {
 func (s *Store) TierStats() TierStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ts := TierStats{SealedChunks: len(s.expiry), QueryDecodes: s.queryDecodes.Load(), RollupHits: s.rollupHits.Load()}
-	for _, e := range s.expiry {
-		ts.SealedRecords += e.c.count
-		ts.SealedBytes += int64(len(e.c.data))
-		ts.IndexBytes += int64(len(e.c.targets)) * targetRefBytes
+	ts := TierStats{QueryDecodes: s.queryDecodes.Load(), RollupHits: s.rollupHits.Load()}
+	for _, b := range s.expiry {
+		ts.SealedChunks += len(b.entries)
+		for _, e := range b.entries {
+			ts.SealedRecords += e.c.count
+			ts.SealedBytes += int64(len(e.c.data))
+			ts.IndexBytes += int64(len(e.c.targets)) * targetRefBytes
+		}
 	}
 	return ts
 }
 
 func (s *Store) keyOf(p geo.Point) cellKey { return gridKey(p, s.cfg.CellSize) }
 
-// Insert adds a record. When Retention is configured, a record already older
-// than Latest − Retention is dropped on arrival, as if evicted at once, and
-// every insert evicts what the advanced cutoff has expired. Records aging past
-// the seal horizon are compacted into the sealed tier on the way.
-// All maintenance runs inside the same critical section as the insert:
-// readers can never observe already-expired records, and two racing inserts
-// cannot both run an eviction.
-func (s *Store) Insert(rec Record) {
+// Insert adds records, in order. When Retention is configured, a record
+// already older than Latest − Retention — the cutoff as of the records before
+// it — is dropped on arrival, as if evicted at once, and the call ends by
+// evicting what the advanced cutoff has expired. Records aging past the seal
+// horizon are compacted into the sealed tier on the way, at the record where
+// inserting one at a time would compact them, so a call leaves the store
+// exactly as inserting its records one call each would.
+// All maintenance runs inside the call's one critical section: readers can
+// never observe already-expired records, and two racing calls cannot both
+// run an eviction.
+func (s *Store) Insert(recs ...Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.insertLocked(rec)
+	cutoff, frontier := s.retentionCutoff(), satSub(s.latest, s.cfg.SealHorizon)
+	added := false
+	for i := range recs {
+		h := hotOf(recs[i])
+		if h.ns < cutoff {
+			continue
+		}
+		s.addHot(h)
+		added = true
+		if h.ns < s.sealFrontier {
+			s.lateSinceSeal++
+		}
+		if h.ns > s.latest {
+			s.latest = h.ns
+			frontier = satSub(s.latest, s.cfg.SealHorizon)
+		}
+		// Seal once per rollupWidth of frontier progress, or when enough
+		// stragglers landed behind the frontier to be worth compacting. The
+		// seal sees the hot tier as evicted to the cutoff before this record.
+		if s.sealFrontier == noTime || frontier-s.sealFrontier >= int64(s.rollupWidth) || s.lateSinceSeal >= sealCheckEvery {
+			if s.cfg.Retention > 0 {
+				s.evictLocked(cutoff)
+			}
+			s.sealLocked(frontier)
+		}
+		cutoff = s.retentionCutoff()
+	}
+	if added {
+		s.gen++
+	}
+	if s.cfg.Retention > 0 {
+		s.evictLocked(cutoff)
+	}
 }
 
-func (s *Store) insertLocked(rec Record) {
-	h := hotOf(rec)
-	if s.cfg.Retention > 0 && h.ns < s.retentionCutoff() {
-		return
-	}
-	key := s.keyOf(rec.Pos)
+// addHot adds one record to the hot tier: its cell and, when it has a
+// target, the target's history. Caller holds the write lock.
+func (s *Store) addHot(h hotRecord) {
+	key := s.keyOf(h.Pos)
 	cell, ok := s.cells[key]
 	if !ok {
 		cell = newHotCell(s.cfg.BucketWidth)
@@ -225,39 +265,39 @@ func (s *Store) insertLocked(rec Record) {
 	}
 	cell.add(h)
 	s.n++
-	s.gen++
-	if rec.Time.After(s.latest) {
-		s.latest = rec.Time
-	}
 	s.hotFloor = min(s.hotFloor, h.ns)
-	if rec.TargetID != 0 {
+	if h.TargetID != 0 {
 		// Insert keeping (Time, ObsID) order, after equal keys; appends are
 		// the common case.
-		hist := s.byTarget[rec.TargetID]
+		hist := s.byTarget[h.TargetID]
 		i := len(hist)
 		if i > 0 && recordLess(&h, &hist[i-1]) {
 			i = sort.Search(i, func(j int) bool { return recordLess(&h, &hist[j]) })
 		}
-		s.byTarget[rec.TargetID] = slices.Insert(hist, i, h)
-	}
-	if !s.sealFrontier.IsZero() && rec.Time.Before(s.sealFrontier) {
-		s.lateSinceSeal++
-	}
-	frontier := s.latest.Add(-s.cfg.SealHorizon)
-	// Seal once per rollupWidth of frontier progress, or when enough
-	// stragglers landed behind the frontier to be worth compacting.
-	if frontier.Sub(s.sealFrontier) >= s.rollupWidth || s.lateSinceSeal >= sealCheckEvery {
-		s.sealLocked(frontier)
-	}
-	if s.cfg.Retention > 0 {
-		s.evictLocked(s.retentionCutoff())
+		s.byTarget[h.TargetID] = slices.Insert(hist, i, h)
 	}
 }
 
+// noTime is the UnixNano the store holds for "no time yet": Latest of an
+// empty store, and the seal frontier before the first seal.
+const noTime = math.MinInt64
+
 // retentionCutoff is the UnixNano before which records have expired:
-// Latest − Retention (saturated, so an empty store expires nothing).
+// Latest − Retention, and noTime (nothing expires) without retention or
+// before the first record.
 func (s *Store) retentionCutoff() int64 {
-	return unixNanos(s.latest.Add(-s.cfg.Retention))
+	if s.cfg.Retention <= 0 {
+		return noTime
+	}
+	return satSub(s.latest, s.cfg.Retention)
+}
+
+// satSub is the UnixNano t − d, saturated at noTime.
+func satSub(t int64, d time.Duration) int64 {
+	if t < noTime+int64(d) {
+		return noTime
+	}
+	return t - int64(d)
 }
 
 // Seal compacts every record older than latest − SealHorizon into the sealed
@@ -266,36 +306,36 @@ func (s *Store) retentionCutoff() int64 {
 func (s *Store) Seal() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.latest.IsZero() {
+	if s.latest == noTime {
 		return 0
 	}
-	return s.sealLocked(s.latest.Add(-s.cfg.SealHorizon))
+	return s.sealLocked(satSub(s.latest, s.cfg.SealHorizon))
 }
 
 // sealLocked moves every cell record strictly before the frontier into
 // sealed chunks (grouped by rollupWidth bucket, split at chunkTarget) and
 // drops the sealed prefixes of the hot target histories. Record counts do not
 // change — records move between tiers. Caller holds the write lock.
-func (s *Store) sealLocked(frontier time.Time) int {
-	if frontier.After(s.sealFrontier) {
+func (s *Store) sealLocked(frontier int64) int {
+	if frontier > s.sealFrontier {
 		s.sealFrontier = frontier
 	} else {
 		// Straggler sweep: re-seal up to the existing frontier.
 		frontier = s.sealFrontier
 	}
 	s.lateSinceSeal = 0
-	if frontier.IsZero() {
+	if frontier == noTime {
 		return 0
 	}
 	s.gen++
-	s.hotFloor = max(s.hotFloor, frontier.UnixNano())
+	s.hotFloor = max(s.hotFloor, frontier)
 	sealedCount := 0
 	for key, cell := range s.cells {
-		if start, _, ok := cell.span(); !ok || !start.Before(frontier) {
+		if start, _, ok := cell.span(); !ok || start.UnixNano() >= frontier {
 			continue
 		}
 		recs := s.sealRecs[:0]
-		cell.evictBefore(frontier.UnixNano(), &recs)
+		cell.evictBefore(frontier, &recs)
 		s.sealRecs = recs
 		if cell.len() == 0 {
 			delete(s.cells, key)
@@ -319,9 +359,8 @@ func (s *Store) sealLocked(frontier time.Time) int {
 		}
 		sealedCount += len(recs)
 	}
-	frontierNs := frontier.UnixNano()
 	for id, hist := range s.byTarget {
-		if lo := searchTime(hist, frontierNs); lo > 0 {
+		if lo := searchTime(hist, frontier); lo > 0 {
 			s.trimHistory(id, hist, lo)
 		}
 	}
@@ -329,14 +368,23 @@ func (s *Store) sealLocked(frontier time.Time) int {
 }
 
 // addChunk lists a new chunk under cell key and under every target it holds,
-// and queues it for expiry.
+// and in the expiry bucket of its rollupWidth step.
 func (s *Store) addChunk(key cellKey, c *sealedChunk) {
 	s.sealed[key] = append(s.sealed[key], c)
 	for _, t := range c.targets {
 		s.targetSealed[t.id] = append(s.targetSealed[t.id], c)
 	}
-	s.expiry = append(s.expiry, expiry{start: c.start, c: c, key: key}) // heap.Push without boxing
-	heap.Fix(&s.expiry, len(s.expiry)-1)
+	idx := floorDiv64(c.start, int64(s.rollupWidth))
+	i := len(s.expiry) - 1
+	if i < 0 || s.expiry[i].idx != idx {
+		i = sort.Search(len(s.expiry), func(j int) bool { return s.expiry[j].idx >= idx })
+		if i == len(s.expiry) || s.expiry[i].idx != idx {
+			s.expiry = slices.Insert(s.expiry, i, expiryBucket{idx: idx, first: c.start})
+		}
+	}
+	b := &s.expiry[i]
+	b.entries = append(b.entries, expiry{start: c.start, c: c, key: key})
+	b.first = min(b.first, c.start)
 }
 
 // searchTime returns the index of the first record of the time-ordered hist
@@ -835,9 +883,11 @@ func (s *Store) EvictBefore(cutoff time.Time) int {
 
 // evictLocked removes every record before the UnixNano cutoff and returns
 // how many went. Its work follows what expired: the hot tier is swept only
-// when its watermark lies below the cutoff, and the expiry queue yields
-// exactly the sealed chunks holding an expired record. A trim advances the
-// view that cell and target lists share.
+// when its watermark lies below the cutoff, and the expiry index is read only
+// when its oldest bucket's watermark does — then bucket by bucket from the
+// oldest, each wholly expired one dropped and the one holding the cutoff
+// trimmed in place. A trim advances the view that cell and target lists
+// share.
 func (s *Store) evictLocked(cutoff int64) int {
 	removed := 0
 	if s.hotFloor < cutoff {
@@ -856,22 +906,32 @@ func (s *Store) evictLocked(cutoff int64) int {
 		}
 		s.hotFloor = cutoff
 	}
-	for len(s.expiry) > 0 && s.expiry[0].start < cutoff {
-		s.sweepVisits++
-		e := s.expiry[0]
-		n := e.c.count
-		if e.c.end < cutoff {
-			heap.Pop(&s.expiry)
-			unlistChunk(s.sealed, e.key, e.c)
-			for _, t := range e.c.targets {
-				unlistChunk(s.targetSealed, t.id, e.c)
+	for len(s.expiry) > 0 && s.expiry[0].first < cutoff {
+		b := &s.expiry[0]
+		kept, first := b.entries[:0], int64(math.MaxInt64)
+		for _, e := range b.entries {
+			s.expiryReads++
+			if e.start < cutoff {
+				s.sweepVisits++
+				if e.c.end < cutoff {
+					removed += e.c.count
+					unlistChunk(s.sealed, e.key, e.c)
+					for _, t := range e.c.targets {
+						unlistChunk(s.targetSealed, t.id, e.c)
+					}
+					continue
+				}
+				removed += e.c.trimBefore(cutoff)
+				e.start = e.c.start
 			}
-		} else {
-			n = e.c.trimBefore(cutoff)
-			s.expiry[0].start = e.c.start
-			heap.Fix(&s.expiry, 0)
+			kept = append(kept, e)
+			first = min(first, e.start)
 		}
-		removed += n
+		clear(b.entries[len(kept):])
+		b.entries, b.first = kept, first
+		if len(kept) == 0 {
+			s.expiry = slices.Delete(s.expiry, 0, 1)
+		}
 	}
 	if removed > 0 {
 		s.n -= removed
@@ -892,28 +952,24 @@ func unlistChunk[K comparable](m map[K][]*sealedChunk, k K, c *sealedChunk) {
 	}
 }
 
-// expiry is a sealed chunk's entry in the expiry queue: its live start, kept
-// beside the pointer so ordering reads no chunk, and the cell holding it.
+// expiry is a sealed chunk's entry in the expiry index: its live start, kept
+// beside the pointer so a bucket's live entries are read without touching
+// their chunks, and the cell holding it.
 type expiry struct {
 	start int64
 	c     *sealedChunk
 	key   cellKey
 }
 
-// expiryQueue is a min-heap (container/heap) of every sealed chunk, keyed by
-// the time of its first live record. Whatever order chunks are sealed in —
-// stragglers included — the chunks holding records before a cutoff are
-// exactly those at the top. Its users read the top entry before popping it,
-// so Pop returns nothing and no entry is boxed.
-type expiryQueue []expiry
-
-func (q expiryQueue) Len() int           { return len(q) }
-func (q expiryQueue) Less(i, j int) bool { return q[i].start < q[j].start }
-func (q expiryQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *expiryQueue) Push(x any)        { *q = append(*q, x.(expiry)) }
-func (q *expiryQueue) Pop() any {
-	old := *q
-	old[len(old)-1] = expiry{}
-	*q = old[:len(old)-1]
-	return nil
+// expiryBucket lists the sealed chunks of one rollupWidth step, in seal
+// order. A chunk never spans a step, so whatever order chunks are sealed in
+// (stragglers included), every chunk of a bucket before the cutoff's has
+// expired whole, and only the cutoff's own bucket holds chunks to trim.
+// first, the earliest live start of the bucket's chunks, is its watermark:
+// retention reads no entry while the oldest bucket's lies at or past the
+// cutoff.
+type expiryBucket struct {
+	idx     int64 // floor(start / rollupWidth) of every chunk listed
+	first   int64
+	entries []expiry
 }

@@ -20,7 +20,23 @@ func at(d time.Duration) time.Time { return t0.Add(d) }
 func latestTime(s *Store) time.Time {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.latest
+	if s.latest == noTime {
+		return time.Time{}
+	}
+	return time.Unix(0, s.latest)
+}
+
+// sealedChunks lists every resident sealed chunk, read off the expiry index.
+func sealedChunks(s *Store) []*sealedChunk {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []*sealedChunk
+	for _, b := range s.expiry {
+		for _, e := range b.entries {
+			out = append(out, e.c)
+		}
+	}
+	return out
 }
 
 // targets returns the IDs with at least one live record, sorted; a target

@@ -476,8 +476,8 @@ func TestTieredDifferentialSealScratchNoAlias(t *testing.T) {
 		decoded string
 	}
 	first := map[*sealedChunk]snap{}
-	for _, e := range tiered.expiry {
-		first[e.c] = snap{slices.Clone(e.c.data), dumpRecords(toRecords(e.c.appendLive(nil)))}
+	for _, c := range sealedChunks(tiered) {
+		first[c] = snap{slices.Clone(c.data), dumpRecords(toRecords(c.appendLive(nil)))}
 	}
 	if len(first) == 0 {
 		t.Fatal("vacuous: the first seal made no chunk")
